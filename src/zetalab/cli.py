@@ -13,8 +13,10 @@ Exit codes: 0 success, 2 invalid configuration (bad flags, bad config
 document), 3 structured stage failure (JSON diagnostics on stderr).
 
 Output is deterministic for a fixed config and seed: floats render with 17
-significant digits, keys in fixed order.  A JSON config document can seed
-any subcommand's flags (--config); unknown keys are rejected.
+significant digits, keys in fixed order.  The global flags (--precision,
+--seed, --out, --format, --config) go before or after the subcommand.  A
+JSON config document (--config) supplies defaults for the chosen command's
+flags: flags given on the command line win, unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -247,17 +249,31 @@ def _cmd_zeros(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Flags every command takes, before or after the subcommand.
+_GLOBAL_FLAGS = {
+    "--precision": dict(type=int, default=None,
+                        help="software precision in decimal digits"),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(default=None, help="write output to this file"),
+    "--format": dict(choices=["json", "csv", "jsonl"], default="json"),
+    "--config": dict(default=None,
+                     help="JSON document supplying defaults for the command"),
+}
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, list]:
+    """The top-level parser and the parsers of the leaf commands."""
     top = argparse.ArgumentParser(prog="zetalab")
-    top.add_argument("--precision", type=int, default=None,
-                     help="software precision in decimal digits")
-    top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--out", default=None, help="write output to this file")
-    top.add_argument("--format", choices=["json", "csv", "jsonl"],
-                     default="json")
-    top.add_argument("--config", default=None,
-                     help="JSON document supplying defaults for the command")
+    for flag, kw in _GLOBAL_FLAGS.items():
+        top.add_argument(flag, **kw)
     sub = top.add_subparsers(dest="command", required=True)
+    leaves = []
+
+    def leaf(subs, name, run, **kw):
+        p = subs.add_parser(name, **kw)
+        p.set_defaults(run=run)
+        leaves.append(p)
+        return p
 
     def series_flags(p):
         p.add_argument("--f", default="1", help="comma list of period values")
@@ -266,19 +282,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="rat:p,q | quad:a,b,d | dec:<literal>")
         p.add_argument("--tol", type=float, default=1e-12)
 
-    p = sub.add_parser("eval", help="series values and identity checks")
+    p = leaf(sub, "eval", _cmd_eval, help="series values and identity checks")
     series_flags(p)
     p.add_argument("--s", default="2,0", help="sigma,t")
     p.add_argument("--route", choices=["lfunction", "decompose"],
                    default="lfunction")
     p.add_argument("--grid", default=None,
                    help="smin,smax,ns:tmin,tmax,nt (CSV output)")
-    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("kron")
     ksub = p.add_subparsers(dest="action", required=True)
-    pk = ksub.add_parser("solve")
-    pk.add_argument("--freqs", required=True)
+    pk = leaf(ksub, "solve", _cmd_kron)
+    pk.add_argument("--freqs", required=True,
+                    help="comma list; write --freqs=-0.1,0.2 when the first "
+                         "is negative")
     pk.add_argument("--targets", required=True)
     pk.add_argument("--delta", type=float, required=True)
     pk.add_argument("--tmin", type=float, default=0.0)
@@ -286,38 +303,32 @@ def _build_parser() -> argparse.ArgumentParser:
                     default="auto")
     pk.add_argument("--max-t", type=float, default=1e6)
     pk.add_argument("--max-iter", type=float, default=5e7)
-    pk.set_defaults(run=_cmd_kron)
 
     p = sub.add_parser("annulus")
     asub = p.add_subparsers(dest="action", required=True)
-    pa = asub.add_parser("radii")
+    pa = leaf(asub, "radii", _cmd_annulus)
     pa.add_argument("--r", required=True)
-    pa.set_defaults(run=_cmd_annulus)
-    pa = asub.add_parser("realize")
+    pa = leaf(asub, "realize", _cmd_annulus)
     pa.add_argument("--r", required=True)
     pa.add_argument("--z", required=True, help="re,im")
     pa.add_argument("--tol", type=float, default=1e-9)
-    pa.set_defaults(run=_cmd_annulus)
 
     p = sub.add_parser("ideals")
     isub = p.add_subparsers(dest="action", required=True)
-    pi = isub.add_parser("factor")
+    pi = leaf(isub, "factor", _cmd_ideals)
     pi.add_argument("--alpha", required=True)
     pi.add_argument("--n", type=int, required=True)
-    pi.set_defaults(run=_cmd_ideals)
-    pi = isub.add_parser("cassels")
+    pi = leaf(isub, "cassels", _cmd_ideals)
     pi.add_argument("--alpha", required=True)
     pi.add_argument("--N", type=int, required=True)
     pi.add_argument("--M", type=int, required=True)
-    pi.set_defaults(run=_cmd_ideals)
 
     p = sub.add_parser("twist")
     tsub = p.add_subparsers(dest="action", required=True)
-    pt = tsub.add_parser("sign-flip")
+    pt = leaf(tsub, "sign-flip", _cmd_twist)
     series_flags(pt)
     pt.add_argument("--delta", type=float, required=True)
-    pt.set_defaults(run=_cmd_twist)
-    pt = tsub.add_parser("greedy")
+    pt = leaf(tsub, "greedy", _cmd_twist)
     series_flags(pt)
     pt.add_argument("--delta", type=float, default=1.0)
     pt.add_argument("--blocks", type=int, default=50)
@@ -330,47 +341,57 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--density", type=float, default=0.55)
     pt.add_argument("--no-hp", action="store_true",
                     help="skip the high-precision ledger recheck")
-    pt.set_defaults(run=_cmd_twist)
 
     p = sub.add_parser("zeros")
     zsub = p.add_subparsers(dest="action", required=True)
-    pz = zsub.add_parser("count")
+    pz = leaf(zsub, "count", _cmd_zeros)
     series_flags(pz)
     pz.add_argument("--rect", required=True, help="smin,smax,tmin,tmax")
     pz.add_argument("--samples", type=int, default=256)
-    pz.set_defaults(run=_cmd_zeros)
-    pz = zsub.add_parser("pipeline")
+    pz = leaf(zsub, "pipeline", _cmd_zeros)
     series_flags(pz)
     pz.add_argument("--delta", type=float, required=True)
     pz.add_argument("--budget", default=None,
                     help="comma list: maxt=..,maxiter=..,ncut=..,samples=..,tmin=..")
-    pz.set_defaults(run=_cmd_zeros)
-    return top
+    return top, leaves
 
 
-def _apply_config(parser, argv: list[str]) -> argparse.Namespace:
-    args = parser.parse_args(argv)
-    if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ConfigInvalid("config document must be a JSON object")
-        known = set(vars(args))
-        for key, value in doc.items():
-            attr = key.replace("-", "_")
-            if attr not in known:
-                raise ConfigInvalid(f"unknown config key {key!r}", key=key)
-            # command-line flags win over the document
-            default = parser.get_default(attr)
-            if getattr(args, attr) == default:
-                setattr(args, attr, value)
+def _parse(top, argv: list[str]) -> argparse.Namespace:
+    args, rest = top.parse_known_args(argv)
+    if rest:
+        # what the command did not take may only be global flags, given
+        # after the subcommand; only flags given are stored
+        after = argparse.ArgumentParser(prog=top.prog, add_help=False)
+        for flag, kw in _GLOBAL_FLAGS.items():
+            after.add_argument(flag, **{**kw, "default": argparse.SUPPRESS})
+        after.parse_args(rest, namespace=args)
     return args
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    top, leaves = _build_parser()
+    args = _parse(top, argv)
+    if not args.config:
+        return args
+    with open(args.config) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigInvalid("config document must be a JSON object")
+    known = set(vars(args)) - {"command", "action", "run"}
+    for key, value in doc.items():
+        attr = key.replace("-", "_")
+        if attr not in known:
+            raise ConfigInvalid(f"unknown config key {key!r}", key=key)
+        # the document sets defaults, so flags on the command line win; only
+        # the chosen command's leaf parser reads its defaults
+        for p in [top] if "--" + attr in _GLOBAL_FLAGS else leaves:
+            p.set_defaults(**{attr: value})
+    return _parse(top, argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = _apply_config(parser, sys.argv[1:] if argv is None else argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except (ConfigInvalid, OSError, json.JSONDecodeError) as e:
         sys.stderr.write(f"config error: {e}\n")
         return 2

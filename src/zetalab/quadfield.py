@@ -26,7 +26,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import NotQuadratic
-from .series import Alpha
+from .series import Alpha, _is_squarefree
 
 __all__ = [
     "QuadraticField", "QuadElement", "PrimeIdeal", "IdealFactorization",
@@ -123,17 +123,6 @@ def _vp_fraction(x: Fraction, p: int) -> int:
 # ---------------------------------------------------------------------------
 # field and elements
 # ---------------------------------------------------------------------------
-
-def _is_squarefree(d: int) -> bool:
-    if d < 2:
-        return False
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
-        k += 1
-    return True
-
 
 @dataclass(frozen=True)
 class QuadraticField:

@@ -22,7 +22,7 @@ checked against the requested tolerance (M is doubled until it holds).
 from __future__ import annotations
 
 import math
-import cmath
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,10 +59,13 @@ def _bernoulli_even(count: int) -> list[Fraction]:
         b[m] = -acc / (m + 1)
     return [b[2 * k] for k in range(1, count + 1)]
 
-_B_EVEN = _bernoulli_even(_EM_ORDER + 1)
-# B_{2k} / (2k)! as floats, k = 1 .. order+1
-_C_EVEN = [float(_B_EVEN[k - 1] / Fraction(math.factorial(2 * k)))
-           for k in range(1, _EM_ORDER + 2)]
+# B_{2k} / (2k)!, k = 1 .. order+1: exact, and as floats
+_C_EXACT = [b / math.factorial(2 * k)
+            for k, b in enumerate(_bernoulli_even(_EM_ORDER + 1), 1)]
+_C_EVEN = [float(c) for c in _C_EXACT]
+
+# numpy chunk length of the direct block: bounds its memory at large cutoffs
+_CHUNK = 1 << 19
 
 
 def _is_squarefree(d: int) -> bool:
@@ -167,21 +170,14 @@ class Alpha:
         return self.value
 
 
-def _shift_value(alpha) -> float:
+def _shift_value(alpha, dps: int | None = None):
+    """The shift as a float, or with dps set as an mpf at working precision."""
     if isinstance(alpha, Alpha):
-        return alpha.value
-    a = float(alpha)
+        return alpha.value if dps is None else alpha.value_mp()
+    a = float(alpha) if dps is None else mp.mpf(alpha)
     if a <= 0:
         raise ValueError("shift must be positive")
     return a
-
-
-def _shift_value_mp(alpha) -> mp.mpf:
-    if isinstance(alpha, Alpha):
-        return alpha.value_mp()
-    if isinstance(alpha, mp.mpf):
-        return alpha
-    return mp.mpf(alpha)
 
 
 @dataclass(frozen=True)
@@ -238,6 +234,36 @@ def residue(f: PeriodicFunction) -> float:
 # Euler-Maclaurin core
 # ----------------------------------------------------------------------------
 
+def _precision(dps: int | None):
+    return nullcontext() if dps is None else mp.workdps(dps + 10)
+
+
+def _working(s: complex, alpha, dps: int | None):
+    """(s, shift) in the arithmetic of the evaluation.
+
+    Without dps: s as a float on the real axis (so powers stay real and
+    results exactly real) or else complex, and the shift as a float.  With
+    dps: mpmath numbers at the current working precision.
+    """
+    if dps is None:
+        sw = s if s.imag else s.real
+    else:
+        sw = mp.mpc(s.real, s.imag) if s.imag else mp.mpf(s.real)
+    return sw, _shift_value(alpha, dps)
+
+
+def _complete(value, s: complex, dps: int | None):
+    """Double-precision results as complex, with imag exactly 0 at real s."""
+    if dps is not None:
+        return value
+    return complex(value) if s.imag else complex(value.real, 0.0)
+
+
+def _refuse_pole(s: complex) -> None:
+    if abs(s - 1) < 1e-12:
+        raise PoleAt1("s is within 1e-12 of the pole at 1", s=[s.real, s.imag])
+
+
 def _em_cutoff(t: float, a: float) -> int:
     m = max(math.ceil(abs(t)), 20)
     if a <= _SHIFT_CAP:
@@ -245,96 +271,49 @@ def _em_cutoff(t: float, a: float) -> int:
     return m
 
 
-def _direct_block_real(s: float, a: float, m: int) -> tuple[float, float]:
-    """(sum, sum of |terms|) of (n+a)^(-s) for n = 0..m-1, exactly rounded."""
-    pieces = []
-    for lo in range(0, m, 1 << 19):
-        hi = min(lo + (1 << 19), m)
-        terms = (np.arange(lo, hi, dtype=float) + a) ** (-s)
-        pieces.append(terms)
-    total = math.fsum(float(x) for p in pieces for x in p) if m <= 4096 else \
-        math.fsum(float(p.sum()) for p in pieces)
-    mag = math.fsum(float(np.abs(p).sum()) for p in pieces)
-    return total, mag
+def _direct_block(s, a, m: int, f: PeriodicFunction | None = None):
+    """(sum, sum of |terms|) of f(n) (n+a)^(-s), n = 0..m-1 (f = 1 if None).
 
-
-def _direct_block_complex(s: complex, a: float, m: int) -> tuple[complex, float]:
-    re_parts, im_parts, mags = [], [], []
-    for lo in range(0, m, 1 << 19):
-        hi = min(lo + (1 << 19), m)
-        terms = (np.arange(lo, hi, dtype=float) + a) ** (-s)
-        re_parts.append(float(terms.real.sum()))
-        im_parts.append(float(terms.imag.sum()))
-        mags.append(float(np.abs(terms).sum()))
-    return complex(math.fsum(re_parts), math.fsum(im_parts)), math.fsum(mags)
-
-
-def _em_once(s: complex, a: float, m: int):
-    """One Euler-Maclaurin pass at cutoff m.
-
-    Returns (value, remainder bound, magnitude scale).  The remainder bound
-    is the standard one: |first omitted correction| * |s+2K+1| / (sigma+2K+1),
-    valid here since sigma + 2K + 1 > 0.
+    An mpf shift sums in mpmath, each power computed once; otherwise numpy
+    sums chunks of terms and fsum combines the chunk sums.
     """
-    real_axis = (s.imag == 0)
-    if real_axis:
-        sr = s.real
-        direct, mag = _direct_block_real(sr, a, m)
-        p = m + a
-        tail = p ** (1.0 - sr) / (sr - 1.0)
-        half = 0.5 * p ** (-sr)
-        rise = sr
-        pw = p ** (-sr - 1.0)
-        corr = 0.0
-        for k in range(1, _EM_ORDER + 1):
-            corr += _C_EVEN[k - 1] * rise * pw
-            rise *= (sr + 2 * k - 1) * (sr + 2 * k)
-            pw /= p * p
-        # |s+2K+1|/(sigma+2K+1) = 1 on the real axis with sigma > 1/2
-        rem = abs(_C_EVEN[_EM_ORDER] * rise * pw)
-        value: complex = complex(direct + tail + half + corr, 0.0)
-        scale = mag + abs(tail) + abs(half)
-        return value, rem, scale
-    direct, mag = _direct_block_complex(s, a, m)
-    p = m + a
-    lp = math.log(p)
-    tail = cmath.exp((1 - s) * lp) / (s - 1)
-    half = 0.5 * cmath.exp(-s * lp)
-    rise = s
-    pw = cmath.exp((-s - 1) * lp)
-    corr = 0j
-    for k in range(1, _EM_ORDER + 1):
-        corr += _C_EVEN[k - 1] * rise * pw
-        rise *= (s + 2 * k - 1) * (s + 2 * k)
-        pw /= p * p
-    rem = abs(_C_EVEN[_EM_ORDER] * rise * pw)
-    rem *= abs(s + 2 * _EM_ORDER + 1) / (s.real + 2 * _EM_ORDER + 1)
-    value = direct + tail + half + corr
-    scale = mag + abs(tail) + abs(half)
-    return value, rem, scale
+    if isinstance(a, mp.mpf):
+        terms = [(n + a) ** (-s) for n in range(m)]
+        if f is not None:
+            terms = [f(n) * x for n, x in enumerate(terms)]
+        return mp.fsum(terms), mp.fsum(terms, absolute=True)
+    sums, mags = [], []
+    for lo in range(0, m, _CHUNK):
+        hi = min(lo + _CHUNK, m)
+        terms = (np.arange(lo, hi, dtype=float) + a) ** (-s)
+        if f is not None:
+            terms *= np.take(f.values, np.arange(lo - 1, hi - 1) % f.period)
+        sums.append(complex(terms.sum()))
+        mags.append(float(np.abs(terms).sum()))
+    return complex(math.fsum(x.real for x in sums),
+                   math.fsum(x.imag for x in sums)), math.fsum(mags)
 
 
-def _em_once_mp(s, a, m: int):
-    direct = mp.fsum((n + a) ** (-s) for n in range(m))
-    mag = mp.fsum(abs((n + a) ** (-s)) for n in range(m))
+def _em_once(s, a, m: int, coeffs):
+    """One Euler-Maclaurin pass at cutoff m, in the arithmetic of s and a.
+
+    coeffs are B_2k/(2k)!, k = 1..order+1, in that arithmetic too.  Returns
+    (value, remainder bound, magnitude scale).  The remainder bound is the
+    standard one: |first omitted correction| * |s+2K+1| / (sigma+2K+1),
+    valid here since sigma + 2K + 1 > 0 (the factor is 1 on the real axis).
+    """
+    direct, mag = _direct_block(s, a, m)
     p = m + a
     tail = p ** (1 - s) / (s - 1)
     half = p ** (-s) / 2
-    rise = s
-    pw = p ** (-s - 1)
-    corr = mp.mpc(0)
+    rise, pw, corr = s, p ** (-s - 1), 0
     for k in range(1, _EM_ORDER + 1):
-        c = mp.mpf(_B_EVEN[k - 1].numerator) / _B_EVEN[k - 1].denominator
-        c /= mp.factorial(2 * k)
-        corr += c * rise * pw
+        corr += coeffs[k - 1] * rise * pw
         rise *= (s + 2 * k - 1) * (s + 2 * k)
         pw /= p * p
-    c = mp.mpf(_B_EVEN[_EM_ORDER].numerator) / _B_EVEN[_EM_ORDER].denominator
-    c /= mp.factorial(2 * _EM_ORDER + 2)
-    rem = abs(c * rise * pw) * abs(s + 2 * _EM_ORDER + 1) / (mp.re(s) + 2 * _EM_ORDER + 1)
-    value = direct + tail + half + corr
-    scale = mag + abs(tail) + abs(half)
-    return value, rem, scale
+    rem = abs(coeffs[_EM_ORDER] * rise * pw)
+    rem *= abs(s + 2 * _EM_ORDER + 1) / (s.real + 2 * _EM_ORDER + 1)
+    return direct + tail + half + corr, rem, mag + abs(tail) + abs(half)
 
 
 def hurwitz_zeta(s, alpha, tol: float = 1e-12, dps: int | None = None):
@@ -345,47 +324,30 @@ def hurwitz_zeta(s, alpha, tol: float = 1e-12, dps: int | None = None):
     precision (for certificate margins that double precision cannot carry).
     """
     s = complex(s)
-    if abs(s - 1) < 1e-12:
-        raise PoleAt1("s is within 1e-12 of the pole at 1", s=[s.real, s.imag])
+    _refuse_pole(s)
     if s.real <= 0.5:
         raise ValueError("evaluation requires Re(s) > 1/2")
-    a = _shift_value(alpha)
-
-    if dps is not None:
-        with mp.workdps(dps + 10):
-            a_mp = _shift_value_mp(alpha)
-            sm = mp.mpc(s.real, s.imag) if s.imag else mp.mpf(s.real)
-            m = _em_cutoff(s.imag, float(a_mp))
-            floor_eps = mp.mpf(10) ** (5 - dps)
-            while True:
-                value, rem, scale = _em_once_mp(sm, a_mp, m)
-                if tol < floor_eps * scale:
-                    raise PrecisionUnreachable(
-                        "tolerance below reachable floor",
-                        tol=tol, floor=float(floor_eps * scale))
-                if rem <= tol:
-                    return value if s.imag else mp.re(value)
-                if m > _MAX_DIRECT:
-                    raise PrecisionUnreachable("cutoff growth exhausted",
-                                               tol=tol, cutoff=m)
-                m *= 2
-
-    m = _em_cutoff(s.imag, a)
-    while True:
-        if m > _MAX_DIRECT:
-            raise PrecisionUnreachable("cutoff beyond the direct-block cap",
-                                       tol=tol, cutoff=m)
-        value, rem, scale = _em_once(s, a, m)
-        # the direct block is exactly rounded (fsum); a few ulps of the
-        # magnitude scale is what double precision can actually deliver
-        floor = 4 * np.finfo(float).eps * scale
-        if tol < floor:
-            raise PrecisionUnreachable(
-                "tolerance below double-precision floor",
-                tol=tol, floor=floor)
-        if rem <= tol:
-            return value
-        m *= 2
+    with _precision(dps):
+        sw, a = _working(s, alpha, dps)
+        m = _em_cutoff(s.imag, float(a))
+        if dps is None:
+            # the direct block is summed in fsum-combined chunks; a few ulps
+            # of the magnitude scale is what double precision can deliver
+            coeffs, unit = _C_EVEN, 4 * math.ulp(1.0)
+        else:
+            coeffs = [mp.mpf(c.numerator) / c.denominator for c in _C_EXACT]
+            unit = mp.mpf(10) ** (5 - dps)
+        while True:
+            if m > _MAX_DIRECT:
+                raise PrecisionUnreachable(
+                    "cutoff beyond the direct-block cap", tol=tol, cutoff=m)
+            value, rem, scale = _em_once(sw, a, m, coeffs)
+            if tol < unit * scale:
+                raise PrecisionUnreachable("tolerance below reachable floor",
+                                           tol=tol, floor=float(unit * scale))
+            if rem <= tol:
+                return _complete(value, s, dps)
+            m *= 2
 
 
 def decompose(s, f: PeriodicFunction, alpha, tol: float = 1e-12,
@@ -394,34 +356,12 @@ def decompose(s, f: PeriodicFunction, alpha, tol: float = 1e-12,
 
     The split runs over the residues b = 0..q-1 (with f(0) = f(q) by
     periodicity) so that the n = 0 term of the defining series is covered;
-    the result equals the full series for Re(s) > 1.
+    the result equals the full series for Re(s) > 1.  It is series_tail
+    from 0, an independent route from lfunction, which splits at 16q.
     """
     s = complex(s)
-    if abs(s - 1) < 1e-12:
-        raise PoleAt1("s is within 1e-12 of the pole at 1", s=[s.real, s.imag])
-    q = f.period
-    a = _shift_value(alpha)
-    weight = q ** (-s.real) * (math.fsum(abs(v) for v in f.values) + 1.0)
-    each = 0.5 * tol / weight
-    if dps is not None:
-        with mp.workdps(dps + 10):
-            a_mp = _shift_value_mp(alpha)
-            total = mp.mpf(0)
-            for b in range(q):
-                if f(b) == 0.0:
-                    continue
-                total += f(b) * hurwitz_zeta(s, (a_mp + b) / q,
-                                             tol=each, dps=dps)
-            sm = mp.mpc(s.real, s.imag) if s.imag else mp.mpf(s.real)
-            return mp.power(q, -sm) * total
-    total = 0j
-    for b in range(q):
-        if f(b) == 0.0:
-            continue
-        total += f(b) * hurwitz_zeta(s, (a + b) / q, tol=each, dps=dps)
-    if s.imag == 0:
-        return complex((q ** (-s.real)) * total.real, 0.0)
-    return (q ** (-s)) * total
+    _refuse_pole(s)
+    return series_tail(s, f, alpha, 0, tol=tol, dps=dps)
 
 
 def series_tail(s, f: PeriodicFunction, alpha, start: int,
@@ -435,28 +375,16 @@ def series_tail(s, f: PeriodicFunction, alpha, start: int,
     q = f.period
     weight = q ** (-s.real) * (math.fsum(abs(v) for v in f.values) + 1.0)
     each = 0.5 * tol / weight
-    if dps is not None:
-        with mp.workdps(dps + 10):
-            a_mp = _shift_value_mp(alpha)
-            total = mp.mpf(0)
-            for r in range(q):
-                c = f(start + r)
-                if c == 0.0:
-                    continue
-                total += c * hurwitz_zeta(s, (a_mp + start + r) / q,
-                                          tol=each, dps=dps)
-            sm = mp.mpc(s.real, s.imag) if s.imag else mp.mpf(s.real)
-            return mp.power(q, -sm) * total
-    a = _shift_value(alpha)
-    total = 0j
-    for r in range(q):
-        c = f(start + r)
-        if c == 0.0:
-            continue
-        total += c * hurwitz_zeta(s, (a + start + r) / q, tol=each, dps=dps)
-    if s.imag == 0:
-        return complex((q ** (-s.real)) * total.real, 0.0)
-    return (q ** (-s)) * total
+    with _precision(dps):
+        sw, a = _working(s, alpha, dps)
+        total = 0
+        for r in range(q):
+            c = f(start + r)
+            if c == 0.0:
+                continue
+            total += c * hurwitz_zeta(s, (a + start + r) / q, tol=each,
+                                      dps=dps)
+        return _complete(q ** (-sw) * total, s, dps)
 
 
 def series_head(s, f: PeriodicFunction, alpha, upto: int,
@@ -464,28 +392,14 @@ def series_head(s, f: PeriodicFunction, alpha, upto: int,
                 dps: int | None = None):
     """sum_{n = 0..upto} f(n) (n+alpha)^(-s), inclusive.
 
-    Small ranges are summed directly (exactly-rounded fsum); huge ranges go
-    through head = full series minus tail.
+    Small ranges are summed directly (numpy chunks combined by fsum, or
+    mpmath); huge ranges go through head = full series minus tail.
     """
     s = complex(s)
-    if upto < 0:
-        return mp.mpf(0) if dps is not None else 0j
     if upto <= direct_cap:
-        if dps is not None:
-            with mp.workdps(dps + 10):
-                a_mp = _shift_value_mp(alpha)
-                sm = mp.mpc(s.real, s.imag) if s.imag else mp.mpf(s.real)
-                return mp.fsum(f(n) * (n + a_mp) ** (-sm)
-                               for n in range(upto + 1))
-        a = _shift_value(alpha)
-        ns = np.arange(upto + 1, dtype=float)
-        coeffs = np.array([f(n) for n in range(upto + 1)], dtype=float)
-        if s.imag == 0:
-            terms = coeffs * (ns + a) ** (-s.real)
-            return complex(math.fsum(map(float, terms)), 0.0)
-        terms = coeffs * (ns + a) ** (-s)
-        return complex(math.fsum(map(float, terms.real)),
-                       math.fsum(map(float, terms.imag)))
+        with _precision(dps):
+            sw, a = _working(s, alpha, dps)
+            return _complete(_direct_block(sw, a, upto + 1, f)[0], s, dps)
     full = lfunction(s, f, alpha, tol=tol / 2, dps=dps)
     return full - series_tail(s, f, alpha, upto + 1, tol=tol / 2, dps=dps)
 
@@ -500,16 +414,11 @@ def lfunction(s, f: PeriodicFunction, alpha, tol: float = 1e-12,
     than a comparison of one code path with itself.
     """
     s = complex(s)
-    if abs(s - 1) < 1e-12:
-        raise PoleAt1("s is within 1e-12 of the pole at 1", s=[s.real, s.imag])
-    q = f.period
-    h = 16 * q if head_terms is None else head_terms
-    head = series_head(s, f, alpha, h - 1, tol=tol / 2, dps=dps) if h > 0 else 0j
+    _refuse_pole(s)
+    h = 16 * f.period if head_terms is None else head_terms
+    head = series_head(s, f, alpha, h - 1, tol=tol / 2, dps=dps)
     tail = series_tail(s, f, alpha, h, tol=tol / 2, dps=dps)
-    out = head + tail
-    if dps is not None or s.imag != 0:
-        return out
-    return complex(out.real, 0.0)
+    return _complete(head + tail, s, dps)
 
 
 def lfunction_direct(s, f: PeriodicFunction, alpha, n_terms: int):

@@ -69,6 +69,11 @@ def test_pole_and_domain_errors():
         hurwitz_zeta(2 + 0j, -1.0)
     with pytest.raises(PrecisionUnreachable):
         hurwitz_zeta(1 + 1e-9j, 1.0, tol=1e-18)
+    with pytest.raises(PoleAt1):
+        decompose(1 + 1e-13j, ONE, 1.0)
+    # no residue class calls hurwitz_zeta here, so decompose must refuse itself
+    with pytest.raises(PoleAt1):
+        decompose(1 + 0j, PeriodicFunction((0.0, 0.0)), 1.0, dps=30)
 
 
 def test_lfunction_reduces_to_hurwitz():
@@ -184,6 +189,14 @@ def test_high_precision_mode():
     with mp.workdps(35):
         ref = 3 * mp.zeta(2)
         assert abs(v - ref) < mp.mpf(10) ** -22
+    s, a = 1.5 + 20j, Alpha.rational(3, 4)
+    v = hurwitz_zeta(s, a, tol=1e-24, dps=30)
+    assert isinstance(v, mp.mpc)
+    with mp.workdps(40):
+        assert abs(v - mp.zeta(mp.mpc(s.real, s.imag), mp.mpf(3) / 4)) < 1e-24
+    # 30 digits less five guard digits, times the magnitude scale (about 2.9)
+    with pytest.raises(PrecisionUnreachable):
+        hurwitz_zeta(s, a, tol=1e-25, dps=30)
 
 
 @given(st.integers(1, 8), st.integers(0, 7))
