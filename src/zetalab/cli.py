@@ -370,23 +370,37 @@ def _parse(top, argv: list[str]) -> argparse.Namespace:
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     top, leaves = _build_parser()
-    args = _parse(top, argv)
-    if not args.config:
-        return args
-    with open(args.config) as fh:
+    # the document is read before the full parse, so that it can supply
+    # flags the command requires; every spelling of --config, abbreviations
+    # included, starts with "--c"
+    path = None
+    if any(a.startswith("--c") for a in argv):
+        pre = argparse.ArgumentParser(add_help=False)
+        pre.add_argument("--config", default=None)
+        path = pre.parse_known_args(argv)[0].config
+    if not path:
+        return _parse(top, argv)
+    with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigInvalid("config document must be a JSON object")
-    known = set(vars(args)) - {"command", "action", "run"}
     for key, value in doc.items():
         attr = key.replace("-", "_")
-        if attr not in known:
+        if "--" + attr in _GLOBAL_FLAGS:
+            top.set_defaults(**{attr: value})
+            continue
+        # the document sets defaults, so flags on the command line win, and
+        # a flag it supplies is no longer required
+        for p in leaves:
+            for action in p._actions:
+                if action.dest == attr:
+                    action.default, action.required = value, False
+    args = _parse(top, argv)
+    known = set(vars(args)) - {"command", "action", "run"}
+    for key in doc:
+        if key.replace("-", "_") not in known:
             raise ConfigInvalid(f"unknown config key {key!r}", key=key)
-        # the document sets defaults, so flags on the command line win; only
-        # the chosen command's leaf parser reads its defaults
-        for p in [top] if "--" + attr in _GLOBAL_FLAGS else leaves:
-            p.set_defaults(**{attr: value})
-    return _parse(top, argv)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -398,6 +398,11 @@ class _ShiftFactorizer:
         self.above: dict[int, list[PrimeIdeal]] = {}
         self.cache: dict[int, IdealFactorization] = {}
         self.denominator = self._denominator_ideal()
+        # occurrence index over the shifts 0..scanned: the first and second
+        # m whose factorization contains each prime ideal
+        self.first: dict[PrimeIdeal, int] = {}
+        self.second: dict[PrimeIdeal, int] = {}
+        self.scanned = -1
 
     def _primes_above(self, p: int) -> list[PrimeIdeal]:
         if p not in self.above:
@@ -468,6 +473,16 @@ class _ShiftFactorizer:
         self.cache[n] = fact
         return fact
 
+    def index_to(self, top: int):
+        """Extend the occurrence index over every m <= top."""
+        for m in range(self.scanned + 1, top + 1):
+            for prime in self.factor(m).primes():
+                if prime not in self.first:
+                    self.first[prime] = m
+                elif prime not in self.second:
+                    self.second[prime] = m
+        self.scanned = max(self.scanned, top)
+
 
 _FACTORIZERS: dict[tuple, _ShiftFactorizer] = {}
 
@@ -504,21 +519,21 @@ def private_primes(n_start: int, length: int, alpha: Alpha,
     divides no other (m + alpha) * a with m <= n_start + length.
 
     Determined exactly by factoring every shifted element up to the block
-    end.  Primes of the denominator ideal divide everything and so are
-    never private; that falls out of the occurrence counting.
+    end: a prime ideal is private to n when n is its first occurrence and
+    its second occurrence, if any, lies past the block end.  The occurrence
+    index is kept on the cached factorizer, so successive blocks only scan
+    shifts beyond the largest end seen so far.  Primes of the denominator
+    ideal divide everything and so are never private.
     """
     if length < 1 or n_start < 0:
         raise ValueError("need n_start >= 0 and length >= 1")
     fz = _factorizer(alpha, field)
     top = n_start + length
-    occurrences: dict[PrimeIdeal, list[int]] = {}
-    for m in range(top + 1):
-        for prime in fz.factor(m).primes():
-            occurrences.setdefault(prime, []).append(m)
+    fz.index_to(top)
     private: dict[int, PrimeIdeal] = {}
     for n in range(n_start + 1, top + 1):
         for prime in fz.factor(n).primes():
-            if occurrences[prime] == [n]:
+            if fz.first[prime] == n and fz.second.get(prime, top + 1) > top:
                 private[n] = prime
                 break
     return CasselsBlock(n_start=n_start, length=length, private=private,

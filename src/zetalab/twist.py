@@ -18,7 +18,12 @@ masses S1..S4, the correction, and the damping inequality
 
     |sum_{n <= N_{j+1}} f(n) chi(n+alpha) / (n+alpha)^sigma| < 1e-2 * tail,
 
-each side recomputed from scratch (optionally in software high precision).
+with the left side summed from the character values (optionally also in
+software high precision) and the tail evaluated afresh.  The character
+value of every n <= N_{j+1} is frozen once the block ends: a witness prime
+divides no other shift up to the block end, and new non-witness primes are
+pinned to 1.  So the settled sums are kept as running prefixes, each block
+adding only its own terms, in the order a sum from n = 0 would take them.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import mpmath as mp
 
 from .annulus import AnnulusSpec, realize_phases
 from .errors import (AnnulusGap, CaseUnreachable, NoSuchIndex, ResidueZero,
-                     SignChangeNotBracketed)
+                     SignChangeNotBracketed, ZetalabError)
 from .quadfield import private_primes, _factorizer
 from .series import Alpha, PeriodicFunction, lfunction, series_head, series_tail
 
@@ -317,7 +322,7 @@ class BlockLedger:
     damping_lhs_hp: float | None
     damping_rhs_hp: float | None
     damping_ok_hp: bool | None
-    chain_lhs: float            # S1 + S2 - S3, each recomputed from scratch
+    chain_lhs: float            # |settled sum at block start| + S2 - S3
     chain_ok: bool
     ratio: float
     ratio_ok: bool
@@ -377,8 +382,15 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     Authentic mode pulls the free sets from ideal factorizations (integers
     owning a private prime); synthetic mode samples them with the given
     density and seed.  Character values live on prime ideals as phase
-    angles; every ledger row recomputes the settled sum and the tail from
-    scratch, in floats and (optionally) in software high precision.
+    angles.  The settled sum is a running prefix over n = 0, 1, ..., kept
+    in floats and (optionally) at hp_dps digits: each block adds its own
+    terms once its witness angles are written, in index order, so every
+    prefix equals the sum from n = 0.  That holds because the angles of
+    all n up to a block end are frozen from then on; a witness prime that
+    already carries an angle would break it and raises ZetalabError.  The
+    prefixes are summed from the angles, never taken from the greedy
+    state, so realize_err stays an independent check.  The tail is
+    evaluated afresh for every block.
 
     Processing halts at the first block whose damping inequality fails (the
     offending row stays in the report with ok=False).  A free set whose
@@ -415,26 +427,27 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
             total += e * prime_angles[prime]
         return math.fmod(total, 2.0 * math.pi)
 
-    def settled_sum(top: int) -> complex:
-        acc = 0j
-        for n in range(top + 1):
-            acc += weight(n) * cmath.exp(1j * chi_angle(n))
-        return acc
+    with mp.workdps(hp_dps):
+        a_mp = alpha.value_mp() if isinstance(alpha, Alpha) else mp.mpf(a)
 
-    def settled_sum_hp(top: int):
-        with mp.workdps(hp_dps):
-            a_mp = alpha.value_mp() if isinstance(alpha, Alpha) else mp.mpf(a)
-            total = mp.mpc(0)
-            for n in range(top + 1):
-                ang = mp.mpf(chi_angle(n))
-                total += (f(n) * (mp.cos(ang) + 1j * mp.sin(ang))
-                          / (n + a_mp) ** sigma)
-            return total
+    def settle(acc: complex, acc_hp, lo: int, hi: int):
+        """The settled prefixes over n < lo extended by the terms lo..hi;
+        acc_hp is None when there is no high-precision recheck."""
+        ns = range(lo, hi + 1)
+        phases = [chi_angle(n) for n in ns]
+        for n, ph in zip(ns, phases):
+            acc += weight(n) * cmath.exp(1j * ph)
+        if acc_hp is not None:
+            with mp.workdps(hp_dps):
+                for n, ph in zip(ns, phases):
+                    ph = mp.mpf(ph)
+                    acc_hp += (f(n) * (mp.cos(ph) + 1j * mp.sin(ph))
+                               / (n + a_mp) ** sigma)
+        return acc, acc_hp
 
     def tail_hp(start: int):
         # independent high-precision tail through mpmath's own zeta
         with mp.workdps(hp_dps):
-            a_mp = alpha.value_mp() if isinstance(alpha, Alpha) else mp.mpf(a)
             q = f.period
             total = mp.mpf(0)
             for r in range(q):
@@ -452,7 +465,8 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
             for prime in fz.factor(n).primes():
                 prime_angles.setdefault(prime, 0.0)
 
-    state = GreedyState(block_index=0, partial=settled_sum(n1) if authentic
+    settled, settled_hp = settle(0j, mp.mpc(0) if hp_check else None, 0, n1)
+    state = GreedyState(block_index=0, partial=settled if authentic
                         else sum(weight(n) for n in range(n1 + 1)) + 0j,
                         s1=0.0, s2=0.0, s3=0.0, s4=0.0, correction=0j)
 
@@ -473,7 +487,8 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
             free_ns = sorted(n for n in block_ns
                              if rng.random() < schedule.synthetic_density)
             witnesses = {}
-        fixed_ns = [n for n in block_ns if n not in set(free_ns)]
+        free_set = set(free_ns)
+        fixed_ns = [n for n in block_ns if n not in free_set]
 
         if authentic:
             # new primes in this block that are nobody's witness get value 1
@@ -496,34 +511,41 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         state, angles = greedy_step(state, free_weights, fixed_sum,
                                     fixed_mass, tail_mass)
 
-        # push the realized phases down onto the witness primes
+        # push the realized phases down onto the witness primes; a witness
+        # with an angle already would change terms the prefixes have summed
         if authentic:
             for n in free_ns:
-                e_w = dict(fz.factor(n).factors)[witnesses[n]]
+                witness = witnesses[n]
+                if witness in prime_angles:
+                    raise ZetalabError(
+                        "witness prime already carries a character value",
+                        block=j, n=n, witness=witness.label(),
+                        angle=prime_angles[witness])
+                e_w = dict(fz.factor(n).factors)[witness]
                 known = 0.0
                 for prime, e in fz.factor(n).factors:
-                    if prime != witnesses[n]:
+                    if prime != witness:
                         known += e * prime_angles[prime]
-                prime_angles[witnesses[n]] = math.fmod(
+                prime_angles[witness] = math.fmod(
                     (angles[n] - known) / e_w, 2.0 * math.pi)
         else:
             for n in free_ns:
                 synthetic_chi[n] = angles[n]
 
-        resum = settled_sum(top)
-        realize_err = abs(resum - state.partial)
-        lhs = abs(resum)
+        # the chain form: the settled sum up to the block start plus the
+        # fixed mass minus the free mass
+        chain_lhs = abs(settled) + state.s2 - state.s3
+        settled, settled_hp = settle(settled, settled_hp, n_cur + 1, top)
+        realize_err = abs(settled - state.partial)
+        lhs = abs(settled)
         rhs = 1e-2 * tail_mass
         damping_ok = lhs < rhs
-        # the chain form, every mass recomputed from scratch: the settled
-        # sum up to the block start plus the fixed mass minus the free mass
-        chain_lhs = abs(settled_sum(n_cur)) + state.s2 - state.s3
         chain_ok = chain_lhs < rhs
         lhs_hp = rhs_hp = None
         ok_hp = None
         if hp_check:
             with mp.workdps(hp_dps):
-                lhs_hp_v = abs(settled_sum_hp(top))
+                lhs_hp_v = abs(settled_hp)
                 rhs_hp_v = mp.mpf("0.01") * tail_hp(top + 1)
                 ok_hp = bool(lhs_hp_v < rhs_hp_v)
                 lhs_hp, rhs_hp = float(lhs_hp_v), float(rhs_hp_v)

@@ -201,6 +201,23 @@ def test_config_fills_only_flags_not_given(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("sigma,t,re,im\n")
 
 
+def test_config_supplies_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"alpha": "rat:1,2"}))
+    # zeta(3, 1/2) = 7 zeta(3), with --alpha from the document only
+    assert main(["--config", str(cfg), "eval", "--s", "3,0"]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["re"]
+               - 8.414398322117160) < 1e-10
+    # the command line still wins: zeta(3, 1) = zeta(3)
+    assert main(["--config", str(cfg), "eval", "--s", "3,0",
+                 "--alpha", "rat:1,1"]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["re"]
+               - 1.2020569031595943) < 1e-10
+    # a key of another command is still rejected
+    cfg.write_text(json.dumps({"alpha": "rat:1,2", "n1": 5}))
+    assert main(["--config", str(cfg), "eval"]) == 2
+
+
 def test_readme_command_lines(tmp_path, monkeypatch, capsys):
     readme = Path(__file__).resolve().parent.parent / "README.md"
     lines = [ln.strip() for ln in readme.read_text().splitlines()

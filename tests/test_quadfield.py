@@ -8,7 +8,9 @@ from zetalab.errors import NotQuadratic
 from zetalab.quadfield import (QuadraticField, factor_shift,
                                fundamental_unit, ideal_denominator,
                                multiplicative_basis, private_primes)
+from zetalab.quadfield import _FACTORIZERS
 from zetalab.series import Alpha
+from zetalab.twist import BlockSchedule
 
 SQRT2 = Alpha.quadratic(0, 1, 2)
 
@@ -108,8 +110,26 @@ def test_private_primes_small_block():
     assert block.density == 0.6
 
 
+def census_from_scratch(n_start, length, alpha):
+    """The census by its definition: every occurrence over 0..top counted."""
+    top = n_start + length
+    occurrences = {}
+    for m in range(top + 1):
+        for prime in factor_shift(m, alpha).primes():
+            occurrences.setdefault(prime, []).append(m)
+    private = {}
+    for n in range(n_start + 1, top + 1):
+        for prime in factor_shift(n, alpha).primes():
+            if occurrences[prime] == [n]:
+                private[n] = prime
+                break
+    return private
+
+
 def test_private_primes_match_membership_oracle():
-    for n_start, length in ((0, 30), (100, 20), (500, 15)):
+    # one warm factorizer, queried past its index mark and then below it
+    _FACTORIZERS.clear()
+    for n_start, length in ((500, 15), (0, 30), (100, 20)):
         block = private_primes(n_start, length, SQRT2)
         top = n_start + length
         for n in range(n_start + 1, top + 1):
@@ -122,6 +142,18 @@ def test_private_primes_match_membership_oracle():
                     has_private = True
                     break
             assert has_private == (n in block.private), n
+
+
+def test_private_primes_over_a_schedule_match_the_definition():
+    # the blocks of a 30-block ledger, with and without a denominator ideal
+    schedule = BlockSchedule(n1=1000, num_blocks=30)
+    for alpha in (SQRT2, Alpha.quadratic(Fraction(1, 2), 1, 3)):
+        n = schedule.n1
+        for _ in range(schedule.num_blocks):
+            m_len = schedule.block_length(n)
+            block = private_primes(n, m_len, alpha)
+            assert block.private == census_from_scratch(n, m_len, alpha), n
+            n += m_len
 
 
 def test_membership_oracle_consistency():

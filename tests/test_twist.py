@@ -1,5 +1,6 @@
 """Twisted series: truncation, sign change, greedy induction."""
 
+import cmath
 import math
 
 import mpmath as mp
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zetalab.twist as twist
 from zetalab.errors import AnnulusGap, CaseUnreachable, NoSuchIndex, \
-    SignChangeNotBracketed
+    SignChangeNotBracketed, ZetalabError
+from zetalab.quadfield import CasselsBlock, factor_shift, private_primes
 from zetalab.series import Alpha, PeriodicFunction
 from zetalab.twist import (BlockSchedule, GreedyState, TwistedSeries,
                            choose_case_sigma, find_sigma0, greedy_step,
@@ -227,3 +230,59 @@ def test_hp_recheck_agrees_with_float():
         assert row.damping_ok_hp
         assert abs(row.damping_lhs - row.damping_lhs_hp) < 1e-9
         assert abs(row.damping_rhs - row.damping_rhs_hp) < 1e-9
+
+
+def test_ledger_matches_from_scratch_recompute():
+    # the running prefixes agree bit for bit with sums taken from n = 0
+    # under the final character values, since those never change once
+    # a block ends
+    schedule = BlockSchedule(n1=200, num_blocks=15, scale_den=10)
+    report = run_schedule(ONE, SQRT2, schedule, hp_check=True)
+    assert report.ok and len(report.blocks) == 15
+    a, sigma = float(SQRT2), report.sigma
+
+    def angle(n):
+        total = 0.0
+        for prime, e in factor_shift(n, SQRT2).factors:
+            total += e * report.prime_angles[prime]
+        return math.fmod(total, 2.0 * math.pi)
+
+    def settled_sum(top):
+        acc = 0j
+        for n in range(top + 1):
+            acc += ONE(n) / (n + a) ** sigma * cmath.exp(1j * angle(n))
+        return acc
+
+    def settled_sum_hp(top):
+        with mp.workdps(30):
+            a_mp = SQRT2.value_mp()
+            total = mp.mpc(0)
+            for n in range(top + 1):
+                ang = mp.mpf(angle(n))
+                total += (ONE(n) * (mp.cos(ang) + 1j * mp.sin(ang))
+                          / (n + a_mp) ** sigma)
+            return float(abs(total))
+
+    for row in report.blocks:
+        assert row.damping_lhs == abs(settled_sum(row.n_end))
+        assert row.chain_lhs == (abs(settled_sum(row.n_start))
+                                 + row.s2 - row.s3)
+        assert row.damping_lhs_hp == settled_sum_hp(row.n_end)
+
+
+def test_witness_with_an_angle_is_refused(monkeypatch):
+    # a census naming a witness that already carries an angle would change
+    # terms the running prefixes have summed; the ledger must refuse it
+    def census(n_start, length, alpha):
+        block = private_primes(n_start, length, alpha)
+        n = next(n for n in range(n_start + 1, n_start + length + 1)
+                 if n % 2 == 0 and n not in block.private)
+        # the ramified prime above 2 divides every even shift, n = 0 too
+        two = factor_shift(n, alpha).factors[0][0]
+        private = {**block.private, n: two}
+        return CasselsBlock(n_start, length, private, len(private) / length)
+
+    monkeypatch.setattr(twist, "private_primes", census)
+    with pytest.raises(ZetalabError, match="witness prime"):
+        run_schedule(ONE, SQRT2, BlockSchedule(n1=1000, num_blocks=1),
+                     hp_check=False)
