@@ -19,12 +19,12 @@ sol = solve(problem)
 print("single frequency: t =", sol.t, " (2 pi / log 2 =",
       2 * math.pi / math.log(2), ")")
 
-## Three frequencies, grid strategy
+## Three frequencies: a grid scan in t
 alpha = Alpha.decimal("0.7853981634")
 freqs = tuple(math.log(n + alpha.value) / (2 * math.pi) for n in range(3))
 targets = (0.25, 0.5, 0.9)
 problem = KroneckerProblem(freqs, targets, delta=0.05)
-sol = solve(problem, SearchBudget(strategy="grid"))
+sol = solve(problem)
 print("grid:    t =", sol.t, " max phase error =", sol.max_error)
 print("re-verified:", verify(problem, sol.t))
 
@@ -34,12 +34,12 @@ for wn, bn in zip(freqs, targets):
                 - cmath.exp(-2j * math.pi * bn))
     print(f"  chord {chord:.4f} <= 2pi * {sol.max_error:.4f}")
 
-## Six frequencies, lattice strategy (heuristic candidates, exact checks)
+## Six frequencies: the same scan, with a larger budget in t
 freqs6 = tuple(math.log(n + alpha.value) / (2 * math.pi) for n in range(6))
 targets6 = (0.1, 0.3, 0.5, 0.7, 0.9, 0.2)
 problem6 = KroneckerProblem(freqs6, targets6, delta=0.2)
-sol6 = solve(problem6, SearchBudget(max_t=1e7, strategy="lattice"))
-print("lattice: t =", sol6.t, " max phase error =", sol6.max_error)
+sol6 = solve(problem6, SearchBudget(max_t=1e7))
+print("six:     t =", sol6.t, " max phase error =", sol6.max_error)
 
 ## Character targets on a multiplicative basis: make (n + sqrt2)^(-it)
 ## track chi(n + sqrt2) for all n at once by matching the basis elements.

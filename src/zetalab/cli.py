@@ -140,8 +140,7 @@ def _cmd_kron(args) -> int:
     targets = tuple(float(x) for x in args.targets.split(","))
     problem = KroneckerProblem(freqs, targets, delta=args.delta,
                                t_min=args.tmin)
-    budget = SearchBudget(max_t=args.max_t, max_iterations=int(args.max_iter),
-                          strategy=args.strategy)
+    budget = SearchBudget(max_t=args.max_t, max_iterations=int(args.max_iter))
     sol = solve(problem, budget)
     _emit(args, {"t": sol.t, "x": list(sol.integer_parts),
                  "max_error": sol.max_error})
@@ -299,8 +298,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list]:
     pk.add_argument("--targets", required=True)
     pk.add_argument("--delta", type=float, required=True)
     pk.add_argument("--tmin", type=float, default=0.0)
-    pk.add_argument("--strategy", choices=["auto", "grid", "lattice"],
-                    default="auto")
     pk.add_argument("--max-t", type=float, default=1e6)
     pk.add_argument("--max-iter", type=float, default=5e7)
 

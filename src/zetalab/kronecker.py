@@ -6,10 +6,15 @@ assumption) and target phases b_1..b_N, find t > t_min with
     || t*w_n - b_n ||  <  delta   for every n,
 
 where ||.|| is distance to the nearest integer.  Existence for independent
-frequencies is Kronecker's theorem, which is non-effective; these solvers
-therefore carry explicit work budgets and either return a solution that has
-been re-verified by direct arithmetic or report BudgetExhausted.  A failure
-never refutes independence.
+frequencies is Kronecker's theorem, which is non-effective; the search
+therefore carries an explicit work budget and either returns a solution
+that has been re-verified by direct arithmetic or reports BudgetExhausted.
+A failure never refutes independence.
+
+N = 1 has a closed form.  For N >= 2 the search scans t on a grid of step
+delta / (2pi max|w_n|).  Every t lies within half a step of a grid point,
+which moves no phase by more than delta/4pi, so any t with all phase errors
+below (1 - 1/4pi)*delta has a witness beside it on the grid.
 
 All distances live on R/Z (phase units).  The series application supplies
 w_n = log(n + alpha) / 2pi and unimodular targets g = exp(-2pi i b); a phase
@@ -47,6 +52,8 @@ class KroneckerProblem:
             raise ValueError("frequency and target lists must match, N >= 1")
         if not (0.0 < self.delta < 0.5):
             raise ValueError("delta must lie in (0, 1/2)")
+        if not all(map(math.isfinite, w + b + (float(self.t_min),))):
+            raise ValueError("frequencies, targets and t_min must be finite")
         if len(set(w)) != len(w):
             raise DegenerateInput("duplicate frequencies", frequencies=list(w))
         object.__setattr__(self, "frequencies", w)
@@ -64,7 +71,6 @@ class KroneckerSolution:
 class SearchBudget:
     max_t: float = 1e6
     max_iterations: int = 50_000_000
-    strategy: str = "auto"      # auto | grid | lattice
 
 
 def _circle_dist(x: np.ndarray) -> np.ndarray:
@@ -113,11 +119,16 @@ def _solve_single(problem: KroneckerProblem, budget: SearchBudget):
 
 
 def _solve_grid(problem: KroneckerProblem, budget: SearchBudget):
+    """Scan t_min + k*step, k = 1, 2, ..., in chunks; verify the first hit.
+
+    Each chunk's phase table holds at most 2^17 entries, so the working set
+    does not grow with N.
+    """
     w = np.asarray(problem.frequencies)
     b = np.asarray(problem.targets)
     wmax = float(np.abs(w).max())
     step = problem.delta / (PHASE_LIPSCHITZ * wmax)
-    chunk = 1 << 15
+    chunk = min(1 << 15, (1 << 17) // w.size)
     t0 = problem.t_min + step
     used = 0
     best = (math.inf, None)
@@ -140,114 +151,6 @@ def _solve_grid(problem: KroneckerProblem, budget: SearchBudget):
                           points_scanned=used, max_t=budget.max_t)
 
 
-def _lll(basis: np.ndarray, delta: float = 0.75) -> np.ndarray:
-    """Floating-point LLL reduction of the rows of basis."""
-    b = basis.astype(float).copy()
-    n = b.shape[0]
-
-    def gso(bb):
-        star = np.zeros_like(bb)
-        mu = np.zeros((n, n))
-        for i in range(n):
-            star[i] = bb[i]
-            for j in range(i):
-                denom = star[j] @ star[j]
-                mu[i, j] = (bb[i] @ star[j]) / denom if denom > 0 else 0.0
-                star[i] = star[i] - mu[i, j] * star[j]
-        return star, mu
-
-    star, mu = gso(b)
-    k = 1
-    while k < n:
-        for j in range(k - 1, -1, -1):
-            m = round(mu[k, j])
-            if m != 0:
-                b[k] -= m * b[j]
-        star, mu = gso(b)
-        lhs = star[k] @ star[k]
-        rhs = (delta - mu[k, k - 1] ** 2) * (star[k - 1] @ star[k - 1])
-        if lhs >= rhs:
-            k += 1
-        else:
-            b[[k, k - 1]] = b[[k - 1, k]]
-            star, mu = gso(b)
-            k = max(k - 1, 1)
-    return b
-
-
-def _babai(basis: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Nearest-plane rounding; returns the lattice point (not coefficients)."""
-    star = np.zeros_like(basis)
-    n = basis.shape[0]
-    for i in range(n):
-        star[i] = basis[i]
-        for j in range(i):
-            star[i] -= (basis[i] @ star[j]) / (star[j] @ star[j]) * star[j]
-    y = target.astype(float).copy()
-    v = np.zeros_like(target, dtype=float)
-    for i in range(n - 1, -1, -1):
-        c = round((y @ star[i]) / (star[i] @ star[i]))
-        y -= c * basis[i]
-        v += c * basis[i]
-    return v
-
-
-def _solve_lattice(problem: KroneckerProblem, budget: SearchBudget):
-    """Heuristic search via closest-vector rounding on a phase lattice.
-
-    Candidate multipliers t = t_min + k*h are produced by Babai rounding on
-    the lattice spanned by (h*w_1, ..., h*w_N, c) and the integer shifts;
-    every candidate is verified exactly, so a wrong heuristic answer can
-    only cost budget, never correctness.
-    """
-    w = np.asarray(problem.frequencies)
-    b = np.asarray(problem.targets)
-    n = w.size
-    wmax = float(np.abs(w).max())
-    h = problem.delta / (PHASE_LIPSCHITZ * wmax)
-    used = 0
-    best = (math.inf, None)
-    k_max_global = int((budget.max_t - problem.t_min) / h)
-    for scale_exp in range(8, 64):
-        k_cap = min(1 << scale_exp, k_max_global)
-        if k_cap < 4:
-            continue
-        c = 1.0 / k_cap
-        basis = np.zeros((n + 1, n + 1))
-        basis[0, :n] = h * w
-        basis[0, n] = c
-        for i in range(n):
-            basis[i + 1, i] = 1.0
-        red = _lll(basis)
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            target = np.zeros(n + 1)
-            target[:n] = b - problem.t_min * w
-            target[n] = c * k_cap * frac
-            v = _babai(red, target)
-            k = v[n] / c
-            k0 = int(round(k))
-            for dk in range(-6, 7):
-                kk = k0 + dk
-                if kk < 1 or kk > k_max_global:
-                    continue
-                used += 1
-                sol = _finish(problem, problem.t_min + kk * h)
-                if sol is not None:
-                    return sol
-        if used > budget.max_iterations or (1 << scale_exp) >= k_max_global:
-            break
-    # lattice rounding came up empty: fall back to the sound scan with the
-    # remaining budget
-    rem = SearchBudget(max_t=budget.max_t,
-                       max_iterations=max(budget.max_iterations - used, 0),
-                       strategy="grid")
-    try:
-        return _solve_grid(problem, rem)
-    except BudgetExhausted as e:
-        raise BudgetExhausted("lattice candidates and grid fallback exhausted",
-                              **e.details)
-
-
 def solve(problem: KroneckerProblem, budget: SearchBudget | None = None
           ) -> KroneckerSolution:
     """Find t > t_min with all phase errors below delta, or raise.
@@ -256,17 +159,9 @@ def solve(problem: KroneckerProblem, budget: SearchBudget | None = None
     with verify() before being handed back.
     """
     budget = budget or SearchBudget()
-    n = len(problem.frequencies)
-    if n == 1:
+    if len(problem.frequencies) == 1:
         return _solve_single(problem, budget)
-    strategy = budget.strategy
-    if strategy == "auto":
-        strategy = "grid" if n <= 4 else "lattice"
-    if strategy == "grid":
-        return _solve_grid(problem, budget)
-    if strategy == "lattice":
-        return _solve_lattice(problem, budget)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _solve_grid(problem, budget)
 
 
 def solve_character_targets(alpha, basis, chi_on_basis, epsilon: float,

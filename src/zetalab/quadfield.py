@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath as mp
 
@@ -190,7 +191,7 @@ class QuadElement:
     def conj(self) -> "QuadElement":
         return QuadElement(self.x, -self.y, self.d)
 
-    @property
+    @cached_property
     def norm(self) -> Fraction:
         return self.x * self.x - self.d * self.y * self.y
 

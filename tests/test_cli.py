@@ -1,6 +1,7 @@
 """Command-line front end: dispatch, determinism, round trips, exit codes."""
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -9,8 +10,12 @@ from pathlib import Path
 from zetalab.cli import main, render_json
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def run_cli(*argv):
-    proc = subprocess.run([sys.executable, "-m", "zetalab", *argv],
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "zetalab", *argv], env=env,
                           capture_output=True, text=True, timeout=300)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -70,6 +75,15 @@ def test_kron_solve():
     doc = json.loads(out)
     assert doc["max_error"] < 0.05
     assert len(doc["x"]) == 3
+
+
+def test_kron_solve_rejects_non_finite_input():
+    code, out, err = run_cli("kron", "solve", "--freqs", "inf,0.2",
+                             "--targets", "0,0.5", "--delta", "0.1",
+                             "--max-t", "1e4")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_ideals_factor():
@@ -219,7 +233,7 @@ def test_config_supplies_required_flag(tmp_path, capsys):
 
 
 def test_readme_command_lines(tmp_path, monkeypatch, capsys):
-    readme = Path(__file__).resolve().parent.parent / "README.md"
+    readme = ROOT / "README.md"
     lines = [ln.strip() for ln in readme.read_text().splitlines()
              if ln.startswith("zetalab ")]
     assert len(lines) >= 12

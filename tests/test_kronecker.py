@@ -1,15 +1,16 @@
-"""Simultaneous approximation: soundness, closed forms, strategies."""
+"""Simultaneous approximation: soundness, closed forms, grid search."""
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from zetalab.errors import BudgetExhausted, DegenerateInput
 from zetalab.kronecker import (PHASE_LIPSCHITZ, KroneckerProblem,
-                               SearchBudget, solve, solve_character_targets,
-                               verify)
+                               SearchBudget, _solve_grid, solve,
+                               solve_character_targets, verify)
 from zetalab.quadfield import multiplicative_basis
 from zetalab.series import Alpha
 
@@ -106,6 +107,22 @@ def test_degenerate_input():
         KroneckerProblem((0.3, 0.3), (0.1, 0.2), delta=0.1)
 
 
+@pytest.mark.parametrize("freqs, targets, t_min", [
+    ((math.inf, 0.2), (0.0, 0.5), 0.0),
+    ((-math.inf, 0.2), (0.0, 0.5), 0.0),
+    ((math.nan, 0.2), (0.0, 0.5), 0.0),
+    ((0.1, 0.2), (math.nan, 0.5), 0.0),
+    ((0.1, 0.2), (0.0, math.inf), 0.0),
+    ((0.1, 0.2), (0.0, 0.5), math.inf),
+    ((0.1, 0.2), (0.0, 0.5), math.nan),
+])
+def test_non_finite_input_rejected(freqs, targets, t_min):
+    # a non-finite frequency or target would make the grid step 0 or every
+    # error nan, and the scan would spend its whole budget on nothing
+    with pytest.raises(ValueError, match="finite"):
+        KroneckerProblem(freqs, targets, delta=0.1, t_min=t_min)
+
+
 def test_budget_exhausted_reports_diagnostics():
     w = (0.1, 0.2000001, 0.31113)
     b = (0.25, 0.75, 0.5)
@@ -115,13 +132,31 @@ def test_budget_exhausted_reports_diagnostics():
     assert "best_error" in exc.value.details
 
 
-def test_lattice_strategy_n6(rng):
+def test_default_solve_n6(rng):
     w = tuple(math.log(n + 0.7853981634) / (2 * math.pi) for n in range(6))
     b = tuple(rng.uniform(0, 1, 6))
     p = KroneckerProblem(w, b, delta=0.2)
-    sol = solve(p, SearchBudget(max_t=1e7, max_iterations=30_000_000,
-                                strategy="lattice"))
+    sol = solve(p, SearchBudget(max_t=1e7, max_iterations=30_000_000))
     assert verify(p, sol.t) < 0.2
+
+
+def _one_chunk_peak(n):
+    """tracemalloc peak of one grid chunk that finds no witness."""
+    w = tuple(0.1 + 0.0731 * k for k in range(n))
+    p = KroneckerProblem(w, (0.5,) * n, delta=1e-9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExhausted) as exc:
+            _solve_grid(p, SearchBudget(max_t=1e9, max_iterations=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.details["points_scanned"] > 0
+    return peak
+
+
+def test_grid_chunk_memory_does_not_grow_with_n():
+    assert _one_chunk_peak(8) <= 1.1 * _one_chunk_peak(4)
 
 
 def test_character_targets_trivial():
