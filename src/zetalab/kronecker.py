@@ -108,18 +108,22 @@ def _solve_single(problem: KroneckerProblem, budget: SearchBudget):
     if w == 0.0:
         raise DegenerateInput("zero frequency", frequencies=[w])
     k = math.ceil(problem.t_min * w - b)
+    # t grows with each step of k
     for _ in range(4):
         t = (b + k) / w
+        if t > budget.max_t:
+            break
         sol = _finish(problem, t)
         if sol is not None:
             return sol
         k += 1 if w > 0 else -1
     raise BudgetExhausted("no admissible k for the single-frequency form",
-                          t_min=problem.t_min)
+                          t_min=problem.t_min, max_t=budget.max_t)
 
 
 def _solve_grid(problem: KroneckerProblem, budget: SearchBudget):
-    """Scan t_min + k*step, k = 1, 2, ..., in chunks; verify the first hit.
+    """Scan t_min + k*step <= max_t, k = 1, 2, ..., in chunks; verify the
+    first hit.
 
     Each chunk's phase table holds at most 2^17 entries, so the working set
     does not grow with N.
@@ -134,6 +138,7 @@ def _solve_grid(problem: KroneckerProblem, budget: SearchBudget):
     best = (math.inf, None)
     while t0 <= budget.max_t and used < budget.max_iterations:
         ts = t0 + step * np.arange(chunk)
+        ts = ts[ts <= budget.max_t]
         errs = _circle_dist(ts[:, None] * w[None, :] - b[None, :]).max(axis=1)
         hit = np.nonzero(errs < problem.delta)[0]
         if hit.size:
@@ -144,7 +149,7 @@ def _solve_grid(problem: KroneckerProblem, budget: SearchBudget):
         i = int(np.argmin(errs))
         if errs[i] < best[0]:
             best = (float(errs[i]), float(ts[i]))
-        used += chunk
+        used += ts.size
         t0 = float(ts[-1]) + step
     raise BudgetExhausted("grid scan found no witness",
                           best_error=best[0], best_t=best[1],
@@ -153,7 +158,8 @@ def _solve_grid(problem: KroneckerProblem, budget: SearchBudget):
 
 def solve(problem: KroneckerProblem, budget: SearchBudget | None = None
           ) -> KroneckerSolution:
-    """Find t > t_min with all phase errors below delta, or raise.
+    """Find t_min < t <= budget.max_t with all phase errors below delta,
+    or raise BudgetExhausted.
 
     The returned solution always satisfies its invariants: it was re-checked
     with verify() before being handed back.

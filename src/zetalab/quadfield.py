@@ -10,8 +10,19 @@ Elements are stored as x + y*sqrt(d) with exact rational coordinates.
 Prime ideals above p are labeled (p, r) where r is the smallest nonnegative
 root mod p of the minimal polynomial of the integral generator w (w =
 sqrt(d), or (1+sqrt(d))/2 when d = 1 mod 4); inert primes carry r = None.
-Valuations at split primes are computed through the p-adic embedding that
-sends w to a Hensel lift of r, so everything stays in integer arithmetic.
+
+Factorizations are sieved over whole ranges of n in integer arithmetic.
+With D the common denominator of alpha's integral coordinates,
+D*(n + alpha) = A(n) + B*w where A(n) = D*n + A0, and its norm g(n) is an
+integer quadratic in n.  The few primes dividing 2*d*D*B get exact local
+valuations (a split one through the p-adic embedding that sends w to a
+Hensel lift of r).  Any other prime dividing g(n) is split, and its ideal
+(p, r) divides exactly the n in one residue class mod p, with exponent
+v_p(g(n)).  Once the primes up to the square root of the largest cofactor
+are stripped, what is left of g(n) is 1 or one prime q, whose ideal is
+(q, -A(n)/B mod q).  Two checks guard every
+factorization: the ideal (n + alpha)*a must come out integral, and the
+norms of its prime factors must multiply back to its norm.
 
 The interface is degree-agnostic on purpose (factorizations are lists of
 labeled primes with exponents); only the quadratic case is implemented.
@@ -19,6 +30,8 @@ labeled primes with exponents); only the quadratic case is implemented.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +67,7 @@ def _primes_up_to(n: int) -> list[int]:
         for p in range(2, int(_SIEVE_LIMIT ** 0.5) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-        _SIEVE = [i for i, v in enumerate(sieve) if v]
+        _SIEVE = list(itertools.compress(range(_SIEVE_LIMIT + 1), sieve))
     return _SIEVE
 
 
@@ -115,10 +128,6 @@ def _vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def _vp_fraction(x: Fraction, p: int) -> int:
-    return _vp(x.numerator, p) - _vp(x.denominator, p)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +330,8 @@ class _RootLift:
     """Hensel lifts of a generator-polynomial root modulo growing p-powers."""
 
     def __init__(self, field: QuadraticField, prime: PrimeIdeal):
-        self.field = field
-        self.prime = prime
-        lin, const = _minpoly_coeffs(field)
-        self.lin, self.const = lin, const
+        self.lin, self.const = _minpoly_coeffs(field)
+        self.p = prime.p
         self.k = 1
         self.mod = prime.p
         self.root = prime.r
@@ -340,23 +347,14 @@ class _RootLift:
             self.mod = new_mod
             self.k *= 2
 
-    def valuation(self, elem: QuadElement) -> int:
-        """v_P(elem) through the embedding w -> lifted root."""
-        a, b = elem.omega_coords()
-        p = self.prime.p
-        den = math.lcm(a.denominator, b.denominator)
-        shift = _vp(den, p)
-        an = a.numerator * (den // a.denominator)
-        bn = b.numerator * (den // b.denominator)
-        # generous precision: valuation can't exceed v_p of the norm numerator
-        nrm = elem.norm
-        cap = (_vp(nrm.numerator, p) if nrm.numerator % p == 0 else 0) \
-            + 2 * shift + 4
-        self.ensure(1 << max(cap.bit_length(), 3))
-        x = (an + bn * self.root) % self.mod
+    def valuation(self, a: int, b: int, bound: int) -> int:
+        """v_P(a + b*w) through the embedding w -> lifted root, for an
+        integral a + b*w whose valuation is at most bound."""
+        self.ensure(bound + 1)
+        x = (a + b * self.root) % self.mod
         if x == 0:
             raise ArithmeticError("lift precision exhausted")
-        return _vp(x, p) - shift
+        return _vp(x, self.p)
 
 
 @dataclass(frozen=True)
@@ -365,7 +363,7 @@ class IdealFactorization:
 
     n: int
     factors: tuple          # ((PrimeIdeal, exponent >= 1), ...)
-    norm: Fraction          # |Norm((n+alpha)*a)|, for the recombination check
+    norm: int               # |Norm((n+alpha)*a)|, for the recombination check
 
     def recombined_norm(self) -> int:
         out = 1
@@ -391,98 +389,187 @@ class CasselsBlock:
 # factorization machinery, cached per (field, alpha)
 # ---------------------------------------------------------------------------
 
+def _prime_key(prime: PrimeIdeal) -> tuple:
+    return prime.p, prime.r is None, prime.r or 0
+
+
 class _ShiftFactorizer:
+    """Factorizations of (n + alpha) * a, sieved over ranges of n.
+
+    D*(n + alpha) = A(n) + B*w with A(n) = D*n + A0 and fixed integers D > 0
+    and B != 0, so the norm of D*(n + alpha) is the integer quadratic
+    g(n) = A^2 - lin*A*B + const*B^2.
+    """
+
     def __init__(self, field: QuadraticField, alpha: Alpha):
         self.field = field
         self.alpha_elem = field.from_alpha(alpha)
+        x, y = self.alpha_elem.omega_coords()
+        self.D = math.lcm(x.denominator, y.denominator)
+        self.A0, self.B = int(x * self.D), int(y * self.D)
+        self.lin, self.const = _minpoly_coeffs(field)
         self.lifts: dict[PrimeIdeal, _RootLift] = {}
-        self.above: dict[int, list[PrimeIdeal]] = {}
         self.cache: dict[int, IdealFactorization] = {}
+        # primes dividing 2*d*D*B get exact local valuations; every other
+        # prime ideal dividing some g(n) is split and is sieved
+        self.special = sorted(_factor_int(2 * field.d * self.D * self.B))
+        self.above = {p: _primes_above(field, p) for p in self.special}
+        # (p, prime, n0): the split prime divides D*(n + alpha) iff n = n0
+        # mod p; complete for the non-special primes <= roots_to
+        self.roots: list[tuple[int, PrimeIdeal, int]] = []
+        self.roots_to = 1
+        # the exponent of P above a special p in (n + alpha) * a is
+        # v_P(A(n) + B*w) + offset[P]: D contributes e_P * v_p(D), and the
+        # denominator ideal adds its own exponent back
+        self.offset = {prime: -(2 if prime.kind == "ramified" else 1)
+                       * _vp(self.D, p)
+                       for p in self.special for prime in self.above[p]}
         self.denominator = self._denominator_ideal()
+        self.denominator_norm = 1
+        for prime, e in self.denominator.items():
+            self.offset[prime] += e
+            self.denominator_norm *= prime.ideal_norm ** e
         # occurrence index over the shifts 0..scanned: the first and second
         # m whose factorization contains each prime ideal
         self.first: dict[PrimeIdeal, int] = {}
         self.second: dict[PrimeIdeal, int] = {}
         self.scanned = -1
 
-    def _primes_above(self, p: int) -> list[PrimeIdeal]:
-        if p not in self.above:
-            self.above[p] = _primes_above(self.field, p)
-        return self.above[p]
+    def _norm(self, a: int) -> int:
+        b = self.B
+        return a * a - self.lin * a * b + self.const * b * b
 
-    def _valuation(self, elem: QuadElement, prime: PrimeIdeal) -> int:
-        nrm = elem.norm
-        if prime.kind == "inert":
-            v = _vp_fraction(nrm, prime.p)
-            if v % 2:
-                raise ArithmeticError("odd norm valuation at an inert prime")
-            return v // 2
-        if prime.kind == "ramified":
-            return _vp_fraction(nrm, prime.p)
-        if prime not in self.lifts:
-            self.lifts[prime] = _RootLift(self.field, prime)
-        return self.lifts[prime].valuation(elem)
-
-    def _candidate_primes(self, elem: QuadElement) -> list[int]:
-        nrm = elem.norm
-        ps = set(_factor_int(nrm.numerator)) | set(_factor_int(nrm.denominator))
-        a, b = elem.omega_coords()
-        ps |= set(_factor_int(math.lcm(a.denominator, b.denominator)))
-        return sorted(ps)
+    def _local(self, p: int, a: int, g: int) -> list[tuple[PrimeIdeal, int]]:
+        """v_P(a + B*w) for each P above the special prime p; g is the norm."""
+        vg = _vp(g, p)
+        out = []
+        for prime in self.above[p]:
+            if prime.kind == "inert":
+                if vg % 2:
+                    raise ArithmeticError("odd norm valuation at an inert prime")
+                v = vg // 2
+            elif prime.kind == "ramified":
+                v = vg
+            else:
+                if prime not in self.lifts:
+                    self.lifts[prime] = _RootLift(self.field, prime)
+                v = self.lifts[prime].valuation(a, self.B, vg)
+            out.append((prime, v))
+        # sum of f_P * v_P over P | p must equal v_p of the norm
+        if sum((2 if pr.kind == "inert" else 1) * v for pr, v in out) != vg:
+            raise ArithmeticError(f"norm bookkeeping failed at p={p}")
+        return out
 
     def _denominator_ideal(self) -> dict[PrimeIdeal, int]:
         out: dict[PrimeIdeal, int] = {}
-        for p in self._candidate_primes(self.alpha_elem):
-            for prime in self._primes_above(p):
-                v = self._valuation(self.alpha_elem, prime)
+        g0 = self._norm(self.A0)
+        for p in self.special:
+            for prime, v in self._local(p, self.A0, g0):
+                v += self.offset[prime]
                 if v < 0:
                     out[prime] = -v
         return out
 
-    def denominator_norm(self) -> int:
-        out = 1
-        for prime, e in self.denominator.items():
-            out *= prime.ideal_norm ** e
-        return out
+    def _extend_roots(self, limit: int):
+        """Add the residue classes of the split non-special primes <= limit."""
+        primes = _primes_up_to(limit)
+        for p in primes[bisect.bisect_right(primes, self.roots_to):
+                        bisect.bisect_right(primes, limit)]:
+            if p in self.above:
+                continue
+            primes_p = _primes_above(self.field, p)
+            if primes_p[0].kind != "split":
+                continue
+            inv_d = pow(self.D, -1, p)
+            for prime in primes_p:
+                n0 = -(self.A0 + self.B * prime.r) * inv_d % p
+                self.roots.append((p, prime, n0))
+        self.roots_to = limit
+
+    def _sieve(self, lo: int, hi: int):
+        """Factor (n + alpha) * a for every n in [lo, hi] into the cache.
+
+        Special primes are stripped from g(n) with exact local valuations.
+        A split prime (p, r) off the special set divides D*(n + alpha) for
+        n = -(A0 + B*r)/D (mod p), with exponent v_p(g(n)); inert and
+        ramified primes off that set never divide.  Once every prime up to
+        the square root of the largest cofactor is stripped, each cofactor
+        is 1 or a prime q, whose ideal is (q, -A(n)/B mod q).
+        """
+        size = hi - lo + 1
+        a_lo = self.D * lo + self.A0
+        norms = [self._norm(a_lo + i * self.D) for i in range(size)]
+        rest = [abs(g) for g in norms]
+        found: list[list] = [[] for _ in range(size)]
+        for p in self.special:
+            for i in range(size):
+                # no prime above p divides (n + alpha) * a when p does not
+                # divide g(n)
+                if rest[i] % p:
+                    continue
+                for prime, v in self._local(p, a_lo + i * self.D, norms[i]):
+                    e = v + self.offset[prime]
+                    if e < 0:
+                        raise ArithmeticError("shifted ideal is not integral")
+                    if e:
+                        found[i].append((prime, e))
+                while rest[i] % p == 0:
+                    rest[i] //= p
+        # the residue table grows by doubling, and only while what is left
+        # of some g(n) may still have two prime factors
+        bound = math.isqrt(max(rest))
+        k = 0
+        while True:
+            while k < len(self.roots) and self.roots[k][0] <= bound:
+                p, prime, n0 = self.roots[k]
+                k += 1
+                for i in range((n0 - lo) % p, size, p):
+                    r, v = rest[i] // p, 1
+                    while r % p == 0:
+                        r //= p
+                        v += 1
+                    rest[i] = r
+                    found[i].append((prime, v))
+            if k < len(self.roots) or self.roots_to >= bound:
+                break
+            bound = math.isqrt(max(rest))
+            if self.roots_to < bound:
+                self._extend_roots(min(bound, 2 * self.roots_to))
+        for i in range(size):
+            n = lo + i
+            q = rest[i]
+            if q > 1:
+                r = -(a_lo + i * self.D) * pow(self.B, -1, q) % q
+                found[i].append((PrimeIdeal(q, r, "split"), 1))
+            norm, frac = divmod(abs(norms[i]) * self.denominator_norm,
+                                self.D * self.D)
+            fact = IdealFactorization(
+                n=n, factors=tuple(sorted(found[i],
+                                          key=lambda t: _prime_key(t[0]))),
+                norm=norm)
+            if frac or fact.recombined_norm() != norm:
+                raise ArithmeticError(
+                    f"norm recombination failed at n={n}: "
+                    f"{fact.recombined_norm()} != {norm}")
+            self.cache.setdefault(n, fact)
 
     def factor(self, n: int) -> IdealFactorization:
-        if n in self.cache:
-            return self.cache[n]
-        elem = self.alpha_elem + n
-        exps: dict[PrimeIdeal, int] = dict(self.denominator)
-        for p in self._candidate_primes(elem):
-            primes = self._primes_above(p)
-            vals = {prime: self._valuation(elem, prime) for prime in primes}
-            # sum of f_P * v_P over P | p must equal v_p of the norm
-            degree_sum = sum((2 if pr.kind == "inert" else 1) * v
-                             for pr, v in vals.items())
-            if degree_sum != _vp_fraction(elem.norm, p):
-                raise ArithmeticError(f"norm bookkeeping failed at p={p}")
-            for prime, v in vals.items():
-                if v:
-                    exps[prime] = exps.get(prime, 0) + v
-        factors = tuple(sorted(((pr, e) for pr, e in exps.items() if e > 0),
-                               key=lambda t: (t[0].p, t[0].r is None, t[0].r or 0)))
-        if any(e < 0 for _, e in exps.items()):
-            raise ArithmeticError("shifted ideal is not integral")
-        norm = abs(elem.norm) * self.denominator_norm()
-        fact = IdealFactorization(n=n, factors=factors, norm=norm)
-        if Fraction(fact.recombined_norm()) != norm:
-            raise ArithmeticError(
-                f"norm recombination failed at n={n}: "
-                f"{fact.recombined_norm()} != {norm}")
-        self.cache[n] = fact
-        return fact
+        if n not in self.cache:
+            self._sieve(n, n)
+        return self.cache[n]
 
     def index_to(self, top: int):
-        """Extend the occurrence index over every m <= top."""
+        """Extend the occurrence index over every m <= top, sieving once."""
+        if top <= self.scanned:
+            return
+        self._sieve(self.scanned + 1, top)
         for m in range(self.scanned + 1, top + 1):
-            for prime in self.factor(m).primes():
+            for prime in self.cache[m].primes():
                 if prime not in self.first:
                     self.first[prime] = m
                 elif prime not in self.second:
                     self.second[prime] = m
-        self.scanned = max(self.scanned, top)
+        self.scanned = top
 
 
 _FACTORIZERS: dict[tuple, _ShiftFactorizer] = {}
@@ -622,8 +709,7 @@ def multiplicative_basis(shifts, alpha: Alpha,
                 del exps[pr]
         vectors[n] = exps
 
-    cols = sorted({pr for v in vectors.values() for pr in v},
-                  key=lambda pr: (pr.p, pr.r is None, pr.r or 0))
+    cols = sorted({pr for v in vectors.values() for pr in v}, key=_prime_key)
     col_ix = {pr: i for i, pr in enumerate(cols)}
     width = len(cols)
 

@@ -459,6 +459,7 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     # first block preassignment: everything visible up to n1 is pinned at 1
     n1 = schedule.n1
     if authentic:
+        fz.index_to(n1)
         for prime in fz.denominator:
             prime_angles[prime] = 0.0
         for n in range(n1 + 1):

@@ -86,6 +86,17 @@ def test_kron_solve_rejects_non_finite_input():
     assert "finite" in err
 
 
+def test_kron_solve_honours_max_t():
+    for argv in (["--freqs", "0.1103,0.2,0.31", "--targets", "0.25,0.5,0.75",
+                  "--delta", "0.012", "--max-t", "20"],
+                 ["--freqs", "0.001", "--targets", "0.5", "--delta", "0.1",
+                  "--max-t", "10"]):
+        code, out, err = run_cli("kron", "solve", *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert json.loads(err)["error"] == "BudgetExhausted"
+
+
 def test_ideals_factor():
     code, out, _ = run_cli("ideals", "factor", "--alpha", "quad:0,1,2",
                            "--n", "3")

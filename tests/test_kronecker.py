@@ -198,3 +198,18 @@ def test_character_targets_random_units(rng):
     for n, vals in values.items():
         x = n + alpha.value
         assert abs(cmath.exp(-1j * sol.t * math.log(x)) - vals) < 0.2
+
+
+@pytest.mark.parametrize("freqs, targets, delta, max_t, reach", [
+    ((0.1103, 0.2, 0.31), (0.25, 0.5, 0.75), 0.012, 20.0, 48.0),
+    ((0.001,), (0.5,), 0.1, 10.0, 500.0),
+])
+def test_no_witness_past_max_t(freqs, targets, delta, max_t, reach):
+    p = KroneckerProblem(freqs, targets, delta=delta)
+    with pytest.raises(BudgetExhausted) as exc:
+        solve(p, SearchBudget(max_t=max_t))
+    assert exc.value.details["max_t"] == max_t
+    # the first witness lies past max_t; a budget reaching it finds it
+    sol = solve(p, SearchBudget(max_t=reach))
+    assert max_t < sol.t <= reach
+    assert verify(p, sol.t) < delta

@@ -1,28 +1,40 @@
 """Quadratic field arithmetic: factorizations, censuses, bases."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from zetalab.errors import NotQuadratic
-from zetalab.quadfield import (QuadraticField, factor_shift,
+from zetalab.quadfield import (PrimeIdeal, QuadraticField, factor_shift,
                                fundamental_unit, ideal_denominator,
                                multiplicative_basis, private_primes)
-from zetalab.quadfield import _FACTORIZERS
+from zetalab.quadfield import _FACTORIZERS, _factorizer
 from zetalab.series import Alpha
 from zetalab.twist import BlockSchedule
 
 SQRT2 = Alpha.quadratic(0, 1, 2)
 
 
-def membership_divides(prime, n, d=2):
-    """Independent oracle: does the prime ideal (p, r) divide (n + sqrt(d))?
+def integral_coords(n, alpha):
+    """(D, a, b) with D*(n + alpha) = a + b*w over the integral basis {1, w},
+    w = sqrt(d) or (1 + sqrt(d))/2, and D the least clearing denominator."""
+    x, y, d = alpha.data
+    x, y = (n + x - y, 2 * y) if d % 4 == 1 else (n + x, y)
+    den = math.lcm(x.denominator, y.denominator)
+    return den, int(x * den), int(y * den)
+
+
+def membership_divides(prime, n, alpha=SQRT2):
+    """Independent oracle: does the prime ideal (p, r) contain D*(n + alpha)?
 
     Membership test in terms of the integral basis: a + b*w lies in
     (p, w - r) iff a + b*r = 0 (mod p); inert primes require p | a and
-    p | b.  No valuations, no Hensel lifting.
+    p | b.  No valuations, no Hensel lifting, no sieve.  Every prime factor
+    of (n + alpha)*a contains D*(n + alpha); for p not dividing D the test
+    is exact.
     """
-    a, b = n, 1           # n + sqrt(d) in the {1, sqrt(d)} basis (d != 1 mod 4)
+    _, a, b = integral_coords(n, alpha)
     if prime.kind == "inert":
         return a % prime.p == 0 and b % prime.p == 0
     return (a + b * prime.r) % prime.p == 0
@@ -161,6 +173,58 @@ def test_membership_oracle_consistency():
     for n in range(1, 200):
         for prime in factor_shift(n, SQRT2).primes():
             assert membership_divides(prime, n)
+
+
+# an inert prime dividing B, split-prime denominators, a half basis with a
+# denominator, class number two, and a denominator at an inert prime
+RANGE_SHAPES = ["quad:0,3,2", "quad:0,1/7,2", "quad:1/4,1/2,5",
+                "quad:0,1,10", "quad:1/3,1,2"]
+
+
+@pytest.mark.parametrize("shape", RANGE_SHAPES)
+def test_range_factorizations_match_single_elements(shape):
+    alpha = Alpha.parse(shape)
+    d = alpha.data[2]
+    _FACTORIZERS.clear()
+    # each n factored alone: nothing has been indexed, so factor_shift
+    # sieves the one-element range [n, n]
+    single = [factor_shift(n, alpha) for n in range(1501)]
+    _FACTORIZERS.clear()
+    fz = _factorizer(alpha, None)
+    for top in (0, 1, 7, 150, 151, 640, 1499, 1500):   # uneven segments
+        fz.index_to(top)
+    den = integral_coords(0, alpha)[0]
+    for n in range(1501):
+        fact = factor_shift(n, alpha)
+        assert fact == single[n], n
+        for prime, _ in fact.factors:
+            assert membership_divides(prime, n, alpha), (n, prime)
+            if prime.kind == "split" and den % prime.p:
+                # which conjugate divides: the oracle decides it alone
+                r = (-prime.r if d % 4 != 1 else 1 - prime.r) % prime.p
+                other = PrimeIdeal(prime.p, r, "split")
+                assert (other in fact.primes()) == \
+                    membership_divides(other, n, alpha), (n, prime)
+
+
+def test_queries_below_the_index_mark_reuse_the_cache(monkeypatch):
+    _FACTORIZERS.clear()
+    fz = _factorizer(SQRT2, None)
+    fz.index_to(2000)
+    cached = dict(fz.cache)
+
+    def no_sieve(lo, hi):
+        raise AssertionError(f"re-sieved [{lo}, {hi}] below the index mark")
+
+    monkeypatch.setattr(fz, "_sieve", no_sieve)
+    for n in (0, 1, 999, 1500, 2000):
+        assert factor_shift(n, SQRT2) is cached[n]
+    for n_start, length in ((0, 30), (1000, 10), (1980, 20)):
+        block = private_primes(n_start, length, SQRT2)
+        assert block.private == census_from_scratch(n_start, length, SQRT2)
+    assert fz.scanned == 2000
+    assert fz.cache == cached
+    assert all(fz.cache[n] is fact for n, fact in cached.items())
 
 
 def test_multiplicative_basis_singleton():
