@@ -1,22 +1,20 @@
 """Unified command-line front end.
 
-Subcommands mirror the library modules:
-
-    eval            series values (JSON) and evaluation grids (CSV)
-    kron solve      simultaneous approximation search
-    annulus radii / annulus realize
-    ideals factor / ideals cassels
-    twist sign-flip / twist greedy
-    zeros count / zeros pipeline
+The commands mirror the library modules; `zetalab -h` lists them.
 
 Exit codes: 0 success, 2 invalid configuration (bad flags, bad config
 document), 3 structured stage failure (JSON diagnostics on stderr).
 
 Output is deterministic for a fixed config and seed: floats render with 17
 significant digits, keys in fixed order.  The global flags (--precision,
---seed, --out, --format, --config) go before or after the subcommand.  A
+--seed, --out, --format, --config) go before or after the command words.  A
 JSON config document (--config) supplies defaults for the chosen command's
 flags: flags given on the command line win, unknown keys are rejected.
+
+One table, _COMMANDS, maps the command words to a handler and its flags.
+The top parser reads the global flags given before the command words and
+leaves the rest of the line untouched; then only the chosen command's
+parser is built, with its own flags and the global flags.
 """
 
 from __future__ import annotations
@@ -75,10 +73,10 @@ def _parse_f(ns) -> PeriodicFunction:
 
 
 def _parse_s(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    return complex(float(parts[0]), float(parts[1]))
+    parts = [float(x) for x in text.split(",")]
+    if len(parts) > 2:
+        raise ConfigInvalid("a complex number is re or re,im", value=text)
+    return complex(*parts)
 
 
 def _parse_budget(text: str | None) -> dict:
@@ -111,7 +109,11 @@ def _emit(args, payload, jsonl_rows=None):
 def _cmd_eval(args) -> int:
     f = _parse_f(args)
     alpha = Alpha.parse(args.alpha)
-    dps = args.precision
+    fn = decompose if args.route == "decompose" else lfunction
+
+    def value(s: complex) -> complex:
+        return complex(fn(s, f, alpha, tol=args.tol, dps=args.precision))
+
     if args.grid:
         srange, trange = args.grid.split(":")
         smin, smax, ns = srange.split(",")
@@ -122,15 +124,12 @@ def _cmd_eval(args) -> int:
             sigma = float(smin) + (float(smax) - float(smin)) * i / max(ns - 1, 1)
             for j in range(nt):
                 t = float(tmin) + (float(tmax) - float(tmin)) * j / max(nt - 1, 1)
-                v = complex(lfunction(complex(sigma, t), f, alpha,
-                                      tol=args.tol, dps=dps))
+                v = value(complex(sigma, t))
                 lines.append(f"{_fmt_float(sigma)},{_fmt_float(t)},"
                              f"{_fmt_float(v.real)},{_fmt_float(v.imag)}")
         _emit(args, {"csv": "\n".join(lines) + "\n"})
         return 0
-    s = _parse_s(args.s)
-    fn = decompose if args.route == "decompose" else lfunction
-    v = complex(fn(s, f, alpha, tol=args.tol, dps=dps))
+    v = value(_parse_s(args.s))
     _emit(args, {"re": v.real, "im": v.imag})
     return 0
 
@@ -248,156 +247,145 @@ def _cmd_zeros(args) -> int:
     return 0
 
 
-# Flags every command takes, before or after the subcommand.
-_GLOBAL_FLAGS = {
-    "--precision": dict(type=int, default=None,
-                        help="software precision in decimal digits"),
-    "--seed": dict(type=int, default=0),
-    "--out": dict(default=None, help="write output to this file"),
-    "--format": dict(choices=["json", "csv", "jsonl"], default="json"),
-    "--config": dict(default=None,
-                     help="JSON document supplying defaults for the command"),
+# Flags every command takes, before or after the command words.
+_GLOBAL_FLAGS = (
+    ("--precision", dict(type=int,
+                         help="software precision in decimal digits")),
+    ("--seed", dict(type=int, default=0)),
+    ("--out", dict(help="write output to this file")),
+    ("--format", dict(choices=["json", "csv", "jsonl"], default="json")),
+    ("--config",
+     dict(help="JSON document supplying defaults for the command")),
+)
+
+# Flags of the commands that take a series L(s, f, alpha).
+_SERIES = (
+    ("--f", dict(default="1", help="comma list of period values")),
+    ("--q", dict(type=int)),
+    ("--alpha", dict(required=True,
+                     help="rat:p,q | quad:a,b,d | dec:<literal>")),
+    ("--tol", dict(type=float, default=1e-12)),
+)
+
+# command words -> (handler, description, flags)
+_COMMANDS = {
+    ("eval",): (_cmd_eval, "series values and identity checks", _SERIES + (
+        ("--s", dict(default="2,0", help="sigma,t")),
+        ("--route", dict(choices=["lfunction", "decompose"],
+                         default="lfunction")),
+        ("--grid", dict(help="smin,smax,ns:tmin,tmax,nt (CSV output)")),
+    )),
+    ("kron", "solve"): (_cmd_kron, "simultaneous approximation search", (
+        ("--freqs", dict(required=True, help="comma list; write "
+                         "--freqs=-0.1,0.2 when the first is negative")),
+        ("--targets", dict(required=True)),
+        ("--delta", dict(type=float, required=True)),
+        ("--tmin", dict(type=float, default=0.0)),
+        ("--max-t", dict(type=float, default=1e6)),
+        ("--max-iter", dict(type=float, default=5e7)),
+    )),
+    ("annulus", "radii"): (_cmd_annulus, "radii of the unimodular annulus", (
+        ("--r", dict(required=True)),
+    )),
+    ("annulus", "realize"): (_cmd_annulus, "phases that reach a point z", (
+        ("--r", dict(required=True)),
+        ("--z", dict(required=True, help="re,im")),
+        ("--tol", dict(type=float, default=1e-9)),
+    )),
+    ("ideals", "factor"): (_cmd_ideals, "prime ideals of n + alpha", (
+        ("--alpha", dict(required=True)),
+        ("--n", dict(type=int, required=True)),
+    )),
+    ("ideals", "cassels"): (_cmd_ideals, "private primes of N < n <= N+M", (
+        ("--alpha", dict(required=True)),
+        ("--N", dict(type=int, required=True)),
+        ("--M", dict(type=int, required=True)),
+    )),
+    ("twist", "sign-flip"): (_cmd_twist, "real zero of a twisted series",
+                             _SERIES + (
+        ("--delta", dict(type=float, required=True)),
+    )),
+    ("twist", "greedy"): (_cmd_twist, "greedy character ledger", _SERIES + (
+        ("--delta", dict(type=float, default=1.0)),
+        ("--blocks", dict(type=int, default=50)),
+        ("--n1", dict(type=int, default=1000)),
+        ("--scale-num", dict(type=int, default=1)),
+        ("--scale-den", dict(type=int, default=100)),
+        ("--sigma", dict(type=float)),
+        ("--mode", dict(choices=["authentic", "synthetic"],
+                        default="authentic")),
+        ("--density", dict(type=float, default=0.55)),
+        ("--no-hp", dict(action="store_true",
+                         help="skip the high-precision ledger recheck")),
+    )),
+    ("zeros", "count"): (_cmd_zeros, "zeros in a rectangle", _SERIES + (
+        ("--rect", dict(required=True, help="smin,smax,tmin,tmax")),
+        ("--samples", dict(type=int, default=256)),
+    )),
+    ("zeros", "pipeline"): (_cmd_zeros, "certified zero search", _SERIES + (
+        ("--delta", dict(type=float, required=True)),
+        ("--budget", dict(help="comma list: maxt=..,maxiter=..,ncut=..,"
+                               "samples=..,tmin=..")),
+    )),
 }
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, list]:
-    """The top-level parser and the parsers of the leaf commands."""
-    top = argparse.ArgumentParser(prog="zetalab")
-    for flag, kw in _GLOBAL_FLAGS.items():
-        top.add_argument(flag, **kw)
-    sub = top.add_subparsers(dest="command", required=True)
-    leaves = []
-
-    def leaf(subs, name, run, **kw):
-        p = subs.add_parser(name, **kw)
-        p.set_defaults(run=run)
-        leaves.append(p)
-        return p
-
-    def series_flags(p):
-        p.add_argument("--f", default="1", help="comma list of period values")
-        p.add_argument("--q", type=int, default=None)
-        p.add_argument("--alpha", required=True,
-                       help="rat:p,q | quad:a,b,d | dec:<literal>")
-        p.add_argument("--tol", type=float, default=1e-12)
-
-    p = leaf(sub, "eval", _cmd_eval, help="series values and identity checks")
-    series_flags(p)
-    p.add_argument("--s", default="2,0", help="sigma,t")
-    p.add_argument("--route", choices=["lfunction", "decompose"],
-                   default="lfunction")
-    p.add_argument("--grid", default=None,
-                   help="smin,smax,ns:tmin,tmax,nt (CSV output)")
-
-    p = sub.add_parser("kron")
-    ksub = p.add_subparsers(dest="action", required=True)
-    pk = leaf(ksub, "solve", _cmd_kron)
-    pk.add_argument("--freqs", required=True,
-                    help="comma list; write --freqs=-0.1,0.2 when the first "
-                         "is negative")
-    pk.add_argument("--targets", required=True)
-    pk.add_argument("--delta", type=float, required=True)
-    pk.add_argument("--tmin", type=float, default=0.0)
-    pk.add_argument("--max-t", type=float, default=1e6)
-    pk.add_argument("--max-iter", type=float, default=5e7)
-
-    p = sub.add_parser("annulus")
-    asub = p.add_subparsers(dest="action", required=True)
-    pa = leaf(asub, "radii", _cmd_annulus)
-    pa.add_argument("--r", required=True)
-    pa = leaf(asub, "realize", _cmd_annulus)
-    pa.add_argument("--r", required=True)
-    pa.add_argument("--z", required=True, help="re,im")
-    pa.add_argument("--tol", type=float, default=1e-9)
-
-    p = sub.add_parser("ideals")
-    isub = p.add_subparsers(dest="action", required=True)
-    pi = leaf(isub, "factor", _cmd_ideals)
-    pi.add_argument("--alpha", required=True)
-    pi.add_argument("--n", type=int, required=True)
-    pi = leaf(isub, "cassels", _cmd_ideals)
-    pi.add_argument("--alpha", required=True)
-    pi.add_argument("--N", type=int, required=True)
-    pi.add_argument("--M", type=int, required=True)
-
-    p = sub.add_parser("twist")
-    tsub = p.add_subparsers(dest="action", required=True)
-    pt = leaf(tsub, "sign-flip", _cmd_twist)
-    series_flags(pt)
-    pt.add_argument("--delta", type=float, required=True)
-    pt = leaf(tsub, "greedy", _cmd_twist)
-    series_flags(pt)
-    pt.add_argument("--delta", type=float, default=1.0)
-    pt.add_argument("--blocks", type=int, default=50)
-    pt.add_argument("--n1", type=int, default=1000)
-    pt.add_argument("--scale-num", type=int, default=1)
-    pt.add_argument("--scale-den", type=int, default=100)
-    pt.add_argument("--sigma", type=float, default=None)
-    pt.add_argument("--mode", choices=["authentic", "synthetic"],
-                    default="authentic")
-    pt.add_argument("--density", type=float, default=0.55)
-    pt.add_argument("--no-hp", action="store_true",
-                    help="skip the high-precision ledger recheck")
-
-    p = sub.add_parser("zeros")
-    zsub = p.add_subparsers(dest="action", required=True)
-    pz = leaf(zsub, "count", _cmd_zeros)
-    series_flags(pz)
-    pz.add_argument("--rect", required=True, help="smin,smax,tmin,tmax")
-    pz.add_argument("--samples", type=int, default=256)
-    pz = leaf(zsub, "pipeline", _cmd_zeros)
-    series_flags(pz)
-    pz.add_argument("--delta", type=float, required=True)
-    pz.add_argument("--budget", default=None,
-                    help="comma list: maxt=..,maxiter=..,ncut=..,samples=..,tmin=..")
-    return top, leaves
-
-
-def _parse(top, argv: list[str]) -> argparse.Namespace:
-    args, rest = top.parse_known_args(argv)
-    if rest:
-        # what the command did not take may only be global flags, given
-        # after the subcommand; only flags given are stored
-        after = argparse.ArgumentParser(prog=top.prog, add_help=False)
-        for flag, kw in _GLOBAL_FLAGS.items():
-            after.add_argument(flag, **{**kw, "default": argparse.SUPPRESS})
-        after.parse_args(rest, namespace=args)
-    return args
-
-
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    top, leaves = _build_parser()
-    # the document is read before the full parse, so that it can supply
-    # flags the command requires; every spelling of --config, abbreviations
-    # included, starts with "--c"
-    path = None
-    if any(a.startswith("--c") for a in argv):
-        pre = argparse.ArgumentParser(add_help=False)
-        pre.add_argument("--config", default=None)
-        path = pre.parse_known_args(argv)[0].config
-    if not path:
-        return _parse(top, argv)
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigInvalid("config document must be a JSON object")
+    top = argparse.ArgumentParser(
+        prog="zetalab", formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="commands:\n" + "".join(
+            f"  {' '.join(words):<18}{entry[1]}\n"
+            for words, entry in _COMMANDS.items()))
+    # only the flags given are stored; the leaf parser adds the defaults
+    for flag, kw in _GLOBAL_FLAGS:
+        top.add_argument(flag, **{**kw, "default": argparse.SUPPRESS})
+    top.add_argument("command", help="one or two command words, see below")
+    top.add_argument("flags", nargs=argparse.REMAINDER,
+                     help="the command's flags and global flags")
+    args = top.parse_args(argv)
+    rest = vars(args).pop("flags")
+    words = (args.command,)
+    if words not in _COMMANDS and rest:
+        args.action = rest.pop(0)
+        words += (args.action,)
+    if words not in _COMMANDS:
+        if words[-1] in ("-h", "--help"):      # e.g. zetalab kron -h
+            top.print_help()
+            top.exit()
+        top.error(f"invalid command {' '.join(words)!r}, see zetalab -h")
+    run, description, flags = _COMMANDS[words]
+    specs = {flag[2:].replace("-", "_"): (flag, kw)
+             for flag, kw in flags + _GLOBAL_FLAGS}
+
+    # the document is read before the leaf parser is built, so that it can
+    # supply flags the command requires; every spelling of --config,
+    # abbreviations included, starts with "--c"
+    path = getattr(args, "config", None)
+    for i, arg in enumerate(rest):
+        flag, eq, value = arg.partition("=")
+        if flag.startswith("--c") and "--config".startswith(flag):
+            path = value if eq else next(iter(rest[i + 1:]), None)
+    doc = {}
+    if path:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ConfigInvalid("config document must be a JSON object")
     for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if "--" + attr in _GLOBAL_FLAGS:
-            top.set_defaults(**{attr: value})
-            continue
+        dest = key.replace("-", "_")
+        if dest not in specs:
+            raise ConfigInvalid(f"unknown config key {key!r}", key=key)
         # the document sets defaults, so flags on the command line win, and
         # a flag it supplies is no longer required
-        for p in leaves:
-            for action in p._actions:
-                if action.dest == attr:
-                    action.default, action.required = value, False
-    args = _parse(top, argv)
-    known = set(vars(args)) - {"command", "action", "run"}
-    for key in doc:
-        if key.replace("-", "_") not in known:
-            raise ConfigInvalid(f"unknown config key {key!r}", key=key)
-    return args
+        flag, kw = specs[dest]
+        specs[dest] = flag, {**kw, "default": value, "required": False}
+
+    leaf = argparse.ArgumentParser(prog=f"zetalab {' '.join(words)}",
+                                   description=description)
+    for flag, kw in specs.values():
+        leaf.add_argument(flag, **kw)
+    leaf.set_defaults(run=run)
+    return leaf.parse_args(rest, namespace=args)
 
 
 def main(argv: list[str] | None = None) -> int:

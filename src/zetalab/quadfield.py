@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -274,10 +275,12 @@ class QuadElement:
 # prime ideals and valuations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class PrimeIdeal:
+class PrimeIdeal(NamedTuple):
     """Label (p, r): r is the smallest nonnegative root of the minimal
-    polynomial of the integral generator mod p; None marks the inert prime."""
+    polynomial of the integral generator mod p; None marks the inert prime.
+
+    A named tuple, so that the dict lookups of the ledger hash it natively.
+    """
 
     p: int
     r: int | None

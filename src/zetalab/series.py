@@ -405,7 +405,7 @@ def series_head(s, f: PeriodicFunction, alpha, upto: int,
 
 
 def lfunction(s, f: PeriodicFunction, alpha, tol: float = 1e-12,
-              dps: int | None = None, head_terms: int | None = None):
+              dps: int | None = None):
     """L(s, f, alpha) for s != 1 (meromorphic continuation for Re(s) > 1/2).
 
     Evaluation sums a short head of the defining series directly and pushes
@@ -415,7 +415,7 @@ def lfunction(s, f: PeriodicFunction, alpha, tol: float = 1e-12,
     """
     s = complex(s)
     _refuse_pole(s)
-    h = 16 * f.period if head_terms is None else head_terms
+    h = 16 * f.period
     head = series_head(s, f, alpha, h - 1, tol=tol / 2, dps=dps)
     tail = series_tail(s, f, alpha, h, tol=tol / 2, dps=dps)
     return _complete(head + tail, s, dps)

@@ -90,7 +90,8 @@ def _winding(evaluator, to_point, quad: QuadratureSpec) -> int:
     Each initial segment is subdivided until its argument step is clearly
     below pi/2 and its modulus jump is moderate; the accumulated phase then
     telescopes to the winding number up to rounding noise, and the result
-    is accepted only within 0.25 of an integer.
+    is accepted only within 0.25 of an integer.  A negative count, which no
+    analytic integrand gives, raises ZetalabError.
     """
     n0 = max(quad.initial_points, 16)
     spent = [0]
@@ -130,6 +131,9 @@ def _winding(evaluator, to_point, quad: QuadratureSpec) -> int:
     if abs(total - nearest) > 0.25:
         raise QuadratureStalled("phase accounting did not settle",
                                 raw=total, points=spent[0])
+    if nearest < 0:
+        raise ZetalabError("negative winding for an analytic integrand",
+                           count=nearest)
     return int(nearest)
 
 
@@ -142,11 +146,7 @@ def argument_count(evaluator, rect: Rectangle,
     the rectangle on ZeroOnBoundary).
     """
     quad = quad or QuadratureSpec()
-    count = _winding(evaluator, rect.boundary, quad)
-    if count < 0:
-        raise ZetalabError("negative winding for an analytic integrand",
-                           count=count)
-    return count
+    return _winding(evaluator, rect.boundary, quad)
 
 
 def argument_count_circle(evaluator, center: complex, radius: float,
@@ -157,11 +157,7 @@ def argument_count_circle(evaluator, center: complex, radius: float,
     def to_point(u: float) -> complex:
         return center + radius * cmath.exp(2j * math.pi * u)
 
-    count = _winding(evaluator, to_point, quad)
-    if count < 0:
-        raise ZetalabError("negative winding for an analytic integrand",
-                           count=count)
-    return count
+    return _winding(evaluator, to_point, quad)
 
 
 @dataclass(frozen=True)

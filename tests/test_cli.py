@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from zetalab.cli import main, render_json
 
 
@@ -168,8 +170,63 @@ def test_bad_flag_exits_2():
 
 
 def test_missing_subcommand_exits_2():
-    code, _, _ = run_cli("kron")
-    assert code == 2
+    for argv in ((), ("nosuch",), ("kron",)):
+        code, _, err = run_cli(*argv)
+        assert code == 2, argv
+        assert "usage: zetalab" in err, argv
+
+
+def test_help_lists_commands_and_flags(capsys):
+    for argv in (["-h"], ["kron", "-h"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        for words in ("eval", "kron solve", "annulus radii",
+                      "annulus realize", "ideals factor", "ideals cassels",
+                      "twist sign-flip", "twist greedy", "zeros count",
+                      "zeros pipeline"):
+            assert f"  {words} " in out, (argv, words)
+    for argv, leaf_flags in (
+            (["eval", "-h"], ["--alpha", "--s", "--grid"]),
+            (["kron", "solve", "-h"], ["--freqs", "--max-t"])):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        for flag in leaf_flags + ["--precision", "--seed", "--out",
+                                  "--format", "--config"]:
+            assert flag in out, (argv, flag)
+
+
+def test_global_flag_value_equal_to_command_word(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--out", "eval", "eval", "--alpha", "rat:1,2"]) == 0
+    assert capsys.readouterr().out == ""
+    assert abs(json.loads((tmp_path / "eval").read_text())["re"]
+               - 4.934802200544679) < 1e-10
+
+
+def test_complex_flags_reject_extra_components():
+    for argv in (["eval", "--alpha", "rat:1,2", "--s", "2,0,7"],
+                 ["annulus", "realize", "--r", "1,2,5", "--z", "0,2,1"]):
+        code, out, err = run_cli(*argv)
+        assert code == 2, argv
+        assert out == ""
+        assert json.loads(err)["error"] == "ConfigInvalid"
+
+
+def test_eval_grid_point_matches_single_point(capsys):
+    base = ["eval", "--f", "1,-1", "--alpha", "rat:1,1"]
+    for route in ("lfunction", "decompose"):
+        assert main(base + ["--route", route, "--s", "2,3"]) == 0
+        point = json.loads(capsys.readouterr().out)
+        assert main(base + ["--route", route, "--grid", "2,2,1:3,3,1",
+                            "--format", "csv"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert [float(x) for x in row] == [2.0, 3.0, point["re"],
+                                           point["im"]], route
 
 
 def test_determinism_byte_identical():
@@ -241,6 +298,19 @@ def test_config_supplies_required_flag(tmp_path, capsys):
     # a key of another command is still rejected
     cfg.write_text(json.dumps({"alpha": "rat:1,2", "n1": 5}))
     assert main(["--config", str(cfg), "eval"]) == 2
+
+
+def test_config_after_two_word_command(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"alpha": "quad:0,1,2", "blocks": 2,
+                               "no-hp": True, "format": "jsonl"}))
+    argv = ["twist", "greedy", "--n1", "1000", "--config", str(cfg)]
+    assert main(argv) == 0
+    rows = [json.loads(line)
+            for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 3 and rows[-1]["ok"] is True
+    assert main(argv + ["--blocks", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_readme_command_lines(tmp_path, monkeypatch, capsys):

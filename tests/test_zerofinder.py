@@ -6,7 +6,7 @@ import math
 import pytest
 
 from zetalab.errors import (LeftHalfPlane, NegativeMargin, NoConvergence,
-                            ZeroOnBoundary)
+                            ZeroOnBoundary, ZetalabError)
 from zetalab.series import Alpha, PeriodicFunction, lfunction
 from zetalab.twist import TwistedSeries, find_sigma0, truncation_index
 from zetalab.zerofinder import (PipelineBudget, QuadratureSpec, Rectangle,
@@ -39,6 +39,15 @@ def test_argument_count_polynomial():
     assert argument_count(pol, Rectangle(1.05, 2.0, 0.0, 10.0)) == 2
     assert argument_count(pol, Rectangle(1.05, 2.0, 0.0, 6.0)) == 1
     assert argument_count(pol, Rectangle(1.05, 2.0, 8.0, 10.0)) == 0
+
+
+def test_negative_winding_raises():
+    # a pole inside the contour winds -1: not an analytic integrand
+    pole = lambda s: 1 / (s - (1.5 + 5j))
+    with pytest.raises(ZetalabError, match="negative winding"):
+        argument_count(pole, Rectangle(1.05, 2.0, 0.0, 10.0))
+    with pytest.raises(ZetalabError, match="negative winding"):
+        argument_count_circle(pole, 1.5 + 5j, 0.25)
 
 
 def test_argument_count_refinement_invariant():
