@@ -6,10 +6,11 @@ Exit codes: 0 success, 2 invalid configuration (bad flags, bad config
 document), 3 structured stage failure (JSON diagnostics on stderr).
 
 Output is deterministic for a fixed config and seed: floats render with 17
-significant digits, keys in fixed order.  The global flags (--precision,
---seed, --out, --format, --config) go before or after the command words.  A
-JSON config document (--config) supplies defaults for the chosen command's
-flags: flags given on the command line win, unknown keys are rejected.
+significant digits, keys in fixed order.  The global flags (--out, --format,
+--config) go before or after the command words; every other flag belongs to
+the commands that read it and goes after the command words.  A JSON config
+document (--config) supplies defaults for the chosen command's flags: flags
+given on the command line win, unknown keys are rejected.
 
 One table, _COMMANDS, maps the command words to a handler and its flags.
 The top parser reads the global flags given before the command words and
@@ -79,6 +80,9 @@ def _parse_s(text: str) -> complex:
     return complex(*parts)
 
 
+_BUDGET_KEYS = ("maxt", "maxiter", "ncut", "samples", "tmin")
+
+
 def _parse_budget(text: str | None) -> dict:
     out = {}
     if not text:
@@ -87,7 +91,11 @@ def _parse_budget(text: str | None) -> dict:
         k, _, v = piece.partition("=")
         if not v:
             raise ConfigInvalid(f"budget entry {piece!r} is not key=value")
-        out[k.strip()] = float(v)
+        k = k.strip()
+        if k not in _BUDGET_KEYS:
+            raise ConfigInvalid(f"unknown budget key {k!r}", key=k,
+                                known=list(_BUDGET_KEYS))
+        out[k] = float(v)
     return out
 
 
@@ -249,9 +257,6 @@ def _cmd_zeros(args) -> int:
 
 # Flags every command takes, before or after the command words.
 _GLOBAL_FLAGS = (
-    ("--precision", dict(type=int,
-                         help="software precision in decimal digits")),
-    ("--seed", dict(type=int, default=0)),
     ("--out", dict(help="write output to this file")),
     ("--format", dict(choices=["json", "csv", "jsonl"], default="json")),
     ("--config",
@@ -264,12 +269,15 @@ _SERIES = (
     ("--q", dict(type=int)),
     ("--alpha", dict(required=True,
                      help="rat:p,q | quad:a,b,d | dec:<literal>")),
-    ("--tol", dict(type=float, default=1e-12)),
 )
+_TOL = ("--tol", dict(type=float, default=1e-12))
 
 # command words -> (handler, description, flags)
 _COMMANDS = {
     ("eval",): (_cmd_eval, "series values and identity checks", _SERIES + (
+        _TOL,
+        ("--precision", dict(type=int,
+                             help="software precision in decimal digits")),
         ("--s", dict(default="2,0", help="sigma,t")),
         ("--route", dict(choices=["lfunction", "decompose"],
                          default="lfunction")),
@@ -315,10 +323,13 @@ _COMMANDS = {
         ("--mode", dict(choices=["authentic", "synthetic"],
                         default="authentic")),
         ("--density", dict(type=float, default=0.55)),
+        ("--seed", dict(type=int, default=0,
+                        help="seed of the synthetic free sets")),
         ("--no-hp", dict(action="store_true",
                          help="skip the high-precision ledger recheck")),
     )),
     ("zeros", "count"): (_cmd_zeros, "zeros in a rectangle", _SERIES + (
+        _TOL,
         ("--rect", dict(required=True, help="smin,smax,tmin,tmax")),
         ("--samples", dict(type=int, default=256)),
     )),

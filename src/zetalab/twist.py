@@ -6,7 +6,7 @@ Sign flip: weights +1 up to a truncation index m and -1 after.  When the
 mean of f is positive, m is chosen so the head dominates the tail at
 s = 1 + delta; the twisted sum is then positive there but tends to minus
 infinity as s -> 1+, so it has a real zero sigma0 in (1, 1+delta), located
-by bisection.
+by bisection.  TwistedSeries holds this series, or the plain one.
 
 Greedy character: for a quadratic irrational shift, unimodular values are
 assigned to prime ideals block by block.  In each block (N_j, N_j + M_j]
@@ -19,10 +19,11 @@ masses S1..S4, the correction, and the damping inequality
     |sum_{n <= N_{j+1}} f(n) chi(n+alpha) / (n+alpha)^sigma| < 1e-2 * tail,
 
 with the left side summed from the character values (optionally also in
-software high precision) and the tail evaluated afresh.  The character
-value of every n <= N_{j+1} is frozen once the block ends: a witness prime
+30-digit arithmetic) and the tail evaluated afresh.  The character value
+of every n <= N_{j+1} is frozen once the block ends: a witness prime
 divides no other shift up to the block end, and new non-witness primes are
-pinned to 1.  So the settled sums are kept as running prefixes, each block
+pinned to 1.  So the angle of chi(n + alpha) is written once into a per-n
+table, and the settled sums are kept as running prefixes, each block
 adding only its own terms, in the order a sum from n = 0 would take them.
 """
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 
 from .annulus import AnnulusSpec, realize_phases
-from .errors import (AnnulusGap, CaseUnreachable, NoSuchIndex, ResidueZero,
+from .errors import (AnnulusGap, CaseUnreachable, NoSuchIndex,
                      SignChangeNotBracketed, ZetalabError)
 from .quadfield import private_primes, _factorizer
 from .series import Alpha, PeriodicFunction, lfunction, series_head, series_tail
@@ -58,61 +59,43 @@ def tail_bound(f: PeriodicFunction, alpha, sigma: float, start: int) -> float:
 
 @dataclass(frozen=True)
 class TwistedSeries:
-    """Series sum f(n) w(n) (n+alpha)^(-s) with unimodular weights w.
+    """Series sum f(n) w(n) (n+alpha)^(-s) with weights w = +1 or -1.
 
-    flip_index m: w = +1 for n <= m, -1 for n > m.
-    character:    w(n) = chi(n+alpha), given for a contiguous range of n.
-    Neither set:  w = 1 identically (the plain series).
+    flip_index m: w = +1 for n <= m, -1 for n > m (the sign-flip series).
+    flip_index None: w = 1 identically (the plain series L(s, f, alpha)).
     """
 
     f: PeriodicFunction
     alpha: object
     flip_index: int | None = None
-    character: dict | None = None
 
-    def weight(self, n: int) -> complex:
-        if self.flip_index is not None:
-            return 1.0 if n <= self.flip_index else -1.0
-        if self.character is not None:
-            return self.character[n]
+    def weight(self, n: int) -> float:
+        if self.flip_index is not None and n > self.flip_index:
+            return -1.0
         return 1.0
 
-    @property
-    def is_identity(self) -> bool:
-        return self.flip_index is None and self.character is None
-
-    def evaluate(self, s, tol: float = 1e-12, dps: int | None = None):
-        """Value of the twisted series at s (Re s > 1 for the twisted forms).
+    def evaluate(self, s, tol: float = 1e-12):
+        """Value of the series at s (Re s > 1 for the sign flip).
 
         Sign-flip evaluation uses F(s) = 2 * head_m(s) - L(s); this works
         for truncation indices far beyond anything summable term by term.
-        Character evaluation needs the assigned range to carry the mass:
-        the unassigned tail bound must fall below tol.
         """
         s = complex(s)
-        if self.flip_index is not None:
-            head = series_head(s, self.f, self.alpha, self.flip_index,
-                               tol=tol / 4)
-            full = lfunction(s, self.f, self.alpha, tol=tol / 4, dps=dps)
-            return 2 * head - full
-        if self.character is not None:
-            top = max(self.character)
-            tb = tail_bound(self.f, float(self.alpha), s.real, top)
-            if tb > tol:
-                raise ValueError(
-                    f"character assignment up to n={top} leaves a tail bound "
-                    f"{tb:.3g} above tol={tol:.3g}")
-            a = float(self.alpha)
-            total = 0j
-            for n in range(top + 1):
-                total += (self.f(n) * self.character[n]
-                          * (n + a) ** (-s))
-            return total
-        return lfunction(s, self.f, self.alpha, tol=tol, dps=dps)
+        if self.flip_index is None:
+            return lfunction(s, self.f, self.alpha, tol=tol)
+        head = series_head(s, self.f, self.alpha, self.flip_index,
+                           tol=tol / 4)
+        full = lfunction(s, self.f, self.alpha, tol=tol / 4)
+        return 2 * head - full
 
 
-def truncation_index(f: PeriodicFunction, alpha, delta: float,
-                     linear_cap: int = 100_000, max_doublings: int = 600) -> int:
+_LINEAR_CAP = 100_000      # truncation_index scans m up to this exactly,
+_MAX_DOUBLINGS = 600       # then doubles m at most this often
+_SIGMA_FLOOR = 1e-8        # find_sigma0 hunts down to sigma = 1 + this
+_HP_DPS = 30               # digits of the greedy ledger's recheck
+
+
+def truncation_index(f: PeriodicFunction, alpha, delta: float) -> int:
     """Smallest m whose head dominates the bounded tail at s = 1 + delta.
 
     The condition is head(m) > max|f| * (m+alpha)^(-delta) / delta, the
@@ -134,7 +117,7 @@ def truncation_index(f: PeriodicFunction, alpha, delta: float,
 
     # exact linear scan
     acc = 0.0
-    for m in range(linear_cap + 1):
+    for m in range(_LINEAR_CAP + 1):
         acc += f(m) * (m + a) ** (-s)
         if acc > bound(m):
             return m
@@ -145,10 +128,10 @@ def truncation_index(f: PeriodicFunction, alpha, delta: float,
         full = lfunction(s, f, alpha, tol=eval_tol)
         return (full - series_tail(s, f, alpha, int(m) + 1, tol=eval_tol)).real
 
-    lo = linear_cap
+    lo = _LINEAR_CAP
     hi = None
-    m = 2 * linear_cap
-    for _ in range(max_doublings):
+    m = 2 * _LINEAR_CAP
+    for _ in range(_MAX_DOUBLINGS):
         if head(m) > bound(m):
             hi = m
             break
@@ -167,7 +150,7 @@ def truncation_index(f: PeriodicFunction, alpha, delta: float,
 
 
 def find_sigma0(series: TwistedSeries, delta: float, tol: float = 1e-10,
-                sigma_floor: float = 1e-8, with_bracket: bool = False):
+                with_bracket: bool = False):
     """Real zero of the sign-flip series in (1, 1 + delta), by bisection.
 
     The right endpoint must be positive (that is what the truncation index
@@ -192,10 +175,10 @@ def find_sigma0(series: TwistedSeries, delta: float, tol: float = 1e-10,
     while True:
         step /= 2.0
         x = 1.0 + step
-        if step < sigma_floor:
+        if step < _SIGMA_FLOOR:
             raise SignChangeNotBracketed(
                 "no negative value found above the precision floor",
-                floor=sigma_floor)
+                floor=_SIGMA_FLOOR)
         if F(x) < 0:
             a = x
             break
@@ -375,22 +358,23 @@ def choose_case_sigma(f: PeriodicFunction, alpha, n1: int, delta: float = 1.0,
 
 
 def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
-                 chi_seed: int = 0, hp_check: bool = True,
-                 hp_dps: int = 30) -> ScheduleReport:
+                 chi_seed: int = 0, hp_check: bool = True) -> ScheduleReport:
     """Run the greedy character induction over the block schedule.
 
-    Authentic mode pulls the free sets from ideal factorizations (integers
-    owning a private prime); synthetic mode samples them with the given
-    density and seed.  Character values live on prime ideals as phase
-    angles.  The settled sum is a running prefix over n = 0, 1, ..., kept
-    in floats and (optionally) at hp_dps digits: each block adds its own
-    terms once its witness angles are written, in index order, so every
-    prefix equals the sum from n = 0.  That holds because the angles of
-    all n up to a block end are frozen from then on; a witness prime that
-    already carries an angle would break it and raises ZetalabError.  The
-    prefixes are summed from the angles, never taken from the greedy
-    state, so realize_err stays an independent check.  The tail is
-    evaluated afresh for every block.
+    f must be positive: the free weights are annulus radii.  Authentic
+    mode pulls the free sets from ideal factorizations (integers owning a
+    private prime) and keeps character values on prime ideals as phase
+    angles; synthetic mode samples the free sets with the given density
+    and seed, and pins every fixed n to 1.  Either mode writes the angle of
+    each n once into one per-n table, which is all the sums read.  The
+    settled sum is a running prefix over n = 0, 1, ..., kept in floats and
+    (optionally) at 30 digits: each block adds its own terms once its free
+    angles are written, in index order, so every prefix equals the sum
+    from n = 0.  That holds because the angles of all n up to a block end
+    are frozen from then on; a witness prime that already carries an angle
+    would break it and raises ZetalabError.  The prefixes are summed from
+    the table, never taken from the greedy state, so realize_err stays an
+    independent check.  The tail is evaluated afresh for every block.
 
     Processing halts at the first block whose damping inequality fails (the
     offending row stays in the report with ok=False).  A free set whose
@@ -398,47 +382,42 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     census falls below ceil(27 M / 50) or the mass ratio below 101/99 are
     flagged but not fatal.
     """
-    if f.residue <= 0:
-        raise ResidueZero("induction needs positive residue",
-                          residue=f.residue)
-    positive = min(f.values) > 0
+    if min(f.values) <= 0:
+        raise ValueError("the greedy ledger needs f > 0: its free weights "
+                         "f(n) / (n+alpha)^sigma are annulus radii")
     sigma = schedule.sigma or choose_case_sigma(f, alpha, schedule.n1,
                                                 schedule.delta)
     a = float(alpha)
 
     authentic = schedule.mode == "authentic"
-    rng = None
-    if not authentic:
+    if authentic:
+        fz = _factorizer(alpha, None)
+    else:
         import random
         rng = random.Random(chi_seed)
-
-    fz = _factorizer(alpha, None) if authentic else None
     prime_angles: dict = {}
-    synthetic_chi: dict[int, float] = {}
 
     def weight(n: int) -> float:
         return f(n) / (n + a) ** sigma
 
-    def chi_angle(n: int) -> float:
-        if not authentic:
-            return synthetic_chi.get(n, 0.0)
+    def angle_of(factors) -> float:
         total = 0.0
-        for prime, e in fz.factor(n).factors:
+        for prime, e in factors:
             total += e * prime_angles[prime]
         return math.fmod(total, 2.0 * math.pi)
 
-    with mp.workdps(hp_dps):
+    with mp.workdps(_HP_DPS):
         a_mp = alpha.value_mp() if isinstance(alpha, Alpha) else mp.mpf(a)
 
     def settle(acc: complex, acc_hp, lo: int, hi: int):
         """The settled prefixes over n < lo extended by the terms lo..hi;
         acc_hp is None when there is no high-precision recheck."""
         ns = range(lo, hi + 1)
-        phases = [chi_angle(n) for n in ns]
+        phases = chi[lo:hi + 1]
         for n, ph in zip(ns, phases):
             acc += weight(n) * cmath.exp(1j * ph)
         if acc_hp is not None:
-            with mp.workdps(hp_dps):
+            with mp.workdps(_HP_DPS):
                 for n, ph in zip(ns, phases):
                     ph = mp.mpf(ph)
                     acc_hp += (f(n) * (mp.cos(ph) + 1j * mp.sin(ph))
@@ -447,7 +426,7 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
 
     def tail_hp(start: int):
         # independent high-precision tail through mpmath's own zeta
-        with mp.workdps(hp_dps):
+        with mp.workdps(_HP_DPS):
             q = f.period
             total = mp.mpf(0)
             for r in range(q):
@@ -465,11 +444,13 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         for n in range(n1 + 1):
             for prime in fz.factor(n).primes():
                 prime_angles.setdefault(prime, 0.0)
+    # chi[n]: the settled angle of chi(n + alpha), written once; up to n1
+    # it is 0 in both modes, every prime seen there being pinned at 0
+    chi = [0.0] * (n1 + 1)
 
     settled, settled_hp = settle(0j, mp.mpc(0) if hp_check else None, 0, n1)
-    state = GreedyState(block_index=0, partial=settled if authentic
-                        else sum(weight(n) for n in range(n1 + 1)) + 0j,
-                        s1=0.0, s2=0.0, s3=0.0, s4=0.0, correction=0j)
+    state = GreedyState(block_index=0, partial=settled, s1=0.0, s2=0.0,
+                        s3=0.0, s4=0.0, correction=0j)
 
     rows: list[BlockLedger] = []
     ok = True
@@ -478,31 +459,31 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     for j in range(1, schedule.num_blocks + 1):
         m_len = schedule.block_length(n_cur)
         top = n_cur + m_len
-        block_ns = list(range(n_cur + 1, top + 1))
+        block_ns = range(n_cur + 1, top + 1)
+        chi.extend([0.0] * m_len)
 
         if authentic:
             census = private_primes(n_cur, m_len, alpha)
             free_ns = sorted(census.private)
-            witnesses = census.private
         else:
-            free_ns = sorted(n for n in block_ns
-                             if rng.random() < schedule.synthetic_density)
-            witnesses = {}
+            free_ns = [n for n in block_ns
+                       if rng.random() < schedule.synthetic_density]
         free_set = set(free_ns)
         fixed_ns = [n for n in block_ns if n not in free_set]
 
         if authentic:
             # new primes in this block that are nobody's witness get value 1
-            witness_set = set(witnesses.values())
+            witness_set = set(census.private.values())
+            factors = {n: fz.factor(n).factors for n in block_ns}
             for n in block_ns:
-                for prime in fz.factor(n).primes():
+                for prime, _ in factors[n]:
                     if prime not in prime_angles and prime not in witness_set:
                         prime_angles[prime] = 0.0
+            for n in fixed_ns:
+                chi[n] = angle_of(factors[n])
 
-        fixed_sum = sum(weight(n) * cmath.exp(1j * chi_angle(n))
-                        for n in fixed_ns)
-        fixed_mass = math.fsum(weight(n) for n in fixed_ns) if positive else \
-            math.fsum(abs(weight(n)) for n in fixed_ns)
+        fixed_sum = sum(weight(n) * cmath.exp(1j * chi[n]) for n in fixed_ns)
+        fixed_mass = math.fsum(weight(n) for n in fixed_ns)
         free_weights = [(n, weight(n)) for n in free_ns]
         tail_tol = max(1e-11, 1e-14 / (sigma - 1.0))
         tail_mass = series_tail(sigma + 0j, f, alpha, top + 1,
@@ -512,26 +493,29 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         state, angles = greedy_step(state, free_weights, fixed_sum,
                                     fixed_mass, tail_mass)
 
-        # push the realized phases down onto the witness primes; a witness
-        # with an angle already would change terms the prefixes have summed
+        # write the free angles; in authentic mode through the witness
+        # primes, and a witness with an angle already would change terms
+        # the prefixes have summed
         if authentic:
             for n in free_ns:
-                witness = witnesses[n]
+                witness = census.private[n]
                 if witness in prime_angles:
                     raise ZetalabError(
                         "witness prime already carries a character value",
                         block=j, n=n, witness=witness.label(),
                         angle=prime_angles[witness])
-                e_w = dict(fz.factor(n).factors)[witness]
+                e_w = dict(factors[n])[witness]
                 known = 0.0
-                for prime, e in fz.factor(n).factors:
+                for prime, e in factors[n]:
                     if prime != witness:
                         known += e * prime_angles[prime]
                 prime_angles[witness] = math.fmod(
                     (angles[n] - known) / e_w, 2.0 * math.pi)
+            for n in free_ns:
+                chi[n] = angle_of(factors[n])
         else:
             for n in free_ns:
-                synthetic_chi[n] = angles[n]
+                chi[n] = angles[n]
 
         # the chain form: the settled sum up to the block start plus the
         # fixed mass minus the free mass
@@ -545,12 +529,11 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         lhs_hp = rhs_hp = None
         ok_hp = None
         if hp_check:
-            with mp.workdps(hp_dps):
+            with mp.workdps(_HP_DPS):
                 lhs_hp_v = abs(settled_hp)
                 rhs_hp_v = mp.mpf("0.01") * tail_hp(top + 1)
                 ok_hp = bool(lhs_hp_v < rhs_hp_v)
                 lhs_hp, rhs_hp = float(lhs_hp_v), float(rhs_hp_v)
-
         s2, s3 = state.s2, state.s3
         ratio = s3 / s2 if s2 > 0 else math.inf
         ws = [w for _, w in free_weights]

@@ -304,7 +304,7 @@ def rouche_check(f: PeriodicFunction, alpha, series: TwistedSeries,
         return complex((coeffs * np.exp(-s * logns)).sum())
 
     d_diff = float((np.abs(coeffs) * np.abs(logns) * ns ** (-sigma_min)).sum())
-    if series.is_identity and t == 0.0:
+    if series.flip_index is None and t == 0.0:
         tail = 0.0
     else:
         tail = 2.0 * tail_bound(f, a, sigma_min, n_cut)

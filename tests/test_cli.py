@@ -188,15 +188,61 @@ def test_help_lists_commands_and_flags(capsys):
                       "zeros pipeline"):
             assert f"  {words} " in out, (argv, words)
     for argv, leaf_flags in (
-            (["eval", "-h"], ["--alpha", "--s", "--grid"]),
+            (["eval", "-h"], ["--alpha", "--s", "--grid", "--tol",
+                              "--precision"]),
             (["kron", "solve", "-h"], ["--freqs", "--max-t"])):
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 0
         out = capsys.readouterr().out
-        for flag in leaf_flags + ["--precision", "--seed", "--out",
-                                  "--format", "--config"]:
+        for flag in leaf_flags + ["--out", "--format", "--config"]:
             assert flag in out, (argv, flag)
+
+
+def test_flags_a_command_does_not_read_are_refused(capsys):
+    sign_flip = ["twist", "sign-flip", "--alpha", "rat:1,1", "--f", "1",
+                 "--delta", "1.0"]
+    greedy = ["twist", "greedy", "--alpha", "rat:1,2", "--mode",
+              "synthetic", "--n1", "2000", "--blocks", "2", "--density",
+              "0.6", "--no-hp"]
+    pipeline = ["zeros", "pipeline", "--alpha", "dec:0.7853981634",
+                "--delta", "0.5"]
+    count = ["zeros", "count", "--f", "1", "--alpha", "rat:1,1", "--rect",
+             "1.1,2,0,30"]
+    kron = ["kron", "solve", "--freqs", "0.1103,0.2", "--targets",
+            "0.25,0.5", "--delta", "0.05"]
+    for argv in (sign_flip + ["--tol", "1e-3"],
+                 greedy + ["--tol", "1e-3"],
+                 pipeline + ["--tol", "1e-3"],
+                 sign_flip + ["--precision", "40"],
+                 count + ["--precision", "40"],
+                 kron + ["--seed", "7"],
+                 ["--precision", "40", "eval", "--alpha", "rat:1,2"],
+                 ["--seed", "7"] + greedy):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2, argv
+        assert "usage: zetalab" in capsys.readouterr().err, argv
+    # the commands that read them still take them
+    assert main(["eval", "--alpha", "rat:1,2", "--precision", "40"]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["re"]
+               - 4.934802200544679) < 1e-12
+    assert main(greedy + ["--seed", "7"]) == 0
+    seeded = capsys.readouterr().out
+    assert main(greedy) == 0
+    assert capsys.readouterr().out != seeded
+
+
+def test_budget_rejects_unknown_keys(capsys):
+    # maxT is not maxt: the search would silently run with max_t = 200000
+    argv = ["zeros", "pipeline", "--alpha", "dec:0.7853981634", "--delta",
+            "0.5", "--budget", "maxT=5,maxiter=400000,ncut=6"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "ConfigInvalid"
+    assert diag["details"]["key"] == "maxT"
 
 
 def test_global_flag_value_equal_to_command_word(tmp_path, monkeypatch,

@@ -213,6 +213,41 @@ def test_greedy_blocks_partition():
         prev_end = row.n_end
 
 
+@pytest.mark.parametrize("alpha, schedule, seed", [
+    (SQRT2, BlockSchedule(n1=1000, num_blocks=5), 0),
+    (Alpha.rational(1, 2),
+     BlockSchedule(n1=2000, num_blocks=8, mode="synthetic",
+                   synthetic_density=0.6), 7),
+], ids=["authentic", "synthetic-rational"])
+def test_unified_ledger_invariants(alpha, schedule, seed):
+    # both modes sum the same angle table: the chain form of a block is the
+    # previous settled sum plus the block's fixed mass minus its free mass
+    report = run_schedule(ONE, alpha, schedule, chi_seed=seed,
+                          hp_check=False)
+    assert report.ok and len(report.blocks) == schedule.num_blocks
+    prev = None
+    for row in report.blocks:
+        assert row.free_count + row.fixed_count == row.n_end - row.n_start
+        assert row.realize_err <= 1e-9
+        if prev is not None:
+            assert row.chain_lhs == prev.damping_lhs + row.s2 - row.s3
+        prev = row
+
+
+def test_ledger_refuses_nonpositive_f_before_any_work(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("work done before the f > 0 check")
+
+    monkeypatch.setattr(twist, "choose_case_sigma", boom)
+    monkeypatch.setattr(twist, "private_primes", boom)
+    for f, alpha, mode in ((PeriodicFunction((1.0, 0.0)), SQRT2, "authentic"),
+                           (PeriodicFunction((1.0, -0.5, 2.0)),
+                            Alpha.rational(1, 2), "synthetic")):
+        with pytest.raises(ValueError, match="f > 0"):
+            run_schedule(f, alpha, BlockSchedule(n1=1000, num_blocks=2,
+                                                 mode=mode), hp_check=False)
+
+
 def test_synthetic_mode_deterministic():
     schedule = BlockSchedule(n1=2000, num_blocks=3, mode="synthetic",
                              synthetic_density=0.7)
