@@ -19,13 +19,14 @@ sol = solve(problem)
 print("single frequency: t =", sol.t, " (2 pi / log 2 =",
       2 * math.pi / math.log(2), ")")
 
-## Three frequencies: a grid scan in t
+## Three frequencies: a scan over the windows where the fastest phase is
+## within delta of its target
 alpha = Alpha.decimal("0.7853981634")
 freqs = tuple(math.log(n + alpha.value) / (2 * math.pi) for n in range(3))
 targets = (0.25, 0.5, 0.9)
 problem = KroneckerProblem(freqs, targets, delta=0.05)
 sol = solve(problem)
-print("grid:    t =", sol.t, " max phase error =", sol.max_error)
+print("windows: t =", sol.t, " max phase error =", sol.max_error)
 print("re-verified:", verify(problem, sol.t))
 
 ## The phase error transfers to the unit circle with Lipschitz constant 2pi

@@ -290,7 +290,7 @@ _COMMANDS = {
         ("--delta", dict(type=float, required=True)),
         ("--tmin", dict(type=float, default=0.0)),
         ("--max-t", dict(type=float, default=1e6)),
-        ("--max-iter", dict(type=float, default=5e7)),
+        ("--max-iter", dict(type=float, default=5e7, help="windows to scan")),
     )),
     ("annulus", "radii"): (_cmd_annulus, "radii of the unimodular annulus", (
         ("--r", dict(required=True)),

@@ -11,10 +11,14 @@ therefore carries an explicit work budget and either returns a solution
 that has been re-verified by direct arithmetic or reports BudgetExhausted.
 A failure never refutes independence.
 
-N = 1 has a closed form.  For N >= 2 the search scans t on a grid of step
-delta / (2pi max|w_n|).  Every t lies within half a step of a grid point,
-which moves no phase by more than delta/4pi, so any t with all phase errors
-below (1 - 1/4pi)*delta has a witness beside it on the grid.
+The search is exact.  Every witness lies in a window where the fastest
+phase is within delta of its target: t in ((b + k - delta)/w, (b + k +
+delta)/w) for w = max|w_n| (a negative frequency is folded, ||t*w - b|| =
+||t*(-w) - (-b)||).  Each window is cut into m = floor(2delta/(1-2delta)) + 1
+pieces, across which no phase moves by 1 - 2delta, so in one piece each
+phase can be within delta of one integer only, the nearest to its value at
+the piece middle; the witnesses in the piece then form one interval.  For
+N = 1 this is the closed form t = (b + k)/w.
 
 All distances live on R/Z (phase units).  The series application supplies
 w_n = log(n + alpha) / 2pi and unimodular targets g = exp(-2pi i b); a phase
@@ -69,6 +73,7 @@ class KroneckerSolution:
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """The scan stops at t = max_t or after max_iterations windows."""
     max_t: float = 1e6
     max_iterations: int = 50_000_000
 
@@ -101,73 +106,67 @@ def _finish(problem: KroneckerProblem, t: float) -> KroneckerSolution | None:
     return None
 
 
-def _solve_single(problem: KroneckerProblem, budget: SearchBudget):
-    """Closed form for N = 1: t = (b + k)/w for the smallest admissible k."""
-    w = problem.frequencies[0]
-    b = problem.targets[0]
-    if w == 0.0:
-        raise DegenerateInput("zero frequency", frequencies=[w])
-    k = math.ceil(problem.t_min * w - b)
-    # t grows with each step of k
-    for _ in range(4):
-        t = (b + k) / w
-        if t > budget.max_t:
-            break
-        sol = _finish(problem, t)
-        if sol is not None:
-            return sol
-        k += 1 if w > 0 else -1
-    raise BudgetExhausted("no admissible k for the single-frequency form",
-                          t_min=problem.t_min, max_t=budget.max_t)
-
-
-def _solve_grid(problem: KroneckerProblem, budget: SearchBudget):
-    """Scan t_min + k*step <= max_t, k = 1, 2, ..., in chunks; verify the
-    first hit.
-
-    Each chunk's phase table holds at most 2^17 entries, so the working set
-    does not grow with N.
-    """
-    w = np.asarray(problem.frequencies)
-    b = np.asarray(problem.targets)
-    wmax = float(np.abs(w).max())
-    step = problem.delta / (PHASE_LIPSCHITZ * wmax)
-    chunk = min(1 << 15, (1 << 17) // w.size)
-    t0 = problem.t_min + step
-    used = 0
-    best = (math.inf, None)
-    while t0 <= budget.max_t and used < budget.max_iterations:
-        ts = t0 + step * np.arange(chunk)
-        ts = ts[ts <= budget.max_t]
-        errs = _circle_dist(ts[:, None] * w[None, :] - b[None, :]).max(axis=1)
-        hit = np.nonzero(errs < problem.delta)[0]
-        if hit.size:
-            t = float(ts[hit[0]])
-            sol = _finish(problem, t)
-            if sol is not None:
-                return sol
-        i = int(np.argmin(errs))
-        if errs[i] < best[0]:
-            best = (float(errs[i]), float(ts[i]))
-        used += ts.size
-        t0 = float(ts[-1]) + step
-    raise BudgetExhausted("grid scan found no witness",
-                          best_error=best[0], best_t=best[1],
-                          points_scanned=used, max_t=budget.max_t)
-
-
 def solve(problem: KroneckerProblem, budget: SearchBudget | None = None
           ) -> KroneckerSolution:
     """Find t_min < t <= budget.max_t with all phase errors below delta,
     or raise BudgetExhausted.
 
-    The returned solution always satisfies its invariants: it was re-checked
-    with verify() before being handed back.
+    Windows are scanned in order from the first one centred past t_min, up
+    to max_t or max_iterations windows, and no witness there is missed, up
+    to rounding.  A piece's witness is its window centre when that lies in
+    the piece's interval, otherwise the interval's middle.  A zero
+    frequency is checked once: a met target drops it, a missed one raises
+    BudgetExhausted at once.  The returned solution was re-checked with
+    verify() before being handed back.
     """
     budget = budget or SearchBudget()
-    if len(problem.frequencies) == 1:
-        return _solve_single(problem, budget)
-    return _solve_grid(problem, budget)
+    w = np.asarray(problem.frequencies)
+    b = np.where(w < 0, -np.asarray(problem.targets), problem.targets) % 1.0
+    w = np.abs(w)
+    d, t_min, max_t = problem.delta, problem.t_min, budget.max_t
+    if not w.any():
+        raise DegenerateInput("zero frequency",
+                              frequencies=list(problem.frequencies))
+    zero = w == 0.0
+    miss = float(_circle_dist(b[zero]).max(initial=0.0))
+    if miss >= d:
+        raise BudgetExhausted("a zero frequency misses its target at every t",
+                              best_error=miss, best_t=None, windows_scanned=0,
+                              t_reached=t_min, max_t=max_t)
+    w, b = w[~zero], b[~zero]
+    wmax, bmax = float(w.max()), float(b[np.argmax(w)])
+    m = int(2 * d / (1 - 2 * d)) + 1
+    # piece middles as offsets from the window centre
+    mids = d / wmax * ((2 * np.arange(m) + 1) / m - 1)
+    k = k0 = math.floor(t_min * wmax - bmax) + 1
+    # window k starts below max_t when k < k_last
+    k_last = max_t * wmax - bmax + d
+    k_end = min(k_last, k0 + budget.max_iterations)
+    size = 1 << 11
+    best = (math.inf, None)
+    while k < k_end:
+        rows = min(math.ceil(k_end - k), max(1, size // (m * w.size)))
+        c = (bmax + k + np.arange(rows)) / wmax
+        ts = np.repeat(c, m)
+        j = np.rint((ts + np.tile(mids, rows))[:, None] * w - b)
+        lo = np.maximum(((j + b - d) / w).max(axis=1), t_min)
+        hi = np.minimum(((j + b + d) / w).min(axis=1), max_t)
+        inside = (lo < ts) & (ts < hi)
+        for t in np.where(inside, ts, 0.5 * (lo + hi))[lo < hi]:
+            sol = _finish(problem, float(t))
+            if sol is not None:
+                return sol
+        errs = _circle_dist(c[:, None] * w - b).max(axis=1)
+        i = int(np.argmin(errs))
+        best = min(best, (float(errs[i]), float(c[i])))
+        k += rows
+        size = min(2 * size, 1 << 17)
+    limit = "max_iterations" if k < k_last else "max_t"
+    raise BudgetExhausted(f"{limit} ended the window scan without a witness",
+                          best_error=best[0], best_t=best[1],
+                          windows_scanned=k - k0,
+                          t_reached=min(max_t, (bmax + k - d) / wmax),
+                          max_t=max_t)
 
 
 def solve_character_targets(alpha, basis, chi_on_basis, epsilon: float,

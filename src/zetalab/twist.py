@@ -267,7 +267,7 @@ class BlockSchedule:
     """Parameterized block layout for the induction.
 
     M_j = max(1, floor(N_j * scale_num / scale_den)), N_{j+1} = N_j + M_j.
-    sigma is searched (exploiting the pole) when not fixed.  In synthetic
+    sigma > 1 is searched (exploiting the pole) when not fixed.  In synthetic
     mode the free sets are sampled with the given density instead of coming
     from ideal factorizations.
     """
@@ -385,8 +385,10 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     if min(f.values) <= 0:
         raise ValueError("the greedy ledger needs f > 0: its free weights "
                          "f(n) / (n+alpha)^sigma are annulus radii")
-    sigma = schedule.sigma or choose_case_sigma(f, alpha, schedule.n1,
-                                                schedule.delta)
+    sigma = schedule.sigma if schedule.sigma is not None else \
+        choose_case_sigma(f, alpha, schedule.n1, schedule.delta)
+    if not sigma > 1.0:
+        raise ValueError(f"the greedy ledger needs sigma > 1, got {sigma}")
     a = float(alpha)
 
     authentic = schedule.mode == "authentic"
@@ -408,6 +410,7 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
 
     with mp.workdps(_HP_DPS):
         a_mp = alpha.value_mp() if isinstance(alpha, Alpha) else mp.mpf(a)
+        sigma_mp = mp.mpf(sigma)
 
     def settle(acc: complex, acc_hp, lo: int, hi: int):
         """The settled prefixes over n < lo extended by the terms lo..hi;
@@ -419,9 +422,8 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         if acc_hp is not None:
             with mp.workdps(_HP_DPS):
                 for n, ph in zip(ns, phases):
-                    ph = mp.mpf(ph)
-                    acc_hp += (f(n) * (mp.cos(ph) + 1j * mp.sin(ph))
-                               / (n + a_mp) ** sigma)
+                    cos, sin = mp.cos_sin(mp.mpf(ph))
+                    acc_hp += f(n) * mp.mpc(cos, sin) / (n + a_mp) ** sigma_mp
         return acc, acc_hp
 
     def tail_hp(start: int):
@@ -432,8 +434,8 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
             for r in range(q):
                 c = f(start + r)
                 if c:
-                    total += c * mp.zeta(mp.mpf(sigma), (a_mp + start + r) / q)
-            return mp.power(q, -mp.mpf(sigma)) * total
+                    total += c * mp.zeta(sigma_mp, (a_mp + start + r) / q)
+            return mp.power(q, -sigma_mp) * total
 
     # first block preassignment: everything visible up to n1 is pinned at 1
     n1 = schedule.n1

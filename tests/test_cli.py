@@ -141,6 +141,18 @@ def test_twist_greedy_jsonl():
     assert all(b["damping_ok"] for b in blocks)
 
 
+@pytest.mark.parametrize("sigma", ["0", "1", "0.9"])
+def test_twist_greedy_rejects_sigma_not_above_1(sigma, capsys):
+    # 0 used to read as "not given", 1 divided by zero and 0.9 printed a
+    # ledger with a negative tail mass
+    code = main(["twist", "greedy", "--alpha", "quad:0,1,2", "--blocks", "2",
+                 "--n1", "1000", "--no-hp", "--sigma", sigma])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "sigma > 1" in err
+
+
 def test_zeros_count():
     code, out, _ = run_cli("zeros", "count", "--f", "1", "--alpha",
                            "rat:1,1", "--rect", "1.1,2,0,30")

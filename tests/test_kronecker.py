@@ -1,4 +1,4 @@
-"""Simultaneous approximation: soundness, closed forms, grid search."""
+"""Simultaneous approximation: soundness, closed forms, the window scan."""
 
 import cmath
 import math
@@ -9,7 +9,7 @@ import pytest
 
 from zetalab.errors import BudgetExhausted, DegenerateInput
 from zetalab.kronecker import (PHASE_LIPSCHITZ, KroneckerProblem,
-                               SearchBudget, _solve_grid, solve,
+                               SearchBudget, solve,
                                solve_character_targets, verify)
 from zetalab.quadfield import multiplicative_basis
 from zetalab.series import Alpha
@@ -105,6 +105,8 @@ def test_monotone_budget():
 def test_degenerate_input():
     with pytest.raises(DegenerateInput):
         KroneckerProblem((0.3, 0.3), (0.1, 0.2), delta=0.1)
+    with pytest.raises(DegenerateInput):
+        solve(KroneckerProblem((0.0,), (0.0,), delta=0.1))
 
 
 @pytest.mark.parametrize("freqs, targets, t_min", [
@@ -130,6 +132,16 @@ def test_budget_exhausted_reports_diagnostics():
     with pytest.raises(BudgetExhausted) as exc:
         solve(p, SearchBudget(max_t=50.0, max_iterations=100_000))
     assert "best_error" in exc.value.details
+    assert "max_t" in exc.value.message
+    assert exc.value.details["t_reached"] == 50.0
+    with pytest.raises(BudgetExhausted) as exc:
+        solve(p, SearchBudget(max_t=1e6, max_iterations=10))
+    d = exc.value.details
+    assert "max_iterations" in exc.value.message
+    assert d["windows_scanned"] == 10
+    # windows k = 0..9 of the fastest phase are covered, up to where
+    # window 10 starts
+    assert d["t_reached"] == pytest.approx((0.5 + 10 - 0.001) / 0.31113)
 
 
 def test_default_solve_n6(rng):
@@ -140,23 +152,24 @@ def test_default_solve_n6(rng):
     assert verify(p, sol.t) < 0.2
 
 
-def _one_chunk_peak(n):
-    """tracemalloc peak of one grid chunk that finds no witness."""
+def _scan_peak(n):
+    """tracemalloc peak of a scan that finds no witness and runs long
+    enough for its phase tables to reach their largest size."""
     w = tuple(0.1 + 0.0731 * k for k in range(n))
     p = KroneckerProblem(w, (0.5,) * n, delta=1e-9)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExhausted) as exc:
-            _solve_grid(p, SearchBudget(max_t=1e9, max_iterations=1))
+            solve(p, SearchBudget(max_t=1e12, max_iterations=100_000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert exc.value.details["points_scanned"] > 0
+    assert exc.value.details["windows_scanned"] == 100_000
     return peak
 
 
-def test_grid_chunk_memory_does_not_grow_with_n():
-    assert _one_chunk_peak(8) <= 1.1 * _one_chunk_peak(4)
+def test_phase_table_memory_does_not_grow_with_n():
+    assert _scan_peak(8) <= 1.1 * _scan_peak(4)
 
 
 def test_character_targets_trivial():
@@ -213,3 +226,85 @@ def test_no_witness_past_max_t(freqs, targets, delta, max_t, reach):
     sol = solve(p, SearchBudget(max_t=reach))
     assert max_t < sol.t <= reach
     assert verify(p, sol.t) < delta
+
+
+def _fastest(problem):
+    """The fastest frequency and its target, folded to a positive one."""
+    w = np.asarray(problem.frequencies)
+    i = int(np.argmax(np.abs(w)))
+    return abs(w[i]), (np.sign(w[i]) * problem.targets[i]) % 1.0
+
+
+def _window(problem, t):
+    """Index k of the window (b + k -+ delta)/w of the fastest phase."""
+    w, b = _fastest(problem)
+    return round(t * w - b)
+
+
+def _brute_windows(problem, t_hi):
+    """Windows holding a witness among t_min + i*step < t_hi, step =
+    delta/(400 w_max), scanned 2^14 points at a time to bound memory."""
+    wmax, bmax = _fastest(problem)
+    step = problem.delta / (400 * wmax)
+    w, b = np.asarray(problem.frequencies), np.asarray(problem.targets)
+    found = set()
+    for start in np.arange(problem.t_min, t_hi, step * (1 << 14)):
+        ts = start + step * np.arange(1, (1 << 14) + 1)
+        ts = ts[ts < t_hi]
+        err = np.abs((ts[:, None] * w - b + 0.5) % 1.0 - 0.5).max(axis=1)
+        found.update(np.rint(ts[err < problem.delta] * wmax - bmax)
+                     .astype(int).tolist())
+    return found
+
+
+@pytest.mark.parametrize("delta", [0.08, 0.2, 0.3, 0.45])
+def test_scan_is_exact_against_brute_force(rng, delta):
+    # windows 1..40 of the fastest phase: each search restarts in the gap
+    # after the window of the last witness, and every window where the
+    # brute scan meets a witness is one of those the solver finds
+    confirmed = solved_total = 0
+    for _ in range(8):
+        n = int(rng.integers(1, 4))
+        w = tuple(rng.uniform(0.05, 0.8, n) * rng.choice([-1.0, 1.0], n))
+        b = tuple(rng.uniform(0, 1, n))
+        wmax, bmax = _fastest(KroneckerProblem(w, b, delta=delta))
+        t_min, t_hi = (bmax + 0.5) / wmax, (bmax + 40.5) / wmax
+        solved = set()
+        while True:
+            p = KroneckerProblem(w, b, delta=delta, t_min=t_min)
+            try:
+                sol = solve(p, SearchBudget(max_t=t_hi))
+            except BudgetExhausted:
+                break
+            k = _window(p, sol.t)
+            solved.add(k)
+            t_min = (bmax + k + 0.5) / wmax
+        brute = _brute_windows(KroneckerProblem(
+            w, b, delta=delta, t_min=(bmax + 0.5) / wmax), t_hi)
+        assert brute <= solved
+        confirmed += len(brute)
+        solved_total += len(solved)
+    # the brute scan is not vacuous: it meets most windows the solver finds
+    assert confirmed >= 0.9 * solved_total > 0
+
+
+def test_zero_frequency_met_target_is_dropped():
+    p = KroneckerProblem((0.0, 0.2), (0.05, 0.3), delta=0.1)
+    sol = solve(p)
+    assert sol.t == pytest.approx(1.5)
+    assert verify(p, sol.t) < 0.1
+
+
+def test_zero_frequency_missed_target_fails_at_once():
+    p = KroneckerProblem((0.0, 0.2), (0.5, 0.3), delta=0.1)
+    with pytest.raises(BudgetExhausted) as exc:
+        solve(p)
+    assert exc.value.details["windows_scanned"] == 0
+    assert exc.value.details["best_error"] == 0.5
+
+
+def test_negative_single_frequency_closed_form():
+    # -0.31 t - 0.2 = -1 at t = 0.8 / 0.31
+    sol = solve(KroneckerProblem((-0.31,), (0.2,), delta=0.05))
+    assert sol.t == pytest.approx(0.8 / 0.31)
+    assert sol.integer_parts == (-1,)
