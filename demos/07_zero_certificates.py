@@ -1,14 +1,14 @@
 ## Counting and certifying zeros in the half-plane of absolute convergence.
 ##
-## Winding numbers count zeros inside rectangles; Newton pins them down;
-## a Rouche certificate (sup of the difference strictly below the minimum
-## of the comparison function on a circle) transfers a constructed zero to
-## the shifted series.  Desk-scale budgets make honest failure the normal
+## Winding numbers count zeros inside rectangles and circles; Newton pins
+## them down; a Rouche certificate (sup of the difference strictly below the
+## minimum of the comparison function on a circle) transfers a constructed
+## zero to the shifted series.  Desk-scale budgets make honest failure the normal
 ## outcome for the full pipeline; the machinery never upgrades a failed
 ## margin into a claim.
 
-from zetalab import (Alpha, PeriodicFunction, PipelineBudget, Rectangle,
-                     SearchBudget, argument_count, argument_count_circle,
+from zetalab import (Alpha, Circle, PeriodicFunction, PipelineBudget,
+                     Rectangle, SearchBudget, argument_count,
                      find_zero_pipeline, lfunction, newton_refine,
                      rouche_certificate)
 
@@ -39,8 +39,9 @@ print(f"\nsynthetic certificate: eps_min {cert.eps_min:.4f}, "
       f"sup_diff {cert.sup_diff:.4f}, margin {cert.margin:.4f}")
 if cert.margin > 0:
     L = lambda s: F(s) + c
-    inside_l = argument_count_circle(L, complex(z0.real, 0), 0.4)
-    inside_f = argument_count_circle(F, complex(z0.real, 0), 0.4)
+    disk = Circle(complex(z0.real, 0), 0.4)
+    inside_l = argument_count(L, disk)
+    inside_f = argument_count(F, disk)
     print("winding cross-check:", inside_l, "==", inside_f)
 
 ## The full pipeline at honest desk-scale budgets.  The matched cut is

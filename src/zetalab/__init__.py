@@ -20,9 +20,9 @@ from .series import Alpha, PeriodicFunction, decompose, hurwitz_zeta, \
 from .twist import BlockSchedule, GreedyState, ScheduleReport, TwistedSeries, \
     choose_case_sigma, find_sigma0, greedy_step, run_schedule, \
     truncation_index
-from .zerofinder import PipelineBudget, PipelineResult, QuadratureSpec, \
-    Rectangle, RoucheCertificate, ZeroRecord, argument_count, \
-    argument_count_circle, find_zero_pipeline, newton_refine, \
-    rouche_certificate, rouche_check
+from .zerofinder import Circle, PipelineBudget, PipelineResult, \
+    QuadratureSpec, Rectangle, RoucheCertificate, ZeroRecord, \
+    argument_count, find_zero_pipeline, newton_refine, rouche_certificate, \
+    rouche_check
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ parser is built, with its own flags and the global flags.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -96,6 +97,9 @@ def _parse_budget(text: str | None) -> dict:
             raise ConfigInvalid(f"unknown budget key {k!r}", key=k,
                                 known=list(_BUDGET_KEYS))
         out[k] = float(v)
+    if not (out.get("samples", 1) >= 1 and out.get("ncut", 0) >= 0):
+        raise ConfigInvalid("budget needs samples >= 1 and ncut >= 0",
+                            samples=out.get("samples"), ncut=out.get("ncut"))
     return out
 
 
@@ -154,16 +158,16 @@ def _cmd_kron(args) -> int:
     return 0
 
 
-def _cmd_annulus(args) -> int:
-    r = [float(x) for x in args.r.split(",")]
-    if args.action == "radii":
-        outer, inner = radii(r)
-        _emit(args, {"R": outer, "T": inner})
-        return 0
+def _cmd_radii(args) -> int:
+    outer, inner = radii([float(x) for x in args.r.split(",")])
+    _emit(args, {"R": outer, "T": inner})
+    return 0
+
+
+def _cmd_realize(args) -> int:
     z = _parse_s(args.z)
-    spec = AnnulusSpec(tuple(r))
+    spec = AnnulusSpec(tuple(float(x) for x in args.r.split(",")))
     angles = realize_phases(spec, z, tol=args.tol)
-    import cmath
     achieved = sum(ri * cmath.exp(1j * th)
                    for ri, th in zip(spec.radii, angles))
     _emit(args, {"angles": angles,
@@ -178,15 +182,18 @@ def _factor_record(n: int, alpha: Alpha) -> dict:
             "factors": [[p.label(), e] for p, e in fact.factors]}
 
 
-def _cmd_ideals(args) -> int:
+def _cmd_factor(args) -> int:
     alpha = Alpha.parse(args.alpha)
-    if args.action == "factor":
-        rec = _factor_record(args.n, alpha)
-        denom = ideal_denominator(alpha)
-        rec["denominator"] = [[p.label(), e] for p, e in sorted(
-            denom.items(), key=lambda t: t[0].p)]
-        _emit(args, rec)
-        return 0
+    rec = _factor_record(args.n, alpha)
+    denom = ideal_denominator(alpha)
+    rec["denominator"] = [[p.label(), e] for p, e in sorted(
+        denom.items(), key=lambda t: t[0].p)]
+    _emit(args, rec)
+    return 0
+
+
+def _cmd_cassels(args) -> int:
+    alpha = Alpha.parse(args.alpha)
     block = private_primes(args.N, args.M, alpha)
     rows = []
     for n in range(args.N + 1, args.N + args.M + 1):
@@ -200,17 +207,21 @@ def _cmd_ideals(args) -> int:
     return 0
 
 
-def _cmd_twist(args) -> int:
+def _cmd_sign_flip(args) -> int:
     alpha = Alpha.parse(args.alpha)
     f = _parse_f(args)
-    if args.action == "sign-flip":
-        m = truncation_index(f, alpha, args.delta)
-        series = TwistedSeries(f, alpha, flip_index=m)
-        sigma0, lo, hi = find_sigma0(series, args.delta, with_bracket=True)
-        resid = abs(series.evaluate(complex(sigma0, 0)))
-        _emit(args, {"flip_index": m, "sigma0": sigma0,
-                     "bracket": [lo, hi], "residual": resid})
-        return 0
+    m = truncation_index(f, alpha, args.delta)
+    series = TwistedSeries(f, alpha, flip_index=m)
+    sigma0, lo, hi = find_sigma0(series, args.delta, with_bracket=True)
+    resid = abs(series.evaluate(complex(sigma0, 0)))
+    _emit(args, {"flip_index": m, "sigma0": sigma0,
+                 "bracket": [lo, hi], "residual": resid})
+    return 0
+
+
+def _cmd_greedy(args) -> int:
+    alpha = Alpha.parse(args.alpha)
+    f = _parse_f(args)
     schedule = BlockSchedule(n1=args.n1, num_blocks=args.blocks,
                              scale_num=args.scale_num,
                              scale_den=args.scale_den,
@@ -226,17 +237,21 @@ def _cmd_twist(args) -> int:
     return 0 if report.ok else 3
 
 
-def _cmd_zeros(args) -> int:
+def _cmd_count(args) -> int:
     f = _parse_f(args)
     alpha = Alpha.parse(args.alpha)
-    if args.action == "count":
-        smin, smax, tmin, tmax = (float(x) for x in args.rect.split(","))
-        rect = Rectangle(smin, smax, tmin, tmax)
-        count = argument_count(
-            lambda s: lfunction(s, f, alpha, tol=args.tol), rect,
-            QuadratureSpec(initial_points=args.samples))
-        _emit(args, {"count": count, "rect": [smin, smax, tmin, tmax]})
-        return 0
+    smin, smax, tmin, tmax = (float(x) for x in args.rect.split(","))
+    rect = Rectangle(smin, smax, tmin, tmax)
+    count = argument_count(
+        lambda s: lfunction(s, f, alpha, tol=args.tol), rect,
+        QuadratureSpec(initial_points=args.samples))
+    _emit(args, {"count": count, "rect": [smin, smax, tmin, tmax]})
+    return 0
+
+
+def _cmd_pipeline(args) -> int:
+    f = _parse_f(args)
+    alpha = Alpha.parse(args.alpha)
     b = _parse_budget(args.budget)
     budget = PipelineBudget(
         kron=SearchBudget(max_t=b.get("maxt", 2e5),
@@ -292,28 +307,28 @@ _COMMANDS = {
         ("--max-t", dict(type=float, default=1e6)),
         ("--max-iter", dict(type=float, default=5e7, help="windows to scan")),
     )),
-    ("annulus", "radii"): (_cmd_annulus, "radii of the unimodular annulus", (
+    ("annulus", "radii"): (_cmd_radii, "radii of the unimodular annulus", (
         ("--r", dict(required=True)),
     )),
-    ("annulus", "realize"): (_cmd_annulus, "phases that reach a point z", (
+    ("annulus", "realize"): (_cmd_realize, "phases that reach a point z", (
         ("--r", dict(required=True)),
         ("--z", dict(required=True, help="re,im")),
         ("--tol", dict(type=float, default=1e-9)),
     )),
-    ("ideals", "factor"): (_cmd_ideals, "prime ideals of n + alpha", (
+    ("ideals", "factor"): (_cmd_factor, "prime ideals of n + alpha", (
         ("--alpha", dict(required=True)),
         ("--n", dict(type=int, required=True)),
     )),
-    ("ideals", "cassels"): (_cmd_ideals, "private primes of N < n <= N+M", (
+    ("ideals", "cassels"): (_cmd_cassels, "private primes of N < n <= N+M", (
         ("--alpha", dict(required=True)),
         ("--N", dict(type=int, required=True)),
         ("--M", dict(type=int, required=True)),
     )),
-    ("twist", "sign-flip"): (_cmd_twist, "real zero of a twisted series",
+    ("twist", "sign-flip"): (_cmd_sign_flip, "real zero of a twisted series",
                              _SERIES + (
         ("--delta", dict(type=float, required=True)),
     )),
-    ("twist", "greedy"): (_cmd_twist, "greedy character ledger", _SERIES + (
+    ("twist", "greedy"): (_cmd_greedy, "greedy character ledger", _SERIES + (
         ("--delta", dict(type=float, default=1.0)),
         ("--blocks", dict(type=int, default=50)),
         ("--n1", dict(type=int, default=1000)),
@@ -328,12 +343,12 @@ _COMMANDS = {
         ("--no-hp", dict(action="store_true",
                          help="skip the high-precision ledger recheck")),
     )),
-    ("zeros", "count"): (_cmd_zeros, "zeros in a rectangle", _SERIES + (
+    ("zeros", "count"): (_cmd_count, "zeros in a rectangle", _SERIES + (
         _TOL,
         ("--rect", dict(required=True, help="smin,smax,tmin,tmax")),
         ("--samples", dict(type=int, default=256)),
     )),
-    ("zeros", "pipeline"): (_cmd_zeros, "certified zero search", _SERIES + (
+    ("zeros", "pipeline"): (_cmd_pipeline, "certified zero search", _SERIES + (
         ("--delta", dict(type=float, required=True)),
         ("--budget", dict(help="comma list: maxt=..,maxiter=..,ncut=..,"
                                "samples=..,tmin=..")),
@@ -357,8 +372,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     rest = vars(args).pop("flags")
     words = (args.command,)
     if words not in _COMMANDS and rest:
-        args.action = rest.pop(0)
-        words += (args.action,)
+        words += (rest.pop(0),)
     if words not in _COMMANDS:
         if words[-1] in ("-h", "--help"):      # e.g. zetalab kron -h
             top.print_help()

@@ -28,6 +28,7 @@ bounded by arc, Lipschitz constant 2pi).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,11 @@ class KroneckerProblem:
             raise ValueError("frequencies, targets and t_min must be finite")
         if len(set(w)) != len(w):
             raise DegenerateInput("duplicate frequencies", frequencies=list(w))
+        # one rounding step of t at t_min moves the fastest phase by blur
+        blur = math.ulp(float(self.t_min)) * max(map(abs, w))
+        if blur >= self.delta:
+            raise ValueError(f"t_min is past float resolution: one step of "
+                             f"t moves a phase by {blur:g} >= delta")
         object.__setattr__(self, "frequencies", w)
         object.__setattr__(self, "targets", b)
 
@@ -186,8 +192,6 @@ def solve_character_targets(alpha, basis, chi_on_basis, epsilon: float,
     Returns (solution, chi_values) with chi_values[n] the target character
     value on n + alpha.
     """
-    import cmath
-
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     chi = [complex(c) for c in chi_on_basis]

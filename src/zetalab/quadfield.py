@@ -146,10 +146,6 @@ class QuadraticField:
             raise ValueError("d must be squarefree and >= 2")
 
     @property
-    def discriminant(self) -> int:
-        return self.d if self.d % 4 == 1 else 4 * self.d
-
-    @property
     def half_basis(self) -> bool:
         """True when the ring of integers is Z[(1+sqrt(d))/2]."""
         return self.d % 4 == 1
@@ -198,16 +194,9 @@ class QuadElement:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "QuadElement":
-        return QuadElement(self.x, -self.y, self.d)
-
     @cached_property
     def norm(self) -> Fraction:
         return self.x * self.x - self.d * self.y * self.y
-
-    @property
-    def trace(self) -> Fraction:
-        return 2 * self.x
 
     def inverse(self) -> "QuadElement":
         n = self.norm
@@ -389,7 +378,7 @@ class CasselsBlock:
 
 
 # ---------------------------------------------------------------------------
-# factorization machinery, cached per (field, alpha)
+# factorization machinery, cached per alpha
 # ---------------------------------------------------------------------------
 
 def _prime_key(prime: PrimeIdeal) -> tuple:
@@ -578,34 +567,30 @@ class _ShiftFactorizer:
 _FACTORIZERS: dict[tuple, _ShiftFactorizer] = {}
 
 
-def _factorizer(alpha: Alpha, field: QuadraticField | None) -> _ShiftFactorizer:
+def _factorizer(alpha: Alpha) -> _ShiftFactorizer:
+    """The cached factorizer of alpha, over its field Q(sqrt(d))."""
     if alpha.kind != "quadratic":
         raise NotQuadratic("shift is not a quadratic irrational", kind=alpha.kind)
-    if field is None:
-        field = QuadraticField(alpha.data[2])
-    key = (field.d, alpha.data)
-    if key not in _FACTORIZERS:
-        _FACTORIZERS[key] = _ShiftFactorizer(field, alpha)
-    return _FACTORIZERS[key]
+    if alpha.data not in _FACTORIZERS:
+        _FACTORIZERS[alpha.data] = _ShiftFactorizer(
+            QuadraticField(alpha.data[2]), alpha)
+    return _FACTORIZERS[alpha.data]
 
 
-def ideal_denominator(alpha: Alpha, field: QuadraticField | None = None
-                      ) -> dict[PrimeIdeal, int]:
+def ideal_denominator(alpha: Alpha) -> dict[PrimeIdeal, int]:
     """The minimal integral ideal a with a*(alpha O_K) integral, as
     prime-power exponents (empty dict means the unit ideal)."""
-    return dict(_factorizer(alpha, field).denominator)
+    return dict(_factorizer(alpha).denominator)
 
 
-def factor_shift(n: int, alpha: Alpha, field: QuadraticField | None = None
-                 ) -> IdealFactorization:
+def factor_shift(n: int, alpha: Alpha) -> IdealFactorization:
     """Prime-ideal factorization of (n + alpha) * a."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _factorizer(alpha, field).factor(n)
+    return _factorizer(alpha).factor(n)
 
 
-def private_primes(n_start: int, length: int, alpha: Alpha,
-                   field: QuadraticField | None = None) -> CasselsBlock:
+def private_primes(n_start: int, length: int, alpha: Alpha) -> CasselsBlock:
     """Census of n in (n_start, n_start+length] owning a prime ideal that
     divides no other (m + alpha) * a with m <= n_start + length.
 
@@ -618,7 +603,7 @@ def private_primes(n_start: int, length: int, alpha: Alpha,
     """
     if length < 1 or n_start < 0:
         raise ValueError("need n_start >= 0 and length >= 1")
-    fz = _factorizer(alpha, field)
+    fz = _factorizer(alpha)
     top = n_start + length
     fz.index_to(top)
     private: dict[int, PrimeIdeal] = {}
@@ -682,9 +667,7 @@ class MultiplicativeBasis:
     exponent_bound: int      # max |u_j| over all represented n
 
 
-def multiplicative_basis(shifts, alpha: Alpha,
-                         field: QuadraticField | None = None
-                         ) -> MultiplicativeBasis:
+def multiplicative_basis(shifts, alpha: Alpha) -> MultiplicativeBasis:
     """Multiplicative basis for {n + alpha : n in shifts}.
 
     Ideal exponent vectors are reduced to an integer echelon basis by
@@ -695,7 +678,7 @@ def multiplicative_basis(shifts, alpha: Alpha,
     appended as an extra basis element when needed.  Every reconstruction
     is re-verified in exact field arithmetic.
     """
-    fz = _factorizer(alpha, field)
+    fz = _factorizer(alpha)
     fld = fz.field
     ns = sorted(set(int(n) for n in shifts))
     if any(n < 0 for n in ns):

@@ -45,6 +45,7 @@ _EM_ORDER = 10
 _SHIFT_CAP = 10_000
 
 _MAX_DIRECT = 40_000_000
+_HEAD_DIRECT = 200_000     # series_head sums ranges up to this index directly
 
 
 def _bernoulli_even(count: int) -> list[Fraction]:
@@ -388,15 +389,14 @@ def series_tail(s, f: PeriodicFunction, alpha, start: int,
 
 
 def series_head(s, f: PeriodicFunction, alpha, upto: int,
-                tol: float = 1e-12, direct_cap: int = 200_000,
-                dps: int | None = None):
+                tol: float = 1e-12, dps: int | None = None):
     """sum_{n = 0..upto} f(n) (n+alpha)^(-s), inclusive.
 
-    Small ranges are summed directly (numpy chunks combined by fsum, or
-    mpmath); huge ranges go through head = full series minus tail.
+    Ranges up to _HEAD_DIRECT are summed directly (numpy chunks combined by
+    fsum, or mpmath); larger ones go through head = full series minus tail.
     """
     s = complex(s)
-    if upto <= direct_cap:
+    if upto <= _HEAD_DIRECT:
         with _precision(dps):
             sw, a = _working(s, alpha, dps)
             return _complete(_direct_block(sw, a, upto + 1, f)[0], s, dps)
@@ -432,8 +432,8 @@ def lfunction_direct(s, f: PeriodicFunction, alpha, n_terms: int):
     s = complex(s)
     if s.real <= 1:
         raise ValueError("direct summation needs Re(s) > 1")
-    a = _shift_value(alpha)
-    partial = series_head(s, f, alpha, n_terms - 1, direct_cap=max(n_terms, 1))
+    sw, a = _working(s, alpha, None)
+    partial = _complete(_direct_block(sw, a, n_terms, f)[0], s, None)
     sigma = s.real
     bound = f.max_abs * (n_terms - 1 + a) ** (1 - sigma) / (sigma - 1)
     return partial, bound

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -93,6 +94,8 @@ _LINEAR_CAP = 100_000      # truncation_index scans m up to this exactly,
 _MAX_DOUBLINGS = 600       # then doubles m at most this often
 _SIGMA_FLOOR = 1e-8        # find_sigma0 hunts down to sigma = 1 + this
 _HP_DPS = 30               # digits of the greedy ledger's recheck
+_CASE_MARGIN = 0.8         # choose_case_sigma wants head < this * 1e-2 * tail
+_CASE_FLOOR = 1e-9         # and walks sigma down to 1 + this
 
 
 def truncation_index(f: PeriodicFunction, alpha, delta: float) -> int:
@@ -335,25 +338,25 @@ class ScheduleReport:
                 "blocks": [b.to_json() for b in self.blocks]}
 
 
-def choose_case_sigma(f: PeriodicFunction, alpha, n1: int, delta: float = 1.0,
-                      margin: float = 0.8, floor: float = 1e-9) -> float:
+def choose_case_sigma(f: PeriodicFunction, alpha, n1: int,
+                      delta: float = 1.0) -> float:
     """Exponent sigma in (1, min(1+delta, 2)) making the initial head small:
-    head(n1) < margin * 1e-2 * tail(n1).  The pole guarantees existence for
+    head(n1) < 0.8e-2 * tail(n1).  The pole guarantees existence for
     positive residue; sigma walks geometrically toward 1 until the
     inequality holds."""
     span = min(delta, 1.0)
     step = span
     while True:
         step /= 2.0
-        if step < floor:
+        if step < _CASE_FLOOR:
             raise CaseUnreachable(
                 "no exponent satisfies the head bound above the floor",
-                floor=floor, n1=n1)
+                floor=_CASE_FLOOR, n1=n1)
         sigma = 1.0 + step
         local = max(1e-11, 1e-14 / step)
         head = abs(series_head(sigma + 0j, f, alpha, n1, tol=local))
         tail = series_tail(sigma + 0j, f, alpha, n1 + 1, tol=local).real
-        if head < margin * 1e-2 * tail:
+        if head < _CASE_MARGIN * 1e-2 * tail:
             return sigma
 
 
@@ -393,9 +396,8 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
 
     authentic = schedule.mode == "authentic"
     if authentic:
-        fz = _factorizer(alpha, None)
+        fz = _factorizer(alpha)
     else:
-        import random
         rng = random.Random(chi_seed)
     prime_angles: dict = {}
 

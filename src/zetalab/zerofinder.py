@@ -2,9 +2,11 @@
 
 Three layers:
 
-* argument-principle counting: the winding number of an analytic function
-  along a rectangle (or circle) boundary, computed by adaptive phase
-  tracking with every consecutive argument step forced below pi/2;
+* argument-principle counting: argument_count, the winding number of an
+  analytic function along the boundary of a Rectangle or a Circle,
+  computed by adaptive phase tracking with every consecutive argument step
+  forced below pi/2 (a heuristic segment test; no derivative bound backs
+  it yet);
 
 * Newton refinement of individual zeros with a central-difference
   derivative;
@@ -13,7 +15,8 @@ Three layers:
   comparison function F, verify sup |L(s + it) - F(s)| < min |F(s)| with
   explicit inter-sample Lipschitz slack and a rigorous series tail bound,
   so a positive margin certifies a zero of L(. + it) inside the disk.  The
-  certificate is cross-checked against the winding count.
+  certificate is cross-checked against the winding count on the same
+  Circle.
 
 A pipeline chains truncation index -> real zero of the sign-flip twist ->
 phase matching (Kronecker search) -> certificate -> Newton refinement, with
@@ -24,6 +27,7 @@ scale is expected and never upgraded to a claim.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -37,11 +41,17 @@ from .series import PeriodicFunction, lfunction
 from .twist import (TwistedSeries, find_sigma0, tail_bound, truncation_index)
 
 __all__ = [
-    "Rectangle", "QuadratureSpec", "RoucheCertificate", "ZeroRecord",
-    "argument_count", "argument_count_circle", "newton_refine",
+    "Rectangle", "Circle", "QuadratureSpec", "RoucheCertificate",
+    "ZeroRecord", "argument_count", "newton_refine",
     "rouche_certificate", "rouche_check", "PipelineBudget", "PipelineResult",
     "find_zero_pipeline",
 ]
+
+_MAX_POINTS = 200_000      # contour evaluations one winding count may spend
+_NEWTON_MAX_ITER = 50      # Newton steps before NoConvergence
+_NEWTON_STEP = 1e-6        # central-difference step of the Newton derivative
+_ESCAPE_RADIUS = 20.0      # Newton gives up this far from its start
+_DELTA1_TRIES = 3          # circle radii the pipeline tries, each half the last
 
 
 @dataclass(frozen=True)
@@ -78,44 +88,64 @@ class Rectangle:
 
 
 @dataclass(frozen=True)
+class Circle:
+    """Circle |s - center| = radius."""
+
+    center: complex
+    radius: float
+
+    def __post_init__(self):
+        if not (cmath.isfinite(self.center) and math.isfinite(self.radius)
+                and self.radius > 0):
+            raise ValueError("circle needs a finite center and a finite "
+                             "positive radius")
+
+    def boundary(self, u: float) -> complex:
+        """Counterclockwise boundary point for u in [0, 1)."""
+        return self.center + self.radius * cmath.exp(2j * math.pi * u)
+
+
+@dataclass(frozen=True)
 class QuadratureSpec:
     initial_points: int = 256
-    max_points: int = 200_000
     zero_floor: float = 1e-12
 
 
-def _winding(evaluator, to_point, quad: QuadratureSpec) -> int:
-    """Winding number of evaluator along the closed loop u -> to_point(u).
+def argument_count(evaluator, contour: Rectangle | Circle,
+                   quad: QuadratureSpec | None = None) -> int:
+    """Number of zeros (with multiplicity) of evaluator inside contour.
 
-    Each initial segment is subdivided until its argument step is clearly
-    below pi/2 and its modulus jump is moderate; the accumulated phase then
-    telescopes to the winding number up to rounding noise, and the result
+    The evaluator must be analytic inside and on the contour and nonzero on
+    it (checked by minimum-modulus sampling; move or shrink the contour on
+    ZeroOnBoundary).  Each initial segment is subdivided until its argument
+    step is clearly below pi/2 and its modulus jump is moderate; the phase
+    steps then telescope to the winding number up to rounding noise, which
     is accepted only within 0.25 of an integer.  A negative count, which no
     analytic integrand gives, raises ZetalabError.
     """
+    quad = quad or QuadratureSpec()
     n0 = max(quad.initial_points, 16)
     spent = [0]
 
     def sample(u: float) -> complex:
-        if spent[0] >= quad.max_points:
+        if spent[0] >= _MAX_POINTS:
             raise QuadratureStalled("refinement cap reached",
                                     points=spent[0])
         spent[0] += 1
-        v = evaluator(to_point(u))
+        pt = contour.boundary(u)
+        v = evaluator(pt)
         if abs(v) < quad.zero_floor:
-            pt = to_point(u)
             raise ZeroOnBoundary("contour value below the zero floor",
                                  at=[pt.real, pt.imag], value=abs(v))
         return v
 
-    us = [i / n0 for i in range(n0)]
-    vals = [sample(u) for u in us]
+    # the loop closes at u = 1 with the value at u = 0
+    us = [i / n0 for i in range(n0)] + [1.0]
+    vals = [sample(u) for u in us[:-1]]
+    vals.append(vals[0])
     pieces = []
     for i in range(n0):
-        u1, v1 = us[i], vals[i]
-        u2 = us[i + 1] if i + 1 < n0 else 1.0
-        v2 = vals[(i + 1) % n0]
-        stack = [(u1, v1, u2, v2)]
+        stack = [(us[i], vals[i], us[i + 1], vals[i + 1])]
         while stack:
             a, va, b, vb = stack.pop()
             d = cmath.phase(vb / va)
@@ -135,29 +165,6 @@ def _winding(evaluator, to_point, quad: QuadratureSpec) -> int:
         raise ZetalabError("negative winding for an analytic integrand",
                            count=nearest)
     return int(nearest)
-
-
-def argument_count(evaluator, rect: Rectangle,
-                   quad: QuadratureSpec | None = None) -> int:
-    """Number of zeros (with multiplicity) of evaluator inside rect.
-
-    The evaluator must be analytic on the closed rectangle and nonvanishing
-    on the boundary (checked by minimum-modulus sampling; move or shrink
-    the rectangle on ZeroOnBoundary).
-    """
-    quad = quad or QuadratureSpec()
-    return _winding(evaluator, rect.boundary, quad)
-
-
-def argument_count_circle(evaluator, center: complex, radius: float,
-                          quad: QuadratureSpec | None = None) -> int:
-    quad = quad or QuadratureSpec()
-    center = complex(center)
-
-    def to_point(u: float) -> complex:
-        return center + radius * cmath.exp(2j * math.pi * u)
-
-    return _winding(evaluator, to_point, quad)
 
 
 @dataclass(frozen=True)
@@ -180,10 +187,7 @@ class RoucheCertificate:
     inner_count: int | None = None
 
     def to_json(self) -> dict:
-        return {"sigma0": self.sigma0, "delta1": self.delta1, "t": self.t,
-                "eps_min": self.eps_min, "sup_diff": self.sup_diff,
-                "samples": self.samples, "margin": self.margin,
-                "inner_count": self.inner_count}
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -202,29 +206,27 @@ class ZeroRecord:
                 if self.certificate else None}
 
 
-def newton_refine(evaluator, s0: complex, tol: float = 1e-10,
-                  max_iter: int = 50, step: float = 1e-6,
-                  sigma_floor: float = 1.0,
-                  escape_radius: float = 20.0) -> ZeroRecord:
+def newton_refine(evaluator, s0: complex, tol: float = 1e-10) -> ZeroRecord:
     """Newton iteration with central-difference derivative.
 
-    Stays in sigma > sigma_floor or raises LeftHalfPlane; NoConvergence
-    after max_iter steps or when the iterate leaves the basin (an escape
+    Stays in sigma > 1 or raises LeftHalfPlane; NoConvergence after
+    _NEWTON_MAX_ITER steps or when the iterate leaves the basin (an escape
     guard keeps divergence on zero-free regions from running away)."""
     s = complex(s0)
-    for _ in range(max_iter):
+    h = _NEWTON_STEP
+    for _ in range(_NEWTON_MAX_ITER):
         v = evaluator(s)
         if abs(v) <= tol:
             return ZeroRecord(s=s, residual=abs(v), method="newton")
-        d = (evaluator(s + step) - evaluator(s - step)) / (2 * step)
+        d = (evaluator(s + h) - evaluator(s - h)) / (2 * h)
         if d == 0:
             raise NoConvergence("vanishing numerical derivative",
                                 at=[s.real, s.imag])
         s = s - v / d
-        if s.real <= sigma_floor:
+        if s.real <= 1.0:
             raise LeftHalfPlane("iterate crossed the convergence boundary",
                                 at=[s.real, s.imag])
-        if abs(s - s0) > escape_radius:
+        if abs(s - s0) > _ESCAPE_RADIUS:
             raise NoConvergence("iterate escaped the search region",
                                 at=[s.real, s.imag], start=[s0.real, s0.imag])
     raise NoConvergence("iteration cap reached", at=[s.real, s.imag],
@@ -242,12 +244,15 @@ def rouche_certificate(f_eval, diff_eval, center: float, radius: float,
     extrema into bounds over the whole circle; diff_tail is added to the
     sampled sup (series mass not represented in diff_eval).  May return a
     certificate with nonpositive margin; raising on that is the caller's
-    policy."""
+    policy.  Needs samples >= 1: no samples would bound nothing."""
+    if samples < 1:
+        raise ValueError(f"a certificate needs samples >= 1, got {samples}")
+    circle = Circle(center, radius)
     arc = math.pi * radius / samples
     eps_min = math.inf
     sup = 0.0
     for i in range(samples):
-        s = center + radius * cmath.exp(2j * math.pi * i / samples)
+        s = circle.boundary(i / samples)
         eps_min = min(eps_min, abs(f_eval(s)))
         sup = max(sup, abs(diff_eval(s)))
     eps_safe = eps_min - f_deriv_bound * arc
@@ -274,8 +279,7 @@ def _abs_log_weight_sum(f: PeriodicFunction, alpha: float, sigma: float,
 
 def rouche_check(f: PeriodicFunction, alpha, series: TwistedSeries,
                  sigma0: float, delta1: float, t: float,
-                 samples: int = 720, n_cut: int = 2000,
-                 quad: QuadratureSpec | None = None) -> RoucheCertificate:
+                 samples: int = 720, n_cut: int = 2000) -> RoucheCertificate:
     """Certificate that L(s + it, f, alpha) has a zero in |s - sigma0| < delta1.
 
     Requires 1 + delta1 < sigma0 so the circle stays in the half-plane of
@@ -294,11 +298,11 @@ def rouche_check(f: PeriodicFunction, alpha, series: TwistedSeries,
     d_f = _abs_log_weight_sum(f, a, sigma_min, min(n_cut, 4000))
 
     ns = np.arange(n_cut + 1, dtype=float) + a
+    logns = np.log(ns)
     wts = np.array([series.weight(n) for n in range(n_cut + 1)],
                    dtype=complex)
     coeffs = np.array([f(n) for n in range(n_cut + 1)], dtype=float) \
-        * (np.exp(-1j * t * np.log(ns)) - wts)
-    logns = np.log(ns)
+        * (np.exp(-1j * t * logns) - wts)
 
     def diff_eval(s: complex) -> complex:
         return complex((coeffs * np.exp(-s * logns)).sum())
@@ -321,21 +325,16 @@ def rouche_check(f: PeriodicFunction, alpha, series: TwistedSeries,
         raise NegativeMargin("certificate inequality fails at this shift",
                              certificate=cert.to_json())
     # a positive margin forces equal zero counts inside the disk
-    count_l = argument_count_circle(
-        lambda s: lfunction(s + 1j * t, f, alpha, tol=1e-12),
-        complex(sigma0, 0.0), delta1, quad)
-    count_f = argument_count_circle(
-        lambda s: series.evaluate(s, tol=1e-12),
-        complex(sigma0, 0.0), delta1, quad)
+    disk = Circle(sigma0, delta1)
+    count_l = argument_count(
+        lambda s: lfunction(s + 1j * t, f, alpha, tol=1e-12), disk)
+    count_f = argument_count(lambda s: series.evaluate(s, tol=1e-12), disk)
     if count_l != count_f:
         raise ZetalabError(
             "positive margin but unequal windings: certificate machinery broken",
             certificate=cert.to_json(), count_shifted=count_l,
             count_comparison=count_f)
-    return RoucheCertificate(sigma0=cert.sigma0, delta1=cert.delta1, t=cert.t,
-                             eps_min=cert.eps_min, sup_diff=cert.sup_diff,
-                             samples=cert.samples, margin=cert.margin,
-                             inner_count=count_l)
+    return dataclasses.replace(cert, inner_count=count_l)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +348,6 @@ class PipelineBudget:
     n_cut_max: int = 6
     samples: int = 360
     newton_tol: float = 1e-9
-    delta1_tries: int = 3
     t_min: float = 0.0
 
 
@@ -402,8 +400,7 @@ def find_zero_pipeline(f: PeriodicFunction, alpha, delta: float,
     series = TwistedSeries(f, alpha, flip_index=m)
 
     try:
-        sigma0, lo, hi = find_sigma0(series, delta, tol=1e-10,
-                                     with_bracket=True)
+        sigma0, lo, hi = find_sigma0(series, delta, with_bracket=True)
     except ZetalabError as e:
         return fail("sign_change", e)
     stages["sigma0"] = sigma0
@@ -412,14 +409,13 @@ def find_zero_pipeline(f: PeriodicFunction, alpha, delta: float,
     a = float(alpha)
     delta1 = 0.5 * min(sigma0 - 1.0, delta)
     last_exc: ZetalabError | None = None
-    for _ in range(budget.delta1_tries):
+    for _ in range(_DELTA1_TRIES):
         sigma_min = sigma0 - delta1
         stages["theta"] = 0.5 * (sigma_min - 1.0)
         # probe the comparison minimum to size the error budget
-        probe = min(abs(series.evaluate(
-            complex(sigma0 + delta1 * math.cos(th),
-                    delta1 * math.sin(th)), tol=1e-10))
-            for th in np.linspace(0, 2 * math.pi, 64, endpoint=False))
+        circle = Circle(sigma0, delta1)
+        probe = min(abs(series.evaluate(circle.boundary(i / 64), tol=1e-10))
+                    for i in range(64))
         stages["delta1"] = delta1
         stages["eps_probe"] = probe
         if probe <= 0:
@@ -463,7 +459,7 @@ def find_zero_pipeline(f: PeriodicFunction, alpha, delta: float,
         except ZetalabError as e:
             return fail("certificate", e)
         stages["certificate"] = cert.to_json()
-        if not cert.inner_count or cert.inner_count < 1:
+        if not cert.inner_count:
             return fail("certificate", ZetalabError(
                 "certificate carries no zero despite the bracketed sign change",
                 certificate=cert.to_json()))

@@ -19,8 +19,8 @@ from zetalab.quadfield import factor_shift, private_primes
 from zetalab.series import (Alpha, PeriodicFunction, decompose, hurwitz_zeta,
                             lfunction, residue)
 from zetalab.twist import BlockSchedule, run_schedule, _correction
-from zetalab.zerofinder import (PipelineBudget, Rectangle, argument_count,
-                                argument_count_circle, find_zero_pipeline,
+from zetalab.zerofinder import (Circle, PipelineBudget, Rectangle,
+                                argument_count, find_zero_pipeline,
                                 rouche_certificate)
 
 SQRT2 = Alpha.quadratic(0, 1, 2)
@@ -212,8 +212,8 @@ def test_criterion_10_rouche_cross_validation():
                                   diff_deriv_bound=0.0, diff_tail=0.0)
         if cert.margin > 0:
             positives += 1
-            count_l = argument_count_circle(L, center, radius)
-            count_f = argument_count_circle(F, center, radius)
+            count_l = argument_count(L, Circle(center, radius))
+            count_f = argument_count(F, Circle(center, radius))
             assert count_l == count_f, (z0, c, radius)
     assert positives >= 10          # the machinery is not vacuously negative
     report(10, f"rouche cross-validation: {positives} positive margins out "

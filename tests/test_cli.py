@@ -257,6 +257,36 @@ def test_budget_rejects_unknown_keys(capsys):
     assert diag["details"]["key"] == "maxT"
 
 
+@pytest.mark.parametrize("budget", ["samples=0,ncut=0", "samples=-5,ncut=0",
+                                    "ncut=-1"])
+def test_budget_rejects_bad_sample_and_cut_counts(budget, capsys):
+    # they ended in a ZeroDivisionError or TypeError traceback, or in a
+    # certificate with an infinite margin
+    argv = ["zeros", "pipeline", "--alpha", "dec:0.7853981634", "--delta",
+            "0.5", "--budget", budget]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "ConfigInvalid"
+
+
+def test_kron_refuses_t_min_past_float_resolution(capsys):
+    argv = ["kron", "solve", "--freqs", "0.3,0.2", "--targets", "0.1,0.2",
+            "--delta", "0.1", "--tmin", "1e20", "--max-t", "1e21"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "float resolution" in err
+
+
+def test_each_command_has_its_own_handler():
+    from zetalab.cli import _COMMANDS, _parse_args
+    handlers = [entry[0] for entry in _COMMANDS.values()]
+    assert len(set(handlers)) == len(handlers)
+    args = _parse_args(["annulus", "radii", "--r", "1,2"])
+    assert args.run is _COMMANDS[("annulus", "radii")][0]
+    assert not hasattr(args, "action")
+
+
 def test_global_flag_value_equal_to_command_word(tmp_path, monkeypatch,
                                                  capsys):
     monkeypatch.chdir(tmp_path)

@@ -125,6 +125,17 @@ def test_non_finite_input_rejected(freqs, targets, t_min):
         KroneckerProblem(freqs, targets, delta=0.1, t_min=t_min)
 
 
+def test_t_min_past_float_resolution_refused():
+    # at t = 1e20 one rounding step of t moves the phase 0.3 t by 4915
+    # units: the scan would report a best error of 0 and no witness
+    with pytest.raises(ValueError, match="float resolution"):
+        KroneckerProblem((0.3, 0.2), (0.1, 0.2), delta=0.1, t_min=1e20)
+    # the bound leaves room for every t_min a float can resolve
+    w = tuple(math.log(n + 0.2) / (2 * math.pi) for n in range(8))
+    KroneckerProblem(w, (0.0,) * 8, delta=0.02, t_min=1e5)
+    KroneckerProblem((0.3, 0.2), (0.1, 0.2), delta=0.1, t_min=1e12)
+
+
 def test_budget_exhausted_reports_diagnostics():
     w = (0.1, 0.2000001, 0.31113)
     b = (0.25, 0.75, 0.5)

@@ -190,7 +190,7 @@ def test_range_factorizations_match_single_elements(shape):
     # sieves the one-element range [n, n]
     single = [factor_shift(n, alpha) for n in range(1501)]
     _FACTORIZERS.clear()
-    fz = _factorizer(alpha, None)
+    fz = _factorizer(alpha)
     for top in (0, 1, 7, 150, 151, 640, 1499, 1500):   # uneven segments
         fz.index_to(top)
     den = integral_coords(0, alpha)[0]
@@ -209,7 +209,7 @@ def test_range_factorizations_match_single_elements(shape):
 
 def test_queries_below_the_index_mark_reuse_the_cache(monkeypatch):
     _FACTORIZERS.clear()
-    fz = _factorizer(SQRT2, None)
+    fz = _factorizer(SQRT2)
     fz.index_to(2000)
     cached = dict(fz.cache)
 
@@ -274,7 +274,7 @@ def test_basis_in_class_number_two_field():
     # ever multiplies group elements, so principality is never needed
     a10 = Alpha.quadratic(0, 1, 10)
     field = QuadraticField(10)
-    mb = multiplicative_basis(range(8), a10, field)
+    mb = multiplicative_basis(range(8), a10)
     for n, u in mb.exponents.items():
         rebuilt = field.element(1, 0)
         for b, c in zip(mb.elements, u):

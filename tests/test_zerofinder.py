@@ -9,9 +9,8 @@ from zetalab.errors import (LeftHalfPlane, NegativeMargin, NoConvergence,
                             ZeroOnBoundary, ZetalabError)
 from zetalab.series import Alpha, PeriodicFunction, lfunction
 from zetalab.twist import TwistedSeries, find_sigma0, truncation_index
-from zetalab.zerofinder import (PipelineBudget, QuadratureSpec, Rectangle,
-                                argument_count,
-                                argument_count_circle, find_zero_pipeline,
+from zetalab.zerofinder import (Circle, PipelineBudget, QuadratureSpec,
+                                Rectangle, argument_count, find_zero_pipeline,
                                 newton_refine, rouche_certificate,
                                 rouche_check)
 from zetalab.kronecker import SearchBudget
@@ -47,7 +46,7 @@ def test_negative_winding_raises():
     with pytest.raises(ZetalabError, match="negative winding"):
         argument_count(pole, Rectangle(1.05, 2.0, 0.0, 10.0))
     with pytest.raises(ZetalabError, match="negative winding"):
-        argument_count_circle(pole, 1.5 + 5j, 0.25)
+        argument_count(pole, Circle(1.5 + 5j, 0.25))
 
 
 def test_argument_count_refinement_invariant():
@@ -124,8 +123,8 @@ def test_rouche_synthetic_cross_validation(rng):
         center = complex(z0.real, 0.0)
         inside = abs(center - z0) < radius
         if cert.margin > 0:
-            count_l = argument_count_circle(L, center, radius)
-            count_f = argument_count_circle(F, center, radius)
+            count_l = argument_count(L, Circle(center, radius))
+            count_f = argument_count(F, Circle(center, radius))
             if count_l != count_f:
                 false_positives += 1
             # the certified disk really contains a zero of L iff F had one
@@ -187,3 +186,38 @@ def test_pipeline_smoke_structured():
         assert res.record.certificate.margin > 0
     else:
         assert res.failed_stage is not None and res.failure is not None
+
+
+@pytest.mark.parametrize("center, radius", [
+    (1.5, 0.0), (1.5, -0.1), (1.5, math.inf), (1.5, math.nan),
+    (complex(math.inf, 0.0), 0.1), (complex(1.5, math.nan), 0.1),
+])
+def test_circle_refuses_bad_geometry(center, radius):
+    with pytest.raises(ValueError, match="circle"):
+        Circle(center, radius)
+
+
+def test_circle_boundary_is_the_closed_form():
+    circle = Circle(1.5 + 2j, 0.25)
+    for u in (0.0, 0.125, 1 / 3, 0.7):
+        assert circle.boundary(u) == \
+            (1.5 + 2j) + 0.25 * cmath.exp(2j * math.pi * u)
+    # both contour types count through the one winding function
+    pol = lambda s: (s - (1.5 + 2.1j)) * (s - (1.9 + 2j))
+    assert argument_count(pol, circle) == 1
+    assert argument_count(pol, Rectangle(1.05, 2.0, 1.0, 3.0)) == 2
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_rouche_certificate_refuses_bad_sample_counts(samples):
+    # without samples the minimum stayed inf and the margin came back inf,
+    # where F = s - 1.4 against a difference of 0.5 on radius 0.1 fails
+    F = lambda s: s - 1.4
+    with pytest.raises(ValueError, match="samples"):
+        rouche_certificate(F, lambda s: 0.5, 1.4, 0.1, samples=samples,
+                           f_deriv_bound=1.0, diff_deriv_bound=0.0,
+                           diff_tail=0.0)
+    cert = rouche_certificate(F, lambda s: 0.5, 1.4, 0.1, samples=1,
+                              f_deriv_bound=1.0, diff_deriv_bound=0.0,
+                              diff_tail=0.0)
+    assert cert.margin < 0
