@@ -14,9 +14,12 @@ classes mod q gives the working identity
 with at most a simple pole at s = 1 of residue (1/q) sum_b f(b).
 
 zeta(s, a) itself is evaluated by Euler-Maclaurin summation: a direct block
-of M terms, the integral tail (M+a)^(1-s)/(s-1), the half term, and ten
-even-order Bernoulli corrections with a rigorous remainder bound that is
-checked against the requested tolerance (M is doubled until it holds).
+of M terms, the integral tail (M+a)^(1-s)/(s-1), the half term, and K
+even-order Bernoulli corrections (B_2 .. B_2K, K <= 40) with a rigorous
+remainder bound.  M and K are planned together: for each K the remainder
+bound is solved for the least M that meets the requested tolerance, and the
+pair of least cost M + c*K is kept.  The bound is checked again after
+evaluation; M is doubled in the rare case that it does not hold.
 """
 
 from __future__ import annotations
@@ -36,34 +39,42 @@ __all__ = [
     "residue", "lfunction_direct", "series_tail", "series_head",
 ]
 
-# Bernoulli correction order is fixed: terms B_2 .. B_20, remainder from B_22.
-_EM_ORDER = 10
+# Euler-Maclaurin orders K (corrections B_2 .. B_2K) the plan chooses from.
+# Doubling steps keep the plan to a few bound evaluations per call; near its
+# minimum the cost is flat enough that the orders in between save little.
+_ORDERS = (1, 2, 4, 8, 16, 32, 40)
 
-# Cutoff rule M = max(ceil|t|, 20) + ceil(a) is meant for shifts of a few
-# units; for very large shifts the +ceil(a) term is pointless (the remainder
-# bound is already tiny) and would make the direct block unpayable.
-_SHIFT_CAP = 10_000
+# Time of one Bernoulli correction in units of one direct-block term, as the
+# plan weighs a longer correction sum against a shorter direct block.
+_ORDER_COST = 4
 
 _MAX_DIRECT = 40_000_000
 _HEAD_DIRECT = 200_000     # series_head sums ranges up to this index directly
 
 
 def _bernoulli_even(count: int) -> list[Fraction]:
-    """B_2, B_4, ..., B_{2*count} by the defining recurrence, exact."""
-    n = 2 * count + 1
-    b = [Fraction(0)] * n
-    b[0] = Fraction(1)
-    for m in range(1, n):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += Fraction(math.comb(m + 1, j)) * b[j]
-        b[m] = -acc / (m + 1)
-    return [b[2 * k] for k in range(1, count + 1)]
+    """B_2, B_4, ..., B_{2*count}, exact, from the tangent numbers.
 
-# B_{2k} / (2k)!, k = 1 .. order+1: exact, and as floats
+    The tangent numbers T_1 .. T_count come from the integer recurrence of
+    Brent and Harvey (arXiv:1108.0286, Algorithm TangentNumbers), and
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+    """
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return [Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
+            for k in range(1, count + 1)]
+
+# B_{2k} / (2k)!, k = 1 .. max order + 1: exact, and as floats
 _C_EXACT = [b / math.factorial(2 * k)
-            for k, b in enumerate(_bernoulli_even(_EM_ORDER + 1), 1)]
+            for k, b in enumerate(_bernoulli_even(_ORDERS[-1] + 1), 1)]
 _C_EVEN = [float(c) for c in _C_EXACT]
+
+# per candidate order K: (K, 2K + 1, log |B_{2K+2} / (2K+2)!|)
+_PLAN_ROWS = [(k, 2 * k + 1, math.log(abs(_C_EVEN[k]))) for k in _ORDERS]
 
 # numpy chunk length of the direct block: bounds its memory at large cutoffs
 _CHUNK = 1 << 19
@@ -265,11 +276,29 @@ def _refuse_pole(s: complex) -> None:
         raise PoleAt1("s is within 1e-12 of the pole at 1", s=[s.real, s.imag])
 
 
-def _em_cutoff(t: float, a: float) -> int:
-    m = max(math.ceil(abs(t)), 20)
-    if a <= _SHIFT_CAP:
-        m += math.ceil(a)
-    return m
+def _em_plan(s: complex, a: float, tol: float) -> tuple[int, int]:
+    """(cutoff M >= 1, order K in _ORDERS) of least M + _ORDER_COST * K.
+
+    For each K the remainder bound of _em_once is bounded above through
+    |s| |s+1| ... |s+2K+1| <= (|s|+2K+1)^(2K+2) and solved in closed form
+    for the least p = M + a that brings it to tol.  The cost falls and then
+    rises with K, so the scan stops at its first rise.
+    """
+    if not tol > 0:     # nothing meets it; hurwitz_zeta's floor check says so
+        return 1, 1
+    abs_s, sigma, log_tol = abs(s), s.real, math.log(tol)
+    best_cost = math.inf
+    for k, e, log_c in _PLAN_ROWS:
+        d = sigma + e
+        log_p = (log_c + (e + 1) * math.log(abs_s + e) - math.log(d)
+                 - log_tol) / d
+        # 700 keeps exp finite; such a cutoff is far past _MAX_DIRECT anyway
+        m = max(1, math.ceil(math.exp(min(log_p, 700.0)) - a))
+        cost = m + _ORDER_COST * k
+        if cost >= best_cost:
+            break
+        best_cost, best = cost, (m, k)
+    return best
 
 
 def _direct_block(s, a, m: int, f: PeriodicFunction | None = None):
@@ -295,10 +324,11 @@ def _direct_block(s, a, m: int, f: PeriodicFunction | None = None):
                    math.fsum(x.imag for x in sums)), math.fsum(mags)
 
 
-def _em_once(s, a, m: int, coeffs):
-    """One Euler-Maclaurin pass at cutoff m, in the arithmetic of s and a.
+def _em_once(s, a, m: int, order: int, coeffs):
+    """One Euler-Maclaurin pass at cutoff m and order K, in the arithmetic of
+    s and a.
 
-    coeffs are B_2k/(2k)!, k = 1..order+1, in that arithmetic too.  Returns
+    coeffs are B_2k/(2k)!, k = 1..K+1, in that arithmetic too.  Returns
     (value, remainder bound, magnitude scale).  The remainder bound is the
     standard one: |first omitted correction| * |s+2K+1| / (sigma+2K+1),
     valid here since sigma + 2K + 1 > 0 (the factor is 1 on the real axis).
@@ -307,13 +337,14 @@ def _em_once(s, a, m: int, coeffs):
     p = m + a
     tail = p ** (1 - s) / (s - 1)
     half = p ** (-s) / 2
-    rise, pw, corr = s, p ** (-s - 1), 0
-    for k in range(1, _EM_ORDER + 1):
-        corr += coeffs[k - 1] * rise * pw
-        rise *= (s + 2 * k - 1) * (s + 2 * k)
-        pw /= p * p
-    rem = abs(coeffs[_EM_ORDER] * rise * pw)
-    rem *= abs(s + 2 * _EM_ORDER + 1) / (s.real + 2 * _EM_ORDER + 1)
+    # term is s (s+1) ... (s+2k-2) p^(-s-2k+1) at step k; updating it by one
+    # ratio per step keeps it finite where the product and power would not be
+    p2, term, corr = p * p, s * p ** (-s - 1), 0
+    for k in range(1, order + 1):
+        corr += coeffs[k - 1] * term
+        term *= (s + 2 * k - 1) * (s + 2 * k) / p2
+    rem = abs(coeffs[order] * term)
+    rem *= abs(s + 2 * order + 1) / (s.real + 2 * order + 1)
     return direct + tail + half + corr, rem, mag + abs(tail) + abs(half)
 
 
@@ -330,20 +361,25 @@ def hurwitz_zeta(s, alpha, tol: float = 1e-12, dps: int | None = None):
         raise ValueError("evaluation requires Re(s) > 1/2")
     with _precision(dps):
         sw, a = _working(s, alpha, dps)
-        m = _em_cutoff(s.imag, float(a))
+        m, order = _em_plan(s, float(a), tol)
         if dps is None:
             # the direct block is summed in fsum-combined chunks; a few ulps
             # of the magnitude scale is what double precision can deliver
             coeffs, unit = _C_EVEN, 4 * math.ulp(1.0)
         else:
-            coeffs = [mp.mpf(c.numerator) / c.denominator for c in _C_EXACT]
+            coeffs = [mp.mpf(c.numerator) / c.denominator
+                      for c in _C_EXACT[:order + 1]]
             unit = mp.mpf(10) ** (5 - dps)
         while True:
             if m > _MAX_DIRECT:
                 raise PrecisionUnreachable(
                     "cutoff beyond the direct-block cap", tol=tol, cutoff=m)
-            value, rem, scale = _em_once(sw, a, m, coeffs)
-            if tol < unit * scale:
+            value, rem, scale = _em_once(sw, a, m, order, coeffs)
+            if not rem < math.inf:      # inf or nan
+                raise PrecisionUnreachable(
+                    "Euler-Maclaurin remainder bound is not finite",
+                    s=[s.real, s.imag], cutoff=m, order=order)
+            if not tol >= unit * scale:
                 raise PrecisionUnreachable("tolerance below reachable floor",
                                            tol=tol, floor=float(unit * scale))
             if rem <= tol:
@@ -401,7 +437,9 @@ def series_head(s, f: PeriodicFunction, alpha, upto: int,
             sw, a = _working(s, alpha, dps)
             return _complete(_direct_block(sw, a, upto + 1, f)[0], s, dps)
     full = lfunction(s, f, alpha, tol=tol / 2, dps=dps)
-    return full - series_tail(s, f, alpha, upto + 1, tol=tol / 2, dps=dps)
+    tail = series_tail(s, f, alpha, upto + 1, tol=tol / 2, dps=dps)
+    with _precision(dps):
+        return full - tail
 
 
 def lfunction(s, f: PeriodicFunction, alpha, tol: float = 1e-12,
@@ -418,7 +456,8 @@ def lfunction(s, f: PeriodicFunction, alpha, tol: float = 1e-12,
     h = 16 * f.period
     head = series_head(s, f, alpha, h - 1, tol=tol / 2, dps=dps)
     tail = series_tail(s, f, alpha, h, tol=tol / 2, dps=dps)
-    return _complete(head + tail, s, dps)
+    with _precision(dps):
+        return _complete(head + tail, s, dps)
 
 
 def lfunction_direct(s, f: PeriodicFunction, alpha, n_terms: int):

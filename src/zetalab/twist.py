@@ -105,7 +105,8 @@ def truncation_index(f: PeriodicFunction, alpha, delta: float) -> int:
     right side being a rigorous integral bound for the tail from m+1 on.
     Small m are scanned exactly; past the linear cap the index is bracketed
     by doubling and pinned by bisection (the condition is monotone for
-    nonnegative f, which is the regime where huge indices occur).
+    nonnegative f, which is the regime where huge indices occur), and the
+    head must win by more than its evaluation error.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -127,15 +128,18 @@ def truncation_index(f: PeriodicFunction, alpha, delta: float) -> int:
 
     eval_tol = max(1e-12, 1e-15 / delta)   # the pole inflates magnitudes
 
-    def head(m: float) -> float:
+    def dominates(m: float) -> bool:
+        # head = full - tail, each within eval_tol: claim domination only
+        # where it survives both errors
         full = lfunction(s, f, alpha, tol=eval_tol)
-        return (full - series_tail(s, f, alpha, int(m) + 1, tol=eval_tol)).real
+        tail = series_tail(s, f, alpha, int(m) + 1, tol=eval_tol)
+        return (full - tail).real - 2 * eval_tol > bound(m)
 
     lo = _LINEAR_CAP
     hi = None
     m = 2 * _LINEAR_CAP
     for _ in range(_MAX_DOUBLINGS):
-        if head(m) > bound(m):
+        if dominates(m):
             hi = m
             break
         lo = m
@@ -145,7 +149,7 @@ def truncation_index(f: PeriodicFunction, alpha, delta: float) -> int:
                           delta=delta, last_tried=lo)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if head(mid) > bound(mid):
+        if dominates(mid):
             hi = mid
         else:
             lo = mid
