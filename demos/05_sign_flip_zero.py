@@ -24,8 +24,8 @@ print("\nF(2.0) =", series.evaluate(2 + 0j).real, "(positive by design)")
 print("F(1.05) =", series.evaluate(1.05 + 0j).real, "(pole pulling down)")
 
 ## Bisection brackets the zero
-sigma0 = find_sigma0(series, 1.0, tol=1e-12)
-print("sigma0 =", sigma0)
+sigma0, lo, hi = find_sigma0(series, 1.0, tol=1e-12)
+print("sigma0 =", sigma0, "in", [lo, hi])
 print("|F(sigma0)| =", abs(series.evaluate(complex(sigma0, 0)).real))
 
 ## The sign change in a table

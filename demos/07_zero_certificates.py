@@ -8,9 +8,8 @@
 ## margin into a claim.
 
 from zetalab import (Alpha, Circle, PeriodicFunction, PipelineBudget,
-                     Rectangle, SearchBudget, argument_count,
-                     find_zero_pipeline, lfunction, newton_refine,
-                     rouche_certificate)
+                     Rectangle, argument_count, find_zero_pipeline, lfunction,
+                     newton_refine, rouche_certificate)
 
 f1 = PeriodicFunction.constant()
 
@@ -47,8 +46,7 @@ if cert.margin > 0:
 ## The full pipeline at honest desk-scale budgets.  The matched cut is
 ## capped at a handful of terms, so the certificate stage cannot close;
 ## what matters is that every stage reports structured diagnostics.
-budget = PipelineBudget(kron=SearchBudget(max_t=5e3, max_iterations=400_000),
-                        n_cut_max=6)
+budget = PipelineBudget(max_t=5e3, max_iterations=400_000, n_cut_max=6)
 res = find_zero_pipeline(f1, Alpha.decimal("0.7853981634"), 0.5, budget)
 print("\npipeline success:", res.success)
 print("stages recorded:", sorted(res.stages))

@@ -81,28 +81,6 @@ def _parse_s(text: str) -> complex:
     return complex(*parts)
 
 
-_BUDGET_KEYS = ("maxt", "maxiter", "ncut", "samples", "tmin")
-
-
-def _parse_budget(text: str | None) -> dict:
-    out = {}
-    if not text:
-        return out
-    for piece in text.split(","):
-        k, _, v = piece.partition("=")
-        if not v:
-            raise ConfigInvalid(f"budget entry {piece!r} is not key=value")
-        k = k.strip()
-        if k not in _BUDGET_KEYS:
-            raise ConfigInvalid(f"unknown budget key {k!r}", key=k,
-                                known=list(_BUDGET_KEYS))
-        out[k] = float(v)
-    if not (out.get("samples", 1) >= 1 and out.get("ncut", 0) >= 0):
-        raise ConfigInvalid("budget needs samples >= 1 and ncut >= 0",
-                            samples=out.get("samples"), ncut=out.get("ncut"))
-    return out
-
-
 def _emit(args, payload, jsonl_rows=None):
     if args.format == "jsonl" and jsonl_rows is not None:
         text = "\n".join(render_json(r) for r in jsonl_rows) + "\n"
@@ -212,7 +190,7 @@ def _cmd_sign_flip(args) -> int:
     f = _parse_f(args)
     m = truncation_index(f, alpha, args.delta)
     series = TwistedSeries(f, alpha, flip_index=m)
-    sigma0, lo, hi = find_sigma0(series, args.delta, with_bracket=True)
+    sigma0, lo, hi = find_sigma0(series, args.delta)
     resid = abs(series.evaluate(complex(sigma0, 0)))
     _emit(args, {"flip_index": m, "sigma0": sigma0,
                  "bracket": [lo, hi], "residual": resid})
@@ -252,13 +230,10 @@ def _cmd_count(args) -> int:
 def _cmd_pipeline(args) -> int:
     f = _parse_f(args)
     alpha = Alpha.parse(args.alpha)
-    b = _parse_budget(args.budget)
-    budget = PipelineBudget(
-        kron=SearchBudget(max_t=b.get("maxt", 2e5),
-                          max_iterations=int(b.get("maxiter", 2e7))),
-        n_cut_max=int(b.get("ncut", 6)),
-        samples=int(b.get("samples", 360)),
-        t_min=b.get("tmin", 0.0))
+    budget = PipelineBudget(max_t=args.max_t,
+                            max_iterations=int(args.max_iter),
+                            t_min=args.tmin, n_cut_max=args.ncut,
+                            samples=args.samples)
     result = find_zero_pipeline(f, alpha, args.delta, budget)
     records = [result.record.to_json()] if result.record else []
     _emit(args, result.to_json(), jsonl_rows=records)
@@ -350,8 +325,15 @@ _COMMANDS = {
     )),
     ("zeros", "pipeline"): (_cmd_pipeline, "certified zero search", _SERIES + (
         ("--delta", dict(type=float, required=True)),
-        ("--budget", dict(help="comma list: maxt=..,maxiter=..,ncut=..,"
-                               "samples=..,tmin=..")),
+        # the defaults are PipelineBudget's own
+        ("--max-t", dict(type=float, default=PipelineBudget.max_t)),
+        ("--max-iter", dict(type=float, default=PipelineBudget.max_iterations,
+                            help="windows of the phase search")),
+        ("--tmin", dict(type=float, default=PipelineBudget.t_min)),
+        ("--ncut", dict(type=int, default=PipelineBudget.n_cut_max,
+                        help="matched cut of the certificate")),
+        ("--samples", dict(type=int, default=PipelineBudget.samples,
+                           help="certificate samples on the circle")),
     )),
 }
 
@@ -403,6 +385,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         # the document sets defaults, so flags on the command line win, and
         # a flag it supplies is no longer required
         flag, kw = specs[dest]
+        if value is not None and "action" not in kw:
+            # argparse converts and checks string defaults only: a value
+            # from the document then reads like one on the command line
+            value = str(value)
         specs[dest] = flag, {**kw, "default": value, "required": False}
 
     leaf = argparse.ArgumentParser(prog=f"zetalab {' '.join(words)}",

@@ -78,16 +78,17 @@ class TwistedSeries:
     def evaluate(self, s, tol: float = 1e-12):
         """Value of the series at s (Re s > 1 for the sign flip).
 
-        Sign-flip evaluation uses F(s) = 2 * head_m(s) - L(s); this works
-        for truncation indices far beyond anything summable term by term.
+        Sign-flip evaluation uses F(s) = L(s) - 2 * tail_{m+1}(s): one
+        L and one tail for every m, however far beyond anything summable
+        term by term.
         """
         s = complex(s)
         if self.flip_index is None:
             return lfunction(s, self.f, self.alpha, tol=tol)
-        head = series_head(s, self.f, self.alpha, self.flip_index,
+        full = lfunction(s, self.f, self.alpha, tol=tol / 2)
+        tail = series_tail(s, self.f, self.alpha, self.flip_index + 1,
                            tol=tol / 4)
-        full = lfunction(s, self.f, self.alpha, tol=tol / 4)
-        return 2 * head - full
+        return full - 2 * tail
 
 
 _LINEAR_CAP = 100_000      # truncation_index scans m up to this exactly,
@@ -128,10 +129,11 @@ def truncation_index(f: PeriodicFunction, alpha, delta: float) -> int:
 
     eval_tol = max(1e-12, 1e-15 / delta)   # the pole inflates magnitudes
 
+    full = lfunction(s, f, alpha, tol=eval_tol)
+
     def dominates(m: float) -> bool:
         # head = full - tail, each within eval_tol: claim domination only
         # where it survives both errors
-        full = lfunction(s, f, alpha, tol=eval_tol)
         tail = series_tail(s, f, alpha, int(m) + 1, tol=eval_tol)
         return (full - tail).real - 2 * eval_tol > bound(m)
 
@@ -156,9 +158,9 @@ def truncation_index(f: PeriodicFunction, alpha, delta: float) -> int:
     return hi
 
 
-def find_sigma0(series: TwistedSeries, delta: float, tol: float = 1e-10,
-                with_bracket: bool = False):
-    """Real zero of the sign-flip series in (1, 1 + delta), by bisection.
+def find_sigma0(series: TwistedSeries, delta: float, tol: float = 1e-10):
+    """Real zero of the sign-flip series in (1, 1 + delta), by bisection,
+    as (sigma0, lo, hi): the series changes sign across [lo, hi].
 
     The right endpoint must be positive (that is what the truncation index
     guarantees); a negative value is hunted geometrically toward 1, down to
@@ -194,7 +196,7 @@ def find_sigma0(series: TwistedSeries, delta: float, tol: float = 1e-10,
         mid = 0.5 * (lo + hi)
         v = F(mid)
         if abs(v) <= tol:
-            return (mid, lo, hi) if with_bracket else mid
+            return mid, lo, hi
         if v < 0:
             lo = mid
         else:
@@ -202,7 +204,7 @@ def find_sigma0(series: TwistedSeries, delta: float, tol: float = 1e-10,
     # interval collapsed to rounding width; the midpoint is the zero
     mid = 0.5 * (lo + hi)
     if abs(F(mid)) <= tol:
-        return (mid, lo, hi) if with_bracket else mid
+        return mid, lo, hi
     raise SignChangeNotBracketed("bisection stalled above tolerance",
                                  lo=lo, hi=hi, value=F(mid))
 

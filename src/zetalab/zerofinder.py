@@ -29,14 +29,14 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (FVanishesOnCircle, LeftHalfPlane, NegativeMargin,
                      NoConvergence, QuadratureStalled, ResidueZero,
                      ZeroOnBoundary, ZetalabError)
-from .kronecker import KroneckerProblem, SearchBudget, solve
+from .kronecker import PHASE_LIPSCHITZ, KroneckerProblem, SearchBudget, solve
 from .series import PeriodicFunction, lfunction
 from .twist import (TwistedSeries, find_sigma0, tail_bound, truncation_index)
 
@@ -50,6 +50,7 @@ __all__ = [
 _MAX_POINTS = 200_000      # contour evaluations one winding count may spend
 _NEWTON_MAX_ITER = 50      # Newton steps before NoConvergence
 _NEWTON_STEP = 1e-6        # central-difference step of the Newton derivative
+_NEWTON_TOL = 1e-9         # residual the pipeline's Newton stage must reach
 _ESCAPE_RADIUS = 20.0      # Newton gives up this far from its start
 _DELTA1_TRIES = 3          # circle radii the pipeline tries, each half the last
 
@@ -277,10 +278,11 @@ def _abs_log_weight_sum(f: PeriodicFunction, alpha: float, sigma: float,
     return head + tail
 
 
-def rouche_check(f: PeriodicFunction, alpha, series: TwistedSeries,
-                 sigma0: float, delta1: float, t: float,
-                 samples: int = 720, n_cut: int = 2000) -> RoucheCertificate:
-    """Certificate that L(s + it, f, alpha) has a zero in |s - sigma0| < delta1.
+def rouche_check(series: TwistedSeries, sigma0: float, delta1: float,
+                 t: float, samples: int = 720,
+                 n_cut: int = 2000) -> RoucheCertificate:
+    """Certificate that L(s + it, f, alpha) has a zero in |s - sigma0| < delta1,
+    for the f and alpha of the comparison series.
 
     Requires 1 + delta1 < sigma0 so the circle stays in the half-plane of
     absolute convergence.  The difference against the twisted comparison
@@ -292,6 +294,7 @@ def rouche_check(f: PeriodicFunction, alpha, series: TwistedSeries,
     """
     if not 1.0 + delta1 < sigma0:
         raise ValueError("need 1 + delta1 < sigma0")
+    f, alpha = series.f, series.alpha
     a = float(alpha)
     sigma_min = sigma0 - delta1
 
@@ -343,12 +346,21 @@ def rouche_check(f: PeriodicFunction, alpha, series: TwistedSeries,
 
 @dataclass(frozen=True)
 class PipelineBudget:
-    kron: SearchBudget = field(default_factory=lambda: SearchBudget(
-        max_t=2e5, max_iterations=20_000_000))
+    """Limits of the pipeline: the phase search stops at t = max_t or after
+    max_iterations windows, and starts past t_min; the matched cut is
+    n_cut_max and the certificate samples its circle at samples points."""
+
+    max_t: float = 2e5
+    max_iterations: int = 20_000_000
+    t_min: float = 0.0
     n_cut_max: int = 6
     samples: int = 360
-    newton_tol: float = 1e-9
-    t_min: float = 0.0
+
+    def __post_init__(self):
+        if not (self.samples >= 1 and self.n_cut_max >= 0):
+            raise ValueError("the pipeline budget needs samples >= 1 and "
+                             f"n_cut_max >= 0, got samples={self.samples}, "
+                             f"n_cut_max={self.n_cut_max}")
 
 
 @dataclass
@@ -379,100 +391,96 @@ def find_zero_pipeline(f: PeriodicFunction, alpha, delta: float,
     """
     budget = budget or PipelineBudget()
     stages: dict = {}
-
-    def fail(stage: str, err: ZetalabError) -> PipelineResult:
-        return PipelineResult(success=False, record=None, failed_stage=stage,
-                              failure=err.to_json(), stages=stages)
-
-    # residue hypothesis
-    r = f.residue
-    if abs(r) < 1e-15:
-        return fail("residue", ResidueZero("series has no pole", residue=r))
-    if r < 0:
-        f = f.negated()
-    stages["residue"] = r
-
+    # every failure below is reported under the stage in progress
+    stage = "residue"
     try:
+        r = f.residue
+        if abs(r) < 1e-15:
+            raise ResidueZero("series has no pole", residue=r)
+        if r < 0:
+            f = f.negated()
+        stages["residue"] = r
+
+        stage = "truncation"
         m = truncation_index(f, alpha, delta)
-    except ZetalabError as e:
-        return fail("truncation", e)
-    stages["truncation_index"] = m
-    series = TwistedSeries(f, alpha, flip_index=m)
+        stages["truncation_index"] = m
+        series = TwistedSeries(f, alpha, flip_index=m)
 
-    try:
-        sigma0, lo, hi = find_sigma0(series, delta, with_bracket=True)
-    except ZetalabError as e:
-        return fail("sign_change", e)
-    stages["sigma0"] = sigma0
-    stages["sigma0_bracket"] = [lo, hi]
+        stage = "sign_change"
+        sigma0, lo, hi = find_sigma0(series, delta)
+        stages["sigma0"] = sigma0
+        stages["sigma0_bracket"] = [lo, hi]
 
-    a = float(alpha)
-    delta1 = 0.5 * min(sigma0 - 1.0, delta)
-    last_exc: ZetalabError | None = None
-    for _ in range(_DELTA1_TRIES):
-        sigma_min = sigma0 - delta1
-        stages["theta"] = 0.5 * (sigma_min - 1.0)
-        # probe the comparison minimum to size the error budget
-        circle = Circle(sigma0, delta1)
-        probe = min(abs(series.evaluate(circle.boundary(i / 64), tol=1e-10))
-                    for i in range(64))
-        stages["delta1"] = delta1
-        stages["eps_probe"] = probe
-        if probe <= 0:
-            delta1 *= 0.5
-            last_exc = FVanishesOnCircle("probe minimum is zero",
-                                         delta1=delta1)
-            continue
+        a = float(alpha)
+        delta1 = 0.5 * min(sigma0 - 1.0, delta)
+        last_exc: ZetalabError | None = None
+        for _ in range(_DELTA1_TRIES):
+            stage = "circle_geometry"
+            sigma_min = sigma0 - delta1
+            stages["theta"] = 0.5 * (sigma_min - 1.0)
+            # probe the comparison minimum to size the error budget
+            circle = Circle(sigma0, delta1)
+            probe = min(abs(series.evaluate(circle.boundary(i / 64),
+                                            tol=1e-10)) for i in range(64))
+            stages["delta1"] = delta1
+            stages["eps_probe"] = probe
+            if probe <= 0:
+                delta1 *= 0.5
+                last_exc = FVanishesOnCircle("probe minimum is zero",
+                                             delta1=delta1)
+                continue
 
-        # matched cut from the tail budget; cap and proceed honestly
-        target_tail = probe / 8.0
-        n_cut = budget.n_cut_max
-        capped = 2.0 * tail_bound(f, a, sigma_min, n_cut) > target_tail
-        stages["n_cut"] = n_cut
-        stages["tail_budget_met"] = not capped
+            # matched cut from the tail budget; cap and proceed honestly
+            target_tail = probe / 8.0
+            n_cut = budget.n_cut_max
+            capped = 2.0 * tail_bound(f, a, sigma_min, n_cut) > target_tail
+            stages["n_cut"] = n_cut
+            stages["tail_budget_met"] = not capped
 
-        ns = np.arange(n_cut + 1, dtype=float) + a
-        matched_mass = float((np.abs([f(n) for n in range(n_cut + 1)])
-                              * ns ** (-sigma_min)).sum())
-        chord = probe / (4.0 * matched_mass)
-        delta_phase = min(chord / (2 * math.pi), 0.45)
-        freqs = tuple(math.log(n + a) / (2 * math.pi)
-                      for n in range(n_cut + 1))
-        targets = tuple(0.0 if series.weight(n) == 1.0 else 0.5
-                        for n in range(n_cut + 1))
-        stages["kron_delta"] = delta_phase
-        try:
+            ns = np.arange(n_cut + 1, dtype=float) + a
+            matched_mass = float((np.abs([f(n) for n in range(n_cut + 1)])
+                                  * ns ** (-sigma_min)).sum())
+            chord = probe / (4.0 * matched_mass)
+            delta_phase = min(chord / PHASE_LIPSCHITZ, 0.45)
+            freqs = tuple(math.log(n + a) / (2 * math.pi)
+                          for n in range(n_cut + 1))
+            targets = tuple(0.0 if series.weight(n) == 1.0 else 0.5
+                            for n in range(n_cut + 1))
+            stages["kron_delta"] = delta_phase
+            stage = "kronecker"
             sol = solve(KroneckerProblem(freqs, targets, delta=delta_phase,
-                                         t_min=budget.t_min), budget.kron)
-        except ZetalabError as e:
-            return fail("kronecker", e)
-        stages["t"] = sol.t
-        stages["kron_error"] = sol.max_error
+                                         t_min=budget.t_min),
+                        SearchBudget(max_t=budget.max_t,
+                                     max_iterations=budget.max_iterations))
+            stages["t"] = sol.t
+            stages["kron_error"] = sol.max_error
 
-        try:
-            cert = rouche_check(f, alpha, series, sigma0, delta1, sol.t,
-                                samples=budget.samples, n_cut=n_cut)
-        except FVanishesOnCircle as e:
-            delta1 *= 0.5
-            last_exc = e
-            continue
-        except ZetalabError as e:
-            return fail("certificate", e)
-        stages["certificate"] = cert.to_json()
-        if not cert.inner_count:
-            return fail("certificate", ZetalabError(
-                "certificate carries no zero despite the bracketed sign change",
-                certificate=cert.to_json()))
+            stage = "certificate"
+            try:
+                cert = rouche_check(series, sigma0, delta1, sol.t,
+                                    samples=budget.samples, n_cut=n_cut)
+            except FVanishesOnCircle as e:
+                delta1 *= 0.5
+                last_exc = e
+                continue
+            stages["certificate"] = cert.to_json()
+            if not cert.inner_count:
+                raise ZetalabError("certificate carries no zero despite the "
+                                   "bracketed sign change",
+                                   certificate=cert.to_json())
 
-        try:
+            stage = "newton"
             record = newton_refine(
                 lambda s: lfunction(s + 1j * sol.t, f, alpha, tol=1e-12),
-                complex(sigma0, 0.0), tol=budget.newton_tol)
-        except ZetalabError as e:
-            return fail("newton", e)
-        record = ZeroRecord(s=record.s + 1j * sol.t, residual=record.residual,
-                            method="sign-flip pipeline", certificate=cert)
-        return PipelineResult(success=True, record=record, failed_stage=None,
-                              failure=None, stages=stages)
-    return fail("circle_geometry",
-                last_exc or FVanishesOnCircle("no usable circle radius"))
+                complex(sigma0, 0.0), tol=_NEWTON_TOL)
+            record = ZeroRecord(s=record.s + 1j * sol.t,
+                                residual=record.residual,
+                                method="sign-flip pipeline", certificate=cert)
+            return PipelineResult(success=True, record=record,
+                                  failed_stage=None, failure=None,
+                                  stages=stages)
+        stage = "circle_geometry"
+        raise last_exc or FVanishesOnCircle("no usable circle radius")
+    except ZetalabError as e:
+        return PipelineResult(success=False, record=None, failed_stage=stage,
+                              failure=e.to_json(), stages=stages)

@@ -21,7 +21,7 @@ from zetalab.series import (Alpha, PeriodicFunction, decompose, hurwitz_zeta,
 from zetalab.twist import BlockSchedule, run_schedule, _correction
 from zetalab.zerofinder import (Circle, PipelineBudget, Rectangle,
                                 argument_count, find_zero_pipeline,
-                                rouche_certificate)
+                                rouche_certificate, _NEWTON_TOL)
 
 SQRT2 = Alpha.quadratic(0, 1, 2)
 ONE = PeriodicFunction.constant()
@@ -221,15 +221,13 @@ def test_criterion_10_rouche_cross_validation():
 
 
 def test_criterion_11_pipeline_smoke():
-    budget = PipelineBudget(kron=SearchBudget(max_t=5e3,
-                                              max_iterations=400_000),
-                            n_cut_max=6)
+    budget = PipelineBudget(max_t=5e3, max_iterations=400_000, n_cut_max=6)
     res = find_zero_pipeline(ONE, Alpha.decimal("0.7853981634"), 0.5, budget)
     assert "truncation_index" in res.stages
     assert "sigma0" in res.stages and 1 < res.stages["sigma0"] < 1.5
     if res.success:
         assert res.record is not None
-        assert res.record.residual <= budget.newton_tol
+        assert res.record.residual <= _NEWTON_TOL
         assert res.record.certificate.margin > 0
         outcome = f"certified zero at {res.record.s}"
     else:

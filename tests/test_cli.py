@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
+from zetalab import cli
 from zetalab.cli import main, render_json
+from zetalab.zerofinder import PipelineBudget, PipelineResult
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -153,6 +156,25 @@ def test_twist_greedy_rejects_sigma_not_above_1(sigma, capsys):
     assert "sigma > 1" in err
 
 
+@pytest.mark.parametrize("delta", ["0.05", "0.03"])
+def test_sign_flip_reaches_small_delta(delta, capsys):
+    # flip indices 591474 and 6093498008: the series is L - 2 tail, one L
+    # per value, and its zero is checked against mpmath's
+    # zeta(s, 1) - 2 zeta(s, m + 2)
+    assert main(["twist", "sign-flip", "--alpha", "rat:1,1", "--f", "1",
+                 "--delta", delta]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    m = doc["flip_index"]
+    lo, hi = doc["bracket"]
+    assert lo <= doc["sigma0"] <= hi
+    with mp.workdps(40):
+        def flipped(x):
+            x = mp.mpf(x)
+            return mp.zeta(x, 1) - 2 * mp.zeta(x, m + 2)
+        assert abs(flipped(doc["sigma0"])) <= 1e-10
+        assert flipped(lo) < 0 < flipped(hi)
+
+
 def test_zeros_count():
     code, out, _ = run_cli("zeros", "count", "--f", "1", "--alpha",
                            "rat:1,1", "--rect", "1.1,2,0,30")
@@ -163,7 +185,8 @@ def test_zeros_count():
 def test_zeros_pipeline_structured_failure():
     code, out, err = run_cli("zeros", "pipeline", "--alpha",
                              "dec:0.7853981634", "--delta", "0.5",
-                             "--budget", "maxt=2000,maxiter=200000,ncut=6")
+                             "--max-t", "2000", "--max-iter", "200000",
+                             "--ncut", "6")
     doc = json.loads(out)
     if doc["success"]:
         assert code == 0
@@ -245,29 +268,97 @@ def test_flags_a_command_does_not_read_are_refused(capsys):
     assert capsys.readouterr().out != seeded
 
 
+PIPELINE = ["zeros", "pipeline", "--alpha", "dec:0.7853981634", "--delta",
+            "0.5"]
+
+
 def test_budget_rejects_unknown_keys(capsys):
-    # maxT is not maxt: the search would silently run with max_t = 200000
-    argv = ["zeros", "pipeline", "--alpha", "dec:0.7853981634", "--delta",
-            "0.5", "--budget", "maxT=5,maxiter=400000,ncut=6"]
-    assert main(argv) == 2
+    # --maxT is not --max-t: the search must not silently run with the
+    # default max_t
+    with pytest.raises(SystemExit) as exc:
+        main(PIPELINE + ["--maxT", "5", "--max-iter", "400000", "--ncut", "6"])
+    assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    diag = json.loads(err)
-    assert diag["error"] == "ConfigInvalid"
-    assert diag["details"]["key"] == "maxT"
+    assert "usage: zetalab zeros pipeline" in err
+    assert "--maxT" in err
 
 
-@pytest.mark.parametrize("budget", ["samples=0,ncut=0", "samples=-5,ncut=0",
-                                    "ncut=-1"])
-def test_budget_rejects_bad_sample_and_cut_counts(budget, capsys):
+@pytest.mark.parametrize("flags", [["--samples", "0", "--ncut", "0"],
+                                   ["--samples", "-5", "--ncut", "0"],
+                                   ["--ncut", "-1"]],
+                         ids=["samples=0,ncut=0", "samples=-5,ncut=0",
+                              "ncut=-1"])
+def test_budget_rejects_bad_sample_and_cut_counts(flags, capsys):
     # they ended in a ZeroDivisionError or TypeError traceback, or in a
     # certificate with an infinite margin
-    argv = ["zeros", "pipeline", "--alpha", "dec:0.7853981634", "--delta",
-            "0.5", "--budget", budget]
-    assert main(argv) == 2
+    assert main(PIPELINE + flags) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert json.loads(err)["error"] == "ConfigInvalid"
+    assert "samples >= 1 and n_cut_max >= 0" in err
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    """The PipelineBudget each zeros pipeline run is handed; the run
+    itself is skipped."""
+    seen = []
+
+    def record(f, alpha, delta, budget):
+        seen.append(budget)
+        return PipelineResult(success=True, record=None, failed_stage=None,
+                              failure=None, stages={})
+
+    monkeypatch.setattr(cli, "find_zero_pipeline", record)
+    return seen
+
+
+def test_budget_flags_default_to_pipeline_budget(budgets, capsys):
+    # no budget flag given: exactly PipelineBudget(), whose fields are the
+    # only home of the defaults
+    assert main(PIPELINE) == 0
+    assert budgets == [PipelineBudget()]
+
+
+def test_budget_flags_set_every_field(budgets, capsys):
+    assert main(PIPELINE + ["--max-t", "5000", "--max-iter", "4e5",
+                            "--tmin", "10", "--ncut", "4",
+                            "--samples", "90"]) == 0
+    assert budgets == [PipelineBudget(max_t=5000.0, max_iterations=400_000,
+                                      t_min=10.0, n_cut_max=4, samples=90)]
+
+
+def test_budget_flags_from_config(tmp_path, budgets, capsys):
+    cfg = tmp_path / "budget.json"
+    cfg.write_text(json.dumps({"max-t": 5000, "ncut": 4}))
+    assert main(PIPELINE + ["--config", str(cfg)]) == 0
+    assert budgets == [PipelineBudget(max_t=5000, n_cut_max=4)]
+
+
+def test_config_values_read_like_flags(tmp_path, capsys):
+    # a count that is not an integer, or a number for a text flag, ended
+    # in a TypeError or AttributeError traceback
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"ncut": 6.5}))
+    with pytest.raises(SystemExit) as exc:
+        main(PIPELINE + ["--config", str(cfg)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid int value: '6.5'" in err
+    # zeta(3, 1/2) = 7 zeta(3), with --s 3 from the document
+    cfg.write_text(json.dumps({"s": 3}))
+    assert main(["eval", "--alpha", "rat:1,2", "--config", str(cfg)]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["re"]
+               - 8.414398322117160) < 1e-10
+
+
+def test_pipeline_help_lists_budget_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["zeros", "pipeline", "-h"])
+    out = capsys.readouterr().out
+    for flag in ("--max-t", "--max-iter", "--tmin", "--ncut", "--samples"):
+        assert flag in out
 
 
 def test_kron_refuses_t_min_past_float_resolution(capsys):

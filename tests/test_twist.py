@@ -59,6 +59,26 @@ def test_truncation_small_delta_grows_fast():
     assert head > bound
 
 
+@pytest.mark.parametrize("delta, expected", [
+    (1.0, 1), (0.35, 3), (0.05, 591474),
+    (0.01, 712400955135952592051195871232)])
+def test_truncation_evaluates_the_full_series_once(delta, expected,
+                                                   monkeypatch):
+    # L(1 + delta) is the same at every doubling and bisection step; the
+    # linear scan alone needs none
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return twist_lfunction(*args, **kwargs)
+
+    twist_lfunction = twist.lfunction
+    monkeypatch.setattr(twist, "lfunction", counted)
+    m = truncation_index(ONE, 1.0, delta)
+    assert m == expected
+    assert len(calls) == (1 if m > twist._LINEAR_CAP else 0)
+
+
 def test_truncation_rejects_nonpositive_residue():
     with pytest.raises(NoSuchIndex):
         truncation_index(PeriodicFunction((1.0, -1.0)), 1.0, 1.0)
@@ -79,7 +99,8 @@ def test_find_sigma0_classic():
     # flip after n = 1: F(s) = 2(1 + 2^-s) - zeta(s); root frozen from an
     # independent mpmath root-find of that closed form
     series = TwistedSeries(ONE, 1.0, flip_index=1)
-    sigma0 = find_sigma0(series, 1.0, tol=1e-10)
+    sigma0, lo, hi = find_sigma0(series, 1.0, tol=1e-10)
+    assert lo <= sigma0 <= hi
     assert abs(sigma0 - 1.4740898895836146) < 1e-7
     assert abs(series.evaluate(complex(sigma0, 0)).real) <= 1e-10
     with mp.workdps(30):
@@ -97,7 +118,7 @@ def test_sign_flip_positive_at_right_endpoint():
         m = truncation_index(f, alpha, delta)
         series = TwistedSeries(f, alpha, flip_index=m)
         assert series.evaluate(complex(1 + delta, 0)).real > 0
-        sigma0 = find_sigma0(series, delta)
+        sigma0, _, _ = find_sigma0(series, delta)
         assert 1 < sigma0 < 1 + delta
 
 

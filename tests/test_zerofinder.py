@@ -2,18 +2,22 @@
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from zetalab.errors import (LeftHalfPlane, NegativeMargin, NoConvergence,
-                            ZeroOnBoundary, ZetalabError)
+from zetalab import zerofinder
+from zetalab.errors import (FVanishesOnCircle, LeftHalfPlane, NegativeMargin,
+                            NoConvergence, NoSuchIndex,
+                            SignChangeNotBracketed, ZeroOnBoundary,
+                            ZetalabError)
 from zetalab.series import Alpha, PeriodicFunction, lfunction
 from zetalab.twist import TwistedSeries, find_sigma0, truncation_index
 from zetalab.zerofinder import (Circle, PipelineBudget, QuadratureSpec,
                                 Rectangle, argument_count, find_zero_pipeline,
-                                newton_refine, rouche_certificate,
-                                rouche_check)
-from zetalab.kronecker import SearchBudget
+                                RoucheCertificate, newton_refine,
+                                rouche_certificate, rouche_check,
+                                _NEWTON_TOL)
 
 ONE = PeriodicFunction.constant()
 
@@ -136,7 +140,7 @@ def test_rouche_identity_comparison():
     # comparison against itself: sup_diff = 0, margin = eps_min > 0, and
     # the disk winding agrees with the comparison function's own count
     series = TwistedSeries(ONE, 2.0)     # plain series, no twist
-    cert = rouche_check(ONE, 2.0, series, sigma0=1.8, delta1=0.3, t=0.0,
+    cert = rouche_check(series, sigma0=1.8, delta1=0.3, t=0.0,
                         samples=128, n_cut=64)
     assert cert.sup_diff == 0.0
     assert cert.margin == cert.eps_min > 0
@@ -146,10 +150,115 @@ def test_rouche_identity_comparison():
 def test_rouche_adversarial_shift_fails():
     m = truncation_index(ONE, 1.0, 1.0)
     series = TwistedSeries(ONE, 1.0, flip_index=m)
-    sigma0 = find_sigma0(series, 1.0)
+    sigma0, _, _ = find_sigma0(series, 1.0)
     with pytest.raises(NegativeMargin):
-        rouche_check(ONE, 1.0, series, sigma0, delta1=0.2, t=0.1,
-                     samples=128, n_cut=500)
+        rouche_check(series, sigma0, delta1=0.2, t=0.1, samples=128,
+                     n_cut=500)
+
+
+def test_rouche_coarse_samples_cannot_separate_f():
+    # 8 samples leave Lipschitz slack larger than min |F| on the circle
+    series = TwistedSeries(ONE, 1.0, flip_index=1)
+    sigma0, _, _ = find_sigma0(series, 1.0)
+    with pytest.raises(FVanishesOnCircle) as exc:
+        rouche_check(series, sigma0, delta1=0.2, t=0.0, samples=8, n_cut=50)
+    assert exc.value.details["eps_min"] <= 0
+    assert exc.value.details["delta1"] == 0.2
+
+
+@pytest.mark.parametrize("kwargs", [dict(n_cut_max=-1), dict(samples=0),
+                                    dict(samples=-5)])
+def test_pipeline_budget_refuses_bad_counts(kwargs):
+    with pytest.raises(ValueError, match="samples >= 1 and n_cut_max >= 0"):
+        PipelineBudget(**kwargs)
+
+
+def _no_search(monkeypatch):
+    # the phase search returns t = 1 at once
+    monkeypatch.setattr(zerofinder, "solve",
+                        lambda *args, **kwargs: SimpleNamespace(
+                            t=1.0, max_error=0.0))
+
+
+def _certificate(inner_count):
+    return RoucheCertificate(sigma0=1.4, delta1=0.1, t=1.0, eps_min=1.0,
+                             sup_diff=0.5, samples=360, margin=0.5,
+                             inner_count=inner_count)
+
+
+def _raises(err):
+    def stage(*args, **kwargs):
+        raise err
+    return stage
+
+
+def test_pipeline_fails_at_truncation(monkeypatch):
+    monkeypatch.setattr(zerofinder, "truncation_index", _raises(
+        NoSuchIndex("no dominating index within the doubling budget")))
+    res = find_zero_pipeline(ONE, 1.0, 0.5)
+    assert (res.success, res.failed_stage) == (False, "truncation")
+    assert res.failure["error"] == "NoSuchIndex"
+    assert res.stages == {"residue": 1.0}
+
+
+def test_pipeline_fails_at_sign_change(monkeypatch):
+    monkeypatch.setattr(zerofinder, "find_sigma0", _raises(
+        SignChangeNotBracketed("series not positive at 1 + delta")))
+    res = find_zero_pipeline(ONE, 1.0, 0.5)
+    assert (res.success, res.failed_stage) == (False, "sign_change")
+    assert res.failure["error"] == "SignChangeNotBracketed"
+    assert sorted(res.stages) == ["residue", "truncation_index"]
+
+
+def test_pipeline_fails_at_certificate(monkeypatch):
+    _no_search(monkeypatch)
+    monkeypatch.setattr(zerofinder, "rouche_check", _raises(
+        NegativeMargin("certificate inequality fails at this shift")))
+    res = find_zero_pipeline(ONE, 1.0, 0.5)
+    assert (res.success, res.failed_stage) == (False, "certificate")
+    assert res.failure["error"] == "NegativeMargin"
+    assert res.stages["t"] == 1.0 and "certificate" not in res.stages
+
+
+def test_pipeline_refuses_certificate_without_zero(monkeypatch):
+    _no_search(monkeypatch)
+    monkeypatch.setattr(zerofinder, "rouche_check",
+                        lambda *args, **kwargs: _certificate(0))
+    res = find_zero_pipeline(ONE, 1.0, 0.5)
+    assert (res.success, res.failed_stage) == (False, "certificate")
+    assert res.failure["error"] == "ZetalabError"
+    assert res.failure["details"]["certificate"] == _certificate(0).to_json()
+
+
+def test_pipeline_fails_at_newton(monkeypatch):
+    _no_search(monkeypatch)
+    monkeypatch.setattr(zerofinder, "rouche_check",
+                        lambda *args, **kwargs: _certificate(1))
+    monkeypatch.setattr(zerofinder, "newton_refine", _raises(
+        NoConvergence("iteration cap reached")))
+    res = find_zero_pipeline(ONE, 1.0, 0.5)
+    assert (res.success, res.failed_stage) == (False, "newton")
+    assert res.failure["error"] == "NoConvergence"
+    assert res.stages["certificate"] == _certificate(1).to_json()
+
+
+def test_pipeline_halves_the_circle_then_fails(monkeypatch):
+    _no_search(monkeypatch)
+    radii = []
+
+    def vanishing(*args, **kwargs):
+        radii.append(args[-2])             # delta1
+        raise FVanishesOnCircle("comparison minimum not separated from zero",
+                                delta1=args[-2])
+
+    monkeypatch.setattr(zerofinder, "rouche_check", vanishing)
+    res = find_zero_pipeline(ONE, 1.0, 0.5)
+    assert (res.success, res.failed_stage) == (False, "circle_geometry")
+    d = 0.5 * min(res.stages["sigma0"] - 1.0, 0.5)
+    assert radii == [d, d / 2, d / 4]
+    assert res.stages["delta1"] == d / 4
+    assert res.failure["error"] == "FVanishesOnCircle"
+    assert res.failure["details"]["delta1"] == d / 4
 
 
 def test_pipeline_residue_zero():
@@ -160,12 +269,11 @@ def test_pipeline_residue_zero():
 
 
 def test_pipeline_rational_shift_honest():
-    budget = PipelineBudget(kron=SearchBudget(max_t=2e3,
-                                              max_iterations=500_000))
+    budget = PipelineBudget(max_t=2e3, max_iterations=500_000)
     res = find_zero_pipeline(ONE, Alpha.rational(1, 3), 0.5, budget)
     if res.success:
         assert res.record.certificate.margin > 0
-        assert res.record.residual <= budget.newton_tol
+        assert res.record.residual <= _NEWTON_TOL
     else:
         assert res.failed_stage in ("kronecker", "certificate",
                                     "circle_geometry", "newton")
@@ -173,8 +281,7 @@ def test_pipeline_rational_shift_honest():
 
 
 def test_pipeline_smoke_structured():
-    budget = PipelineBudget(kron=SearchBudget(max_t=5e3,
-                                              max_iterations=400_000))
+    budget = PipelineBudget(max_t=5e3, max_iterations=400_000)
     res = find_zero_pipeline(ONE, Alpha.decimal("0.7853981634"), 0.5, budget)
     # all early stages ran and were recorded
     assert "truncation_index" in res.stages
