@@ -6,8 +6,8 @@
 
 import numpy as np
 
-from zetalab import (Alpha, PeriodicFunction, decompose, hurwitz_zeta,
-                     lfunction, residue)
+from zetalab import (Alpha, PeriodicFunction, hurwitz_zeta, lfunction,
+                     residue, series_head, series_tail)
 
 ## Basic values
 print("zeta(2, 1)   =", hurwitz_zeta(2 + 0j, 1.0).real, " (pi^2/6)")
@@ -27,11 +27,13 @@ f_pos = PeriodicFunction((3.0, 1.0, 2.0))
 print("residue of (1,-1):", residue(f_alt))
 print("residue of (3,1,2):", residue(f_pos))
 
-## The residue-class split agrees with the defining series
+## L is the residue-class split; it agrees with the defining series summed
+## directly up to n = 47 and split from n = 48 = 16 q on
 s = 2.2 - 31.0j
 alpha = Alpha.quadratic(0, 1, 2)
-print("L          =", lfunction(s, f_pos, alpha))
-print("decomposed =", decompose(s, f_pos, alpha))
+print("L           =", lfunction(s, f_pos, alpha))
+print("head + tail =", series_head(s, f_pos, alpha, 47)
+      + series_tail(s, f_pos, alpha, 48))
 
 ## Watching (s - 1) L(s) approach the residue
 for k in range(2, 7):

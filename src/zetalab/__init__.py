@@ -15,14 +15,13 @@ from .kronecker import KroneckerProblem, KroneckerSolution, SearchBudget, \
 from .quadfield import CasselsBlock, IdealFactorization, MultiplicativeBasis, \
     PrimeIdeal, QuadElement, QuadraticField, factor_shift, fundamental_unit, \
     ideal_denominator, multiplicative_basis, private_primes
-from .series import Alpha, PeriodicFunction, decompose, hurwitz_zeta, \
-    lfunction, lfunction_direct, residue, series_head, series_tail
+from .series import Alpha, PeriodicFunction, hurwitz_zeta, lfunction, \
+    lfunction_direct, residue, series_head, series_tail
 from .twist import BlockSchedule, GreedyState, ScheduleReport, TwistedSeries, \
     choose_case_sigma, find_sigma0, greedy_step, run_schedule, \
     truncation_index
-from .zerofinder import Circle, PipelineBudget, PipelineResult, \
-    QuadratureSpec, Rectangle, RoucheCertificate, ZeroRecord, \
-    argument_count, find_zero_pipeline, newton_refine, rouche_certificate, \
-    rouche_check
+from .zerofinder import Circle, PipelineBudget, PipelineResult, Rectangle, \
+    RoucheCertificate, ZeroRecord, argument_count, find_zero_pipeline, \
+    newton_refine, rouche_certificate, rouche_check
 
 __version__ = "0.1.0"

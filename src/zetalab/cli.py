@@ -30,11 +30,11 @@ from .annulus import AnnulusSpec, radii, realize_phases
 from .errors import ConfigInvalid, ZetalabError
 from .kronecker import KroneckerProblem, SearchBudget, solve
 from .quadfield import factor_shift, ideal_denominator, private_primes
-from .series import Alpha, PeriodicFunction, decompose, lfunction
+from .series import Alpha, PeriodicFunction, lfunction
 from .twist import BlockSchedule, TwistedSeries, find_sigma0, run_schedule, \
     truncation_index
-from .zerofinder import PipelineBudget, QuadratureSpec, Rectangle, \
-    argument_count, find_zero_pipeline
+from .zerofinder import PipelineBudget, Rectangle, argument_count, \
+    find_zero_pipeline
 
 __all__ = ["main", "render_json"]
 
@@ -99,10 +99,10 @@ def _emit(args, payload, jsonl_rows=None):
 def _cmd_eval(args) -> int:
     f = _parse_f(args)
     alpha = Alpha.parse(args.alpha)
-    fn = decompose if args.route == "decompose" else lfunction
 
     def value(s: complex) -> complex:
-        return complex(fn(s, f, alpha, tol=args.tol, dps=args.precision))
+        return complex(lfunction(s, f, alpha, tol=args.tol,
+                                 dps=args.precision))
 
     if args.grid:
         srange, trange = args.grid.split(":")
@@ -221,8 +221,7 @@ def _cmd_count(args) -> int:
     smin, smax, tmin, tmax = (float(x) for x in args.rect.split(","))
     rect = Rectangle(smin, smax, tmin, tmax)
     count = argument_count(
-        lambda s: lfunction(s, f, alpha, tol=args.tol), rect,
-        QuadratureSpec(initial_points=args.samples))
+        lambda s: lfunction(s, f, alpha, tol=args.tol), rect, args.samples)
     _emit(args, {"count": count, "rect": [smin, smax, tmin, tmax]})
     return 0
 
@@ -269,8 +268,6 @@ _COMMANDS = {
         ("--precision", dict(type=int,
                              help="software precision in decimal digits")),
         ("--s", dict(default="2,0", help="sigma,t")),
-        ("--route", dict(choices=["lfunction", "decompose"],
-                         default="lfunction")),
         ("--grid", dict(help="smin,smax,ns:tmin,tmax,nt (CSV output)")),
     )),
     ("kron", "solve"): (_cmd_kron, "simultaneous approximation search", (

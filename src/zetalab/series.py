@@ -10,8 +10,9 @@ classes mod q gives the working identity
 
     L(s, f, a) = q^(-s) * sum_{b=0..q-1} f(b) zeta(s, (a + b)/q)
 
-(f(0) = f(q) by periodicity), which also shows L extends meromorphically
-with at most a simple pole at s = 1 of residue (1/q) sum_b f(b).
+(f(0) = f(q) by periodicity).  lfunction evaluates L by it, and it shows
+that L extends meromorphically with at most a simple pole at s = 1 of
+residue (1/q) sum_b f(b).
 
 zeta(s, a) itself is evaluated by Euler-Maclaurin summation: a direct block
 of M terms, the integral tail (M+a)^(1-s)/(s-1), the half term, and K
@@ -35,8 +36,8 @@ import mpmath as mp
 from .errors import PoleAt1, PrecisionUnreachable
 
 __all__ = [
-    "Alpha", "PeriodicFunction", "hurwitz_zeta", "lfunction", "decompose",
-    "residue", "lfunction_direct", "series_tail", "series_head",
+    "Alpha", "PeriodicFunction", "hurwitz_zeta", "lfunction", "residue",
+    "lfunction_direct", "series_tail", "series_head",
 ]
 
 # Euler-Maclaurin orders K (corrections B_2 .. B_2K) the plan chooses from.
@@ -387,20 +388,6 @@ def hurwitz_zeta(s, alpha, tol: float = 1e-12, dps: int | None = None):
             m *= 2
 
 
-def decompose(s, f: PeriodicFunction, alpha, tol: float = 1e-12,
-              dps: int | None = None):
-    """The residue-class split q^(-s) sum_b f(b) zeta(s, (alpha+b)/q).
-
-    The split runs over the residues b = 0..q-1 (with f(0) = f(q) by
-    periodicity) so that the n = 0 term of the defining series is covered;
-    the result equals the full series for Re(s) > 1.  It is series_tail
-    from 0, an independent route from lfunction, which splits at 16q.
-    """
-    s = complex(s)
-    _refuse_pole(s)
-    return series_tail(s, f, alpha, 0, tol=tol, dps=dps)
-
-
 def series_tail(s, f: PeriodicFunction, alpha, start: int,
                 tol: float = 1e-12, dps: int | None = None):
     """sum_{n >= start} f(n) (n+alpha)^(-s) via the residue-class split.
@@ -446,18 +433,14 @@ def lfunction(s, f: PeriodicFunction, alpha, tol: float = 1e-12,
               dps: int | None = None):
     """L(s, f, alpha) for s != 1 (meromorphic continuation for Re(s) > 1/2).
 
-    Evaluation sums a short head of the defining series directly and pushes
-    the rest through the residue-class split, so agreement with decompose()
-    is a genuine consistency check of the index-shift identities rather
-    than a comparison of one code path with itself.
+    This is the residue-class split q^(-s) sum_b f(b) zeta(s, (alpha+b)/q),
+    series_tail from 0: the residues b = 0..q-1 (with f(0) = f(q) by
+    periodicity) cover the n = 0 term of the defining series.  The pole is
+    refused here, since residue classes with f(b) = 0 call no hurwitz_zeta.
     """
     s = complex(s)
     _refuse_pole(s)
-    h = 16 * f.period
-    head = series_head(s, f, alpha, h - 1, tol=tol / 2, dps=dps)
-    tail = series_tail(s, f, alpha, h, tol=tol / 2, dps=dps)
-    with _precision(dps):
-        return _complete(head + tail, s, dps)
+    return series_tail(s, f, alpha, 0, tol=tol, dps=dps)
 
 
 def lfunction_direct(s, f: PeriodicFunction, alpha, n_terms: int):

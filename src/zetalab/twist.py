@@ -290,6 +290,20 @@ class BlockSchedule:
     mode: str = "authentic"          # "authentic" | "synthetic"
     synthetic_density: float = 0.55
 
+    def __post_init__(self):
+        rules = (("n1", ">= 0", self.n1 >= 0),
+                 ("num_blocks", ">= 0", self.num_blocks >= 0),
+                 ("scale_num", ">= 0", self.scale_num >= 0),
+                 ("scale_den", ">= 1", self.scale_den >= 1),
+                 ("synthetic_density", "in [0, 1]",
+                  0 <= self.synthetic_density <= 1),
+                 ("mode", "authentic or synthetic",
+                  self.mode in ("authentic", "synthetic")))
+        for name, rule, ok in rules:
+            if not ok:
+                raise ValueError(f"the block schedule needs {name} {rule}, "
+                                 f"got {getattr(self, name)!r}")
+
     def block_length(self, n: int) -> int:
         return max(1, n * self.scale_num // self.scale_den)
 

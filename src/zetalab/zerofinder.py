@@ -41,13 +41,15 @@ from .series import PeriodicFunction, lfunction
 from .twist import (TwistedSeries, find_sigma0, tail_bound, truncation_index)
 
 __all__ = [
-    "Rectangle", "Circle", "QuadratureSpec", "RoucheCertificate",
+    "Rectangle", "Circle", "RoucheCertificate",
     "ZeroRecord", "argument_count", "newton_refine",
     "rouche_certificate", "rouche_check", "PipelineBudget", "PipelineResult",
     "find_zero_pipeline",
 ]
 
 _MAX_POINTS = 200_000      # contour evaluations one winding count may spend
+_MIN_POINTS = 16           # least initial samples of a winding count
+_ZERO_FLOOR = 1e-12        # contour modulus that stops a winding count
 _NEWTON_MAX_ITER = 50      # Newton steps before NoConvergence
 _NEWTON_STEP = 1e-6        # central-difference step of the Newton derivative
 _NEWTON_TOL = 1e-9         # residual the pipeline's Newton stage must reach
@@ -106,26 +108,23 @@ class Circle:
         return self.center + self.radius * cmath.exp(2j * math.pi * u)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    initial_points: int = 256
-    zero_floor: float = 1e-12
-
-
 def argument_count(evaluator, contour: Rectangle | Circle,
-                   quad: QuadratureSpec | None = None) -> int:
+                   initial_points: int = 256) -> int:
     """Number of zeros (with multiplicity) of evaluator inside contour.
 
     The evaluator must be analytic inside and on the contour and nonzero on
-    it (checked by minimum-modulus sampling; move or shrink the contour on
-    ZeroOnBoundary).  Each initial segment is subdivided until its argument
-    step is clearly below pi/2 and its modulus jump is moderate; the phase
-    steps then telescope to the winding number up to rounding noise, which
-    is accepted only within 0.25 of an integer.  A negative count, which no
-    analytic integrand gives, raises ZetalabError.
+    it (a sampled modulus below _ZERO_FLOOR raises ZeroOnBoundary; move or
+    shrink the contour then).  The contour is first sampled at
+    initial_points >= 16 equally spaced parameters.  Each initial segment
+    is subdivided until its argument step is clearly below pi/2 and its
+    modulus jump is moderate; the phase steps then telescope to the winding
+    number up to rounding noise, which is accepted only within 0.25 of an
+    integer.  A negative count, which no analytic integrand gives, raises
+    ZetalabError.
     """
-    quad = quad or QuadratureSpec()
-    n0 = max(quad.initial_points, 16)
+    if not initial_points >= _MIN_POINTS:
+        raise ValueError(f"a winding count needs initial_points >= "
+                         f"{_MIN_POINTS}, got {initial_points}")
     spent = [0]
 
     def sample(u: float) -> complex:
@@ -135,17 +134,17 @@ def argument_count(evaluator, contour: Rectangle | Circle,
         spent[0] += 1
         pt = contour.boundary(u)
         v = evaluator(pt)
-        if abs(v) < quad.zero_floor:
+        if abs(v) < _ZERO_FLOOR:
             raise ZeroOnBoundary("contour value below the zero floor",
                                  at=[pt.real, pt.imag], value=abs(v))
         return v
 
     # the loop closes at u = 1 with the value at u = 0
-    us = [i / n0 for i in range(n0)] + [1.0]
+    us = [i / initial_points for i in range(initial_points)] + [1.0]
     vals = [sample(u) for u in us[:-1]]
     vals.append(vals[0])
     pieces = []
-    for i in range(n0):
+    for i in range(initial_points):
         stack = [(us[i], vals[i], us[i + 1], vals[i + 1])]
         while stack:
             a, va, b, vb = stack.pop()

@@ -1,7 +1,10 @@
-"""The public names: every module's __all__ resolves, and the package
-exports the contour types and the one winding function."""
+"""The public names: every module's __all__ resolves, the package exports
+the contour types, the one winding function and the one route to L, and
+every function the benchmark traces by name exists."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,8 @@ import zetalab
 
 MODULES = ["annulus", "cli", "kronecker", "quadfield", "series", "twist",
            "zerofinder"]
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -24,3 +29,18 @@ def test_package_exports():
     assert zetalab.argument_count is zetalab.zerofinder.argument_count
     assert not hasattr(zetalab, "argument_count_circle")
     assert not hasattr(zetalab.zerofinder, "argument_count_circle")
+    assert zetalab.lfunction is zetalab.series.lfunction
+    assert not hasattr(zetalab, "decompose")
+    assert not hasattr(zetalab.series, "decompose")
+    assert not hasattr(zetalab, "QuadratureSpec")
+
+
+def test_traced_names_resolve():
+    # the tracer wraps these by name; it imports no zetalab itself
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for module, name in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(module), name)), \
+            f"{module}.{name}"

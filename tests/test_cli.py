@@ -34,14 +34,23 @@ def test_eval_half_shift_value():
     assert abs(doc["im"]) < 1e-12
 
 
-def test_eval_routes_agree():
-    _, out1, _ = run_cli("eval", "--f", "1,-1", "--alpha", "rat:1,1",
-                         "--s", "2.5,3", "--route", "lfunction")
-    _, out2, _ = run_cli("eval", "--f", "1,-1", "--alpha", "rat:1,1",
-                         "--s", "2.5,3", "--route", "decompose")
-    a, b = json.loads(out1), json.loads(out2)
-    assert abs(a["re"] - b["re"]) < 1e-10
-    assert abs(a["im"] - b["im"]) < 1e-10
+def test_eval_against_mpmath():
+    code, out, _ = run_cli("eval", "--f", "1,-1", "--alpha", "rat:1,1",
+                           "--s", "2.5,3")
+    assert code == 0
+    doc = json.loads(out)
+    # f(0) = f(2) = -1 and f(1) = 1: the series is minus the eta function
+    with mp.workdps(30):
+        ref = -mp.altzeta(mp.mpc(2.5, 3))
+        assert abs(mp.mpc(doc["re"], doc["im"]) - ref) < 1e-10
+
+
+def test_eval_has_one_route():
+    code, out, err = run_cli("eval", "--route", "decompose", "--f", "1,-1",
+                             "--alpha", "rat:1,1", "--s", "2.5,3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: zetalab eval")
 
 
 def test_eval_grid_csv(tmp_path):
@@ -156,6 +165,21 @@ def test_twist_greedy_rejects_sigma_not_above_1(sigma, capsys):
     assert "sigma > 1" in err
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--alpha", "quad:0,1,2", "--scale-den", "0", "--blocks", "2"],
+     "scale_den"),
+    (["--alpha", "quad:0,1,2", "--n1", "-5"], "n1"),
+    (["--alpha", "rat:1,2", "--mode", "synthetic", "--density", "-1",
+      "--n1", "100"], "synthetic_density"),
+])
+def test_twist_greedy_rejects_bad_schedule(flags, field, capsys):
+    code = main(["twist", "greedy", "--no-hp"] + flags)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert f"block schedule needs {field} " in err
+
+
 @pytest.mark.parametrize("delta", ["0.05", "0.03"])
 def test_sign_flip_reaches_small_delta(delta, capsys):
     # flip indices 591474 and 6093498008: the series is L - 2 tail, one L
@@ -180,6 +204,16 @@ def test_zeros_count():
                            "rat:1,1", "--rect", "1.1,2,0,30")
     assert code == 0
     assert json.loads(out)["count"] == 0
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_zeros_count_refuses_too_few_samples(samples, capsys):
+    code = main(["zeros", "count", "--alpha", "rat:1,1", "--rect",
+                 "1.1,2,0,30", "--samples", samples])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "initial_points >= 16" in err
 
 
 def test_zeros_pipeline_structured_failure():
@@ -398,14 +432,11 @@ def test_complex_flags_reject_extra_components():
 
 def test_eval_grid_point_matches_single_point(capsys):
     base = ["eval", "--f", "1,-1", "--alpha", "rat:1,1"]
-    for route in ("lfunction", "decompose"):
-        assert main(base + ["--route", route, "--s", "2,3"]) == 0
-        point = json.loads(capsys.readouterr().out)
-        assert main(base + ["--route", route, "--grid", "2,2,1:3,3,1",
-                            "--format", "csv"]) == 0
-        row = capsys.readouterr().out.splitlines()[1].split(",")
-        assert [float(x) for x in row] == [2.0, 3.0, point["re"],
-                                           point["im"]], route
+    assert main(base + ["--s", "2,3"]) == 0
+    point = json.loads(capsys.readouterr().out)
+    assert main(base + ["--grid", "2,2,1:3,3,1", "--format", "csv"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert [float(x) for x in row] == [2.0, 3.0, point["re"], point["im"]]
 
 
 def test_determinism_byte_identical():

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab.errors import PoleAt1, PrecisionUnreachable
-from zetalab.series import (Alpha, PeriodicFunction, decompose, hurwitz_zeta,
-                            lfunction, lfunction_direct, residue, series_head,
+from zetalab.series import (Alpha, PeriodicFunction, hurwitz_zeta, lfunction,
+                            lfunction_direct, residue, series_head,
                             series_tail)
 
 from conftest import brute_hurwitz, brute_series
@@ -70,10 +70,10 @@ def test_pole_and_domain_errors():
     with pytest.raises(PrecisionUnreachable):
         hurwitz_zeta(1 + 1e-9j, 1.0, tol=1e-18)
     with pytest.raises(PoleAt1):
-        decompose(1 + 1e-13j, ONE, 1.0)
-    # no residue class calls hurwitz_zeta here, so decompose must refuse itself
+        lfunction(1 + 1e-13j, ONE, 1.0)
+    # no residue class calls hurwitz_zeta here, so lfunction must refuse itself
     with pytest.raises(PoleAt1):
-        decompose(1 + 0j, PeriodicFunction((0.0, 0.0)), 1.0, dps=30)
+        lfunction(1 + 0j, PeriodicFunction((0.0, 0.0)), 1.0, dps=30)
 
 
 def test_lfunction_reduces_to_hurwitz():
@@ -94,17 +94,17 @@ def test_lfunction_alternating():
 def test_decompose_examples():
     # constant f over two residue classes collapses to the plain series
     f2 = PeriodicFunction((1.0, 1.0))
-    assert abs(decompose(3 + 0j, f2, 1.0).real - ZETA3) < 1e-11
+    assert abs(lfunction(3 + 0j, f2, 1.0).real - ZETA3) < 1e-11
     # q = 1 keeps the n = 0 term: the residue-class split is the identity
     for alpha in (0.75, 1.0, 2.5):
-        d = decompose(2.5 + 0j, ONE, alpha)
+        d = lfunction(2.5 + 0j, ONE, alpha)
         z = hurwitz_zeta(2.5 + 0j, alpha)
         shift = alpha ** -2.5 + hurwitz_zeta(2.5 + 0j, alpha + 1.0).real
         assert abs(d - z) < 1e-11
         assert abs(d.real - shift) < 1e-11
     # mass only on the odd class
     f20 = PeriodicFunction((2.0, 0.0))
-    assert abs(decompose(2 + 0j, f20, 1.0).real - (-ALT2)) < 1e-11
+    assert abs(lfunction(2 + 0j, f20, 1.0).real - (-ALT2)) < 1e-11
 
 
 def test_decompose_agrees_with_brute_force():
@@ -115,7 +115,6 @@ def test_decompose_agrees_with_brute_force():
         alpha = float(rng.uniform(0.3, 5))
         s = complex(rng.uniform(2.0, 3.0), rng.uniform(-10, 10))
         v, h = brute_series(f, alpha, s, 400_000)
-        assert abs(decompose(s, f, alpha) - v) <= h + 1e-10
         assert abs(lfunction(s, f, alpha) - v) <= h + 1e-10
 
 
@@ -126,7 +125,11 @@ def test_decomposition_identity_random():
         f = PeriodicFunction(tuple(rng.uniform(-2, 2, q)))
         alpha = float(rng.uniform(0.05, 5))
         s = complex(rng.uniform(1.1, 3.0), rng.uniform(-50, 50))
-        assert abs(lfunction(s, f, alpha) - decompose(s, f, alpha)) <= 1e-10
+        # the split from 0 against a direct head and the split from 16q
+        cut = 16 * q
+        split = (series_head(s, f, alpha, cut - 1)
+                 + series_tail(s, f, alpha, cut))
+        assert abs(lfunction(s, f, alpha) - split) <= 1e-10
 
 
 def test_residue_examples():
@@ -340,7 +343,7 @@ def test_eval_families_against_mpmath(request, shift, fvals, t):
     import mpmath as mp
     if shift == "dec:0.3183098861837907" and t == 2e3:
         # |(0 + a)^(-s)| is 3.5 here, and the double-precision phase
-        # t log(a) is off by about eps * 2300: 1.3e-12 either route
+        # t log(a) is off by about eps * 2300: 1.3e-12
         request.applymarker(pytest.mark.xfail(
             strict=True, reason="phase error of large terms at large |t|"))
     alpha = Alpha.parse(shift)
@@ -348,18 +351,16 @@ def test_eval_families_against_mpmath(request, shift, fvals, t):
     s = complex(1.1, t)
     with mp.workdps(30):
         ref = _mp_series_tail(s, f.values, alpha, 0)
-        for route in (lfunction, decompose):
-            v = route(s, f, alpha, tol=1e-12)
-            assert abs(mp.mpc(v.real, v.imag) - ref) <= 1e-12, route
+        v = lfunction(s, f, alpha, tol=1e-12)
+        assert abs(mp.mpc(v.real, v.imag) - ref) <= 1e-12
 
 
-@pytest.mark.parametrize("route", [lfunction, decompose])
-def test_high_precision_route_against_mpmath(route):
+def test_high_precision_route_against_mpmath():
     import mpmath as mp
     alpha = Alpha.parse("quad:1/2,1,3")
     f = PeriodicFunction((2.0, -1.0, 1.0))
     s = 1.1 + 300j
-    v = route(s, f, alpha, tol=1e-22, dps=30)
+    v = lfunction(s, f, alpha, tol=1e-22, dps=30)
     with mp.workdps(40):
         assert abs(v - _mp_series_tail(s, f.values, alpha, 0)) <= 1e-22
 

@@ -234,6 +234,23 @@ def test_greedy_blocks_partition():
         prev_end = row.n_end
 
 
+@pytest.mark.parametrize("field, value", [
+    ("scale_den", 0), ("scale_num", -1), ("n1", -5), ("num_blocks", -1),
+    ("synthetic_density", -0.1), ("synthetic_density", 1.5),
+    ("synthetic_density", math.nan), ("mode", "fast"),
+])
+def test_block_schedule_refuses_bad_fields(field, value):
+    with pytest.raises(ValueError, match=f"needs {field} "):
+        BlockSchedule(**{field: value})
+
+
+def test_block_schedule_accepts_edge_values():
+    for kwargs in (dict(n1=0, num_blocks=0, scale_num=0, scale_den=1),
+                   dict(mode="synthetic", synthetic_density=0.0),
+                   dict(mode="synthetic", synthetic_density=1.0)):
+        BlockSchedule(**kwargs)
+
+
 @pytest.mark.parametrize("alpha, schedule, seed", [
     (SQRT2, BlockSchedule(n1=1000, num_blocks=5), 0),
     (Alpha.rational(1, 2),

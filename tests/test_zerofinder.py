@@ -13,8 +13,8 @@ from zetalab.errors import (FVanishesOnCircle, LeftHalfPlane, NegativeMargin,
                             ZetalabError)
 from zetalab.series import Alpha, PeriodicFunction, lfunction
 from zetalab.twist import TwistedSeries, find_sigma0, truncation_index
-from zetalab.zerofinder import (Circle, PipelineBudget, QuadratureSpec,
-                                Rectangle, argument_count, find_zero_pipeline,
+from zetalab.zerofinder import (Circle, PipelineBudget, Rectangle,
+                                argument_count, find_zero_pipeline,
                                 RoucheCertificate, newton_refine,
                                 rouche_certificate, rouche_check,
                                 _NEWTON_TOL)
@@ -55,20 +55,24 @@ def test_negative_winding_raises():
 
 def test_argument_count_refinement_invariant():
     rect = Rectangle(1.01, 1.1, -1.0, 20.0)
-    base = argument_count(dirichlet_poly, rect,
-                          QuadratureSpec(initial_points=64))
-    doubled = argument_count(dirichlet_poly, rect,
-                             QuadratureSpec(initial_points=128))
-    redoubled = argument_count(dirichlet_poly, rect,
-                               QuadratureSpec(initial_points=256))
+    base = argument_count(dirichlet_poly, rect, 64)
+    doubled = argument_count(dirichlet_poly, rect, 128)
+    redoubled = argument_count(dirichlet_poly, rect, 256)
     assert base == doubled == redoubled == 3
+
+
+@pytest.mark.parametrize("points", [15, 0, -3])
+def test_argument_count_refuses_too_few_initial_points(points):
+    pol = lambda s: s - (1.5 + 5j)
+    with pytest.raises(ValueError, match="initial_points >= 16"):
+        argument_count(pol, Rectangle(1.05, 2.0, 4.0, 6.0), points)
+    assert argument_count(pol, Rectangle(1.05, 2.0, 4.0, 6.0), 16) == 1
 
 
 def test_zero_on_boundary_detected():
     pol = lambda s: s - (1.5 + 5j)
     with pytest.raises(ZeroOnBoundary):
-        argument_count(pol, Rectangle(1.5 - 1e-15, 2.0, 4.0, 6.0),
-                       QuadratureSpec(initial_points=64, zero_floor=1e-9))
+        argument_count(pol, Rectangle(1.5 - 1e-15, 2.0, 4.0, 6.0), 64)
 
 
 def test_rectangle_validation():
