@@ -47,7 +47,7 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def render_json(obj, indent: int = 0) -> str:
+def render_json(obj) -> str:
     """Canonical JSON: floats at 17 significant digits, insertion order."""
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {render_json(v)}"
@@ -67,11 +67,7 @@ def render_json(obj, indent: int = 0) -> str:
 
 
 def _parse_f(ns) -> PeriodicFunction:
-    values = tuple(float(v) for v in str(ns.f).split(","))
-    if ns.q is not None and int(ns.q) != len(values):
-        raise ConfigInvalid("q disagrees with the number of f values",
-                            q=int(ns.q), count=len(values))
-    return PeriodicFunction(values)
+    return PeriodicFunction(tuple(float(v) for v in str(ns.f).split(",")))
 
 
 def _parse_s(text: str) -> complex:
@@ -203,8 +199,7 @@ def _cmd_greedy(args) -> int:
     schedule = BlockSchedule(n1=args.n1, num_blocks=args.blocks,
                              scale_num=args.scale_num,
                              scale_den=args.scale_den,
-                             sigma=args.sigma, delta=args.delta,
-                             mode=args.mode,
+                             sigma=args.sigma, mode=args.mode,
                              synthetic_density=args.density)
     report = run_schedule(f, alpha, schedule, chi_seed=args.seed,
                           hp_check=not args.no_hp)
@@ -254,8 +249,8 @@ _GLOBAL_FLAGS = (
 
 # Flags of the commands that take a series L(s, f, alpha).
 _SERIES = (
-    ("--f", dict(default="1", help="comma list of period values")),
-    ("--q", dict(type=int)),
+    ("--f", dict(default="1", help="comma list of period values; the "
+                 "period q is their count")),
     ("--alpha", dict(required=True,
                      help="rat:p,q | quad:a,b,d | dec:<literal>")),
 )
@@ -301,7 +296,6 @@ _COMMANDS = {
         ("--delta", dict(type=float, required=True)),
     )),
     ("twist", "greedy"): (_cmd_greedy, "greedy character ledger", _SERIES + (
-        ("--delta", dict(type=float, default=1.0)),
         ("--blocks", dict(type=int, default=50)),
         ("--n1", dict(type=int, default=1000)),
         ("--scale-num", dict(type=int, default=1)),

@@ -210,8 +210,9 @@ class PeriodicFunction:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
     @classmethod
-    def constant(cls, c: float = 1.0, q: int = 1) -> "PeriodicFunction":
-        return cls((c,) * q)
+    def constant(cls) -> "PeriodicFunction":
+        """f = 1: the series is zeta(s, alpha) itself."""
+        return cls((1.0,))
 
     @property
     def period(self) -> int:
@@ -412,21 +413,19 @@ def series_tail(s, f: PeriodicFunction, alpha, start: int,
 
 
 def series_head(s, f: PeriodicFunction, alpha, upto: int,
-                tol: float = 1e-12, dps: int | None = None):
+                tol: float = 1e-12):
     """sum_{n = 0..upto} f(n) (n+alpha)^(-s), inclusive.
 
     Ranges up to _HEAD_DIRECT are summed directly (numpy chunks combined by
-    fsum, or mpmath); larger ones go through head = full series minus tail.
+    fsum); larger ones go through head = full series minus tail.
     """
     s = complex(s)
     if upto <= _HEAD_DIRECT:
-        with _precision(dps):
-            sw, a = _working(s, alpha, dps)
-            return _complete(_direct_block(sw, a, upto + 1, f)[0], s, dps)
-    full = lfunction(s, f, alpha, tol=tol / 2, dps=dps)
-    tail = series_tail(s, f, alpha, upto + 1, tol=tol / 2, dps=dps)
-    with _precision(dps):
-        return full - tail
+        sw, a = _working(s, alpha, None)
+        return _complete(_direct_block(sw, a, upto + 1, f)[0], s, None)
+    full = lfunction(s, f, alpha, tol=tol / 2)
+    tail = series_tail(s, f, alpha, upto + 1, tol=tol / 2)
+    return full - tail
 
 
 def lfunction(s, f: PeriodicFunction, alpha, tol: float = 1e-12,

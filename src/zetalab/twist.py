@@ -43,7 +43,7 @@ from .quadfield import private_primes, _factorizer
 from .series import Alpha, PeriodicFunction, lfunction, series_head, series_tail
 
 __all__ = [
-    "TwistedSeries", "GreedyState", "BlockSchedule", "BlockLedger",
+    "TwistedSeries", "BlockSchedule", "BlockLedger",
     "ScheduleReport", "truncation_index", "find_sigma0", "greedy_step",
     "run_schedule", "choose_case_sigma", "tail_bound",
 ]
@@ -97,6 +97,7 @@ _SIGMA_FLOOR = 1e-8        # find_sigma0 hunts down to sigma = 1 + this
 _HP_DPS = 30               # digits of the greedy ledger's recheck
 _CASE_MARGIN = 0.8         # choose_case_sigma wants head < this * 1e-2 * tail
 _CASE_FLOOR = 1e-9         # and walks sigma down to 1 + this
+_REALIZE_TOL = 1e-9        # greedy_step realizes its correction to this
 
 
 def truncation_index(f: PeriodicFunction, alpha, delta: float) -> int:
@@ -213,19 +214,6 @@ def find_sigma0(series: TwistedSeries, delta: float, tol: float = 1e-10):
 # greedy character induction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GreedyState:
-    """Running ledger after a block: the settled partial sum and masses."""
-
-    block_index: int
-    partial: complex          # sum over n <= block end
-    s1: float                 # |previous partial|
-    s2: float                 # fixed-part mass in the block
-    s3: float                 # free-part mass in the block
-    s4: float                 # tail mass past the block
-    correction: complex       # chosen z
-
-
 def _correction(lam: complex, s3: float) -> complex:
     if lam == 0:
         return 0j
@@ -235,40 +223,32 @@ def _correction(lam: complex, s3: float) -> complex:
     return -s3 * lam / mag
 
 
-def greedy_step(state: GreedyState, free_weights, fixed_sum: complex,
-                fixed_mass: float, tail_mass: float,
-                tol: float = 1e-9):
-    """One block of the induction.
+def greedy_step(lam: complex, free_weights):
+    """One block of the induction: steer the free part against lam.
 
-    free_weights: list of (n, w_n) for the steerable part; fixed_sum and
-    fixed_mass are the complex contribution and absolute mass of the rest
-    of the block.  Requires the free multiset to reach the full disk (inner
-    radius zero); returns the new state plus phase angles on the free part
-    realizing the correction.
+    lam is the running sum the block must cancel (the settled partial sum
+    plus the block's fixed part); free_weights is a list of (n, w_n) for
+    the steerable part.  Requires the free multiset to reach the full disk
+    (inner radius zero).  Returns (correction, angles, new_partial): the
+    chosen z, phase angles on the free part realizing it, and lam plus the
+    realized free sum.
     """
-    lam = state.partial + fixed_sum
     weights = [w for _, w in free_weights]
-    s3 = math.fsum(weights)
     angles: dict[int, float] = {}
     if free_weights:
         spec = AnnulusSpec(tuple(weights))
         if spec.inner > 0.0:
             raise AnnulusGap("free weights do not reach the full disk",
                              inner=spec.inner, count=len(weights))
-        z = _correction(lam, s3)
-        phases = realize_phases(spec, z, tol=tol)
+        z = _correction(lam, math.fsum(weights))
+        phases = realize_phases(spec, z, tol=_REALIZE_TOL)
         order = sorted(range(len(weights)), key=lambda i: weights[i])
         for slot, i in enumerate(order):
             angles[free_weights[i][0]] = phases[slot]
         realized = sum(w * cmath.exp(1j * angles[n]) for n, w in free_weights)
     else:
-        z = 0j
-        realized = 0j
-    new_partial = lam + realized
-    new_state = GreedyState(block_index=state.block_index + 1,
-                            partial=new_partial, s1=abs(state.partial),
-                            s2=fixed_mass, s3=s3, s4=tail_mass, correction=z)
-    return new_state, angles
+        z = realized = 0j
+    return z, angles, lam + realized
 
 
 @dataclass(frozen=True)
@@ -286,7 +266,6 @@ class BlockSchedule:
     scale_num: int = 1
     scale_den: int = 100
     sigma: float | None = None
-    delta: float = 1.0
     mode: str = "authentic"          # "authentic" | "synthetic"
     synthetic_density: float = 0.55
 
@@ -358,14 +337,12 @@ class ScheduleReport:
                 "blocks": [b.to_json() for b in self.blocks]}
 
 
-def choose_case_sigma(f: PeriodicFunction, alpha, n1: int,
-                      delta: float = 1.0) -> float:
-    """Exponent sigma in (1, min(1+delta, 2)) making the initial head small:
+def choose_case_sigma(f: PeriodicFunction, alpha, n1: int) -> float:
+    """Exponent sigma in (1, 2) making the initial head small:
     head(n1) < 0.8e-2 * tail(n1).  The pole guarantees existence for
-    positive residue; sigma walks geometrically toward 1 until the
-    inequality holds."""
-    span = min(delta, 1.0)
-    step = span
+    positive residue; sigma walks geometrically toward 1, from 1.5 by
+    halving sigma - 1, until the inequality holds."""
+    step = 1.0
     while True:
         step /= 2.0
         if step < _CASE_FLOOR:
@@ -396,8 +373,9 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     from n = 0.  That holds because the angles of all n up to a block end
     are frozen from then on; a witness prime that already carries an angle
     would break it and raises ZetalabError.  The prefixes are summed from
-    the table, never taken from the greedy state, so realize_err stays an
-    independent check.  The tail is evaluated afresh for every block.
+    the table, never taken from the running sum that greedy_step returns,
+    so realize_err stays an independent check.  The tail is evaluated
+    afresh for every block.
 
     Processing halts at the first block whose damping inequality fails (the
     offending row stays in the report with ok=False).  A free set whose
@@ -409,7 +387,7 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         raise ValueError("the greedy ledger needs f > 0: its free weights "
                          "f(n) / (n+alpha)^sigma are annulus radii")
     sigma = schedule.sigma if schedule.sigma is not None else \
-        choose_case_sigma(f, alpha, schedule.n1, schedule.delta)
+        choose_case_sigma(f, alpha, schedule.n1)
     if not sigma > 1.0:
         raise ValueError(f"the greedy ledger needs sigma > 1, got {sigma}")
     a = float(alpha)
@@ -473,8 +451,9 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     chi = [0.0] * (n1 + 1)
 
     settled, settled_hp = settle(0j, mp.mpc(0) if hp_check else None, 0, n1)
-    state = GreedyState(block_index=0, partial=settled, s1=0.0, s2=0.0,
-                        s3=0.0, s4=0.0, correction=0j)
+    # the greedy's own running sum, built from the realized phases; the
+    # settled prefixes are summed apart from it from the angle table
+    partial = settled
 
     rows: list[BlockLedger] = []
     ok = True
@@ -507,15 +486,18 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
                 chi[n] = angle_of(factors[n])
 
         fixed_sum = sum(weight(n) * cmath.exp(1j * chi[n]) for n in fixed_ns)
-        fixed_mass = math.fsum(weight(n) for n in fixed_ns)
         free_weights = [(n, weight(n)) for n in free_ns]
+        ws = [w for _, w in free_weights]
+        # S2 and S3: the fixed and the free mass of the block
+        s2 = math.fsum(weight(n) for n in fixed_ns)
+        s3 = math.fsum(ws)
         tail_tol = max(1e-11, 1e-14 / (sigma - 1.0))
         tail_mass = series_tail(sigma + 0j, f, alpha, top + 1,
                                 tol=tail_tol).real
 
-        lam = state.partial + fixed_sum
-        state, angles = greedy_step(state, free_weights, fixed_sum,
-                                    fixed_mass, tail_mass)
+        s1 = abs(partial)
+        lam = partial + fixed_sum
+        correction, angles, partial = greedy_step(lam, free_weights)
 
         # write the free angles; in authentic mode through the witness
         # primes, and a witness with an angle already would change terms
@@ -543,9 +525,9 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
 
         # the chain form: the settled sum up to the block start plus the
         # fixed mass minus the free mass
-        chain_lhs = abs(settled) + state.s2 - state.s3
+        chain_lhs = abs(settled) + s2 - s3
         settled, settled_hp = settle(settled, settled_hp, n_cur + 1, top)
-        realize_err = abs(settled - state.partial)
+        realize_err = abs(settled - partial)
         lhs = abs(settled)
         rhs = 1e-2 * tail_mass
         damping_ok = lhs < rhs
@@ -558,16 +540,14 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
                 rhs_hp_v = mp.mpf("0.01") * tail_hp(top + 1)
                 ok_hp = bool(lhs_hp_v < rhs_hp_v)
                 lhs_hp, rhs_hp = float(lhs_hp_v), float(rhs_hp_v)
-        s2, s3 = state.s2, state.s3
         ratio = s3 / s2 if s2 > 0 else math.inf
-        ws = [w for _, w in free_weights]
         pair_ratio = max(ws) / min(ws) if ws else 1.0
 
         rows.append(BlockLedger(
             j=j, n_start=n_cur, n_end=top, free_count=len(free_ns),
-            fixed_count=len(fixed_ns), s1=state.s1, s2=s2, s3=s3,
-            s4=state.s4, lam=lam,
-            correction=state.correction, realize_err=realize_err,
+            fixed_count=len(fixed_ns), s1=s1, s2=s2, s3=s3,
+            s4=tail_mass, lam=lam,
+            correction=correction, realize_err=realize_err,
             damping_lhs=lhs, damping_rhs=rhs, damping_ok=damping_ok,
             damping_lhs_hp=lhs_hp, damping_rhs_hp=rhs_hp, damping_ok_hp=ok_hp,
             chain_lhs=chain_lhs, chain_ok=chain_ok,

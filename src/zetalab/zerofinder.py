@@ -262,19 +262,37 @@ def rouche_certificate(f_eval, diff_eval, center: float, radius: float,
                              samples=samples, margin=eps_safe - sup_safe)
 
 
-def _abs_log_weight_sum(f: PeriodicFunction, alpha: float, sigma: float,
+def _max_powers(ns, disk: Circle):
+    """max over s in the closed disk of |x^(-s)| = x^(-Re s), for each x in
+    ns: at the disk's right end for x < 1, at its left end otherwise."""
+    sigma_min = disk.center.real - disk.radius
+    sigma_max = disk.center.real + disk.radius
+    return ns ** -np.where(ns < 1.0, sigma_max, sigma_min)
+
+
+def _abs_log_weight_sum(f: PeriodicFunction, alpha: float, disk: Circle,
                         cut: int) -> float:
-    """sum_n |f(n)| |log(n+alpha)| (n+alpha)^(-sigma): exact head to cut
-    plus an integral bound for the rest (a derivative bound for the
-    series)."""
+    """Upper bound of sum_n |f(n)| |log(n+alpha)| (n+alpha)^(-Re s) over s
+    in the closed disk (a derivative bound for the series there): exact
+    head to cut plus an integral bound for the rest.
+
+    A term past cut sits at x = n + alpha > 1, where log(x) x^(-sigma)
+    rises until x = e^(1/sigma), to 1/(e sigma), and falls after.  So the
+    integral from cut + alpha bounds the rest once cut + alpha is past the
+    peak; before it, the integral from max(cut + alpha, 1) plus the peak
+    value does.
+    """
     a = float(alpha)
+    sigma = disk.center.real - disk.radius
     ns = np.arange(cut + 1, dtype=float) + a
     coeffs = np.array([abs(f(n)) for n in range(cut + 1)])
-    head = float((coeffs * np.abs(np.log(ns)) * ns ** (-sigma)).sum())
-    x = cut + 1 + a
+    head = float((coeffs * np.abs(np.log(ns)) * _max_powers(ns, disk)).sum())
+    x = max(cut + a, 1.0)
     s1 = sigma - 1.0
-    tail = f.max_abs * x ** (-s1) * (math.log(x) / s1 + 1.0 / (s1 * s1))
-    return head + tail
+    tail = x ** (-s1) * (math.log(x) / s1 + 1.0 / (s1 * s1))
+    if x < math.exp(1.0 / sigma):
+        tail += 1.0 / (math.e * sigma)
+    return head + f.max_abs * tail
 
 
 def rouche_check(series: TwistedSeries, sigma0: float, delta1: float,
@@ -296,8 +314,9 @@ def rouche_check(series: TwistedSeries, sigma0: float, delta1: float,
     f, alpha = series.f, series.alpha
     a = float(alpha)
     sigma_min = sigma0 - delta1
+    disk = Circle(sigma0, delta1)
 
-    d_f = _abs_log_weight_sum(f, a, sigma_min, min(n_cut, 4000))
+    d_f = _abs_log_weight_sum(f, a, disk, min(n_cut, 4000))
 
     ns = np.arange(n_cut + 1, dtype=float) + a
     logns = np.log(ns)
@@ -309,7 +328,8 @@ def rouche_check(series: TwistedSeries, sigma0: float, delta1: float,
     def diff_eval(s: complex) -> complex:
         return complex((coeffs * np.exp(-s * logns)).sum())
 
-    d_diff = float((np.abs(coeffs) * np.abs(logns) * ns ** (-sigma_min)).sum())
+    d_diff = float((np.abs(coeffs) * np.abs(logns)
+                    * _max_powers(ns, disk)).sum())
     if series.flip_index is None and t == 0.0:
         tail = 0.0
     else:
@@ -327,7 +347,6 @@ def rouche_check(series: TwistedSeries, sigma0: float, delta1: float,
         raise NegativeMargin("certificate inequality fails at this shift",
                              certificate=cert.to_json())
     # a positive margin forces equal zero counts inside the disk
-    disk = Circle(sigma0, delta1)
     count_l = argument_count(
         lambda s: lfunction(s + 1j * t, f, alpha, tol=1e-12), disk)
     count_f = argument_count(lambda s: series.evaluate(s, tol=1e-12), disk)

@@ -33,6 +33,8 @@ def test_package_exports():
     assert not hasattr(zetalab, "decompose")
     assert not hasattr(zetalab.series, "decompose")
     assert not hasattr(zetalab, "QuadratureSpec")
+    assert not hasattr(zetalab, "GreedyState")
+    assert not hasattr(zetalab.twist, "GreedyState")
 
 
 def test_traced_names_resolve():

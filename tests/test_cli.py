@@ -1,7 +1,9 @@
 """Command-line front end: dispatch, determinism, round trips, exit codes."""
 
+import inspect
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -26,8 +28,8 @@ def run_cli(*argv):
 
 
 def test_eval_half_shift_value():
-    code, out, _ = run_cli("eval", "--f", "1", "--q", "1",
-                           "--alpha", "rat:1,2", "--s", "2,0")
+    code, out, _ = run_cli("eval", "--f", "1", "--alpha", "rat:1,2",
+                           "--s", "2,0")
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["re"] - 4.934802200544679) < 1e-10
@@ -287,7 +289,9 @@ def test_flags_a_command_does_not_read_are_refused(capsys):
                  count + ["--precision", "40"],
                  kron + ["--seed", "7"],
                  ["--precision", "40", "eval", "--alpha", "rat:1,2"],
-                 ["--seed", "7"] + greedy):
+                 ["--seed", "7"] + greedy,
+                 greedy + ["--delta", "1.0"],
+                 count + ["--q", "1"]):
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 2, argv
@@ -410,6 +414,21 @@ def test_each_command_has_its_own_handler():
     args = _parse_args(["annulus", "radii", "--r", "1,2"])
     assert args.run is _COMMANDS[("annulus", "radii")][0]
     assert not hasattr(args, "action")
+
+
+def test_every_declared_flag_is_read():
+    # a flag that a command accepts and never reads changes nothing: the
+    # handler reads each of its flags as args.<dest>, or _parse_f reads it
+    # as ns.<dest> for a handler that calls _parse_f
+    parse_f = inspect.getsource(cli._parse_f)
+    for words, (run, _, flags) in cli._COMMANDS.items():
+        source = inspect.getsource(run)
+        for flag, _ in flags:
+            dest = flag[2:].replace("-", "_")
+            read = re.search(rf"\bargs\.{dest}\b", source) or (
+                "_parse_f(args)" in source
+                and re.search(rf"\bns\.{dest}\b", parse_f))
+            assert read, f"zetalab {' '.join(words)} {flag} is never read"
 
 
 def test_global_flag_value_equal_to_command_word(tmp_path, monkeypatch,

@@ -176,9 +176,11 @@ def test_membership_oracle_consistency():
 
 
 # an inert prime dividing B, split-prime denominators, a half basis with a
-# denominator, class number two, and a denominator at an inert prime
+# denominator, class number two, a denominator at an inert prime, a split
+# prime dividing B (7 in Q(sqrt 2): Hensel lifts past the first step), and
+# the split prime 2 (d = 17 = 1 mod 8)
 RANGE_SHAPES = ["quad:0,3,2", "quad:0,1/7,2", "quad:1/4,1/2,5",
-                "quad:0,1,10", "quad:1/3,1,2"]
+                "quad:0,1,10", "quad:1/3,1,2", "quad:0,7,2", "quad:0,1,17"]
 
 
 @pytest.mark.parametrize("shape", RANGE_SHAPES)

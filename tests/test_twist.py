@@ -14,7 +14,7 @@ from zetalab.errors import AnnulusGap, CaseUnreachable, NoSuchIndex, \
     SignChangeNotBracketed, ZetalabError
 from zetalab.quadfield import CasselsBlock, factor_shift, private_primes
 from zetalab.series import Alpha, PeriodicFunction
-from zetalab.twist import (BlockSchedule, GreedyState, TwistedSeries,
+from zetalab.twist import (BlockSchedule, TwistedSeries,
                            choose_case_sigma, find_sigma0, greedy_step,
                            run_schedule, truncation_index)
 from zetalab.twist import _correction
@@ -157,31 +157,26 @@ def test_correction_rule_cases():
 
 
 def test_greedy_step_examples():
-    state = GreedyState(0, 0j, 0, 0, 0, 0, 0j)
     free = [(11, 1.0), (12, 1.0), (13, 1.0)]
-    new, angles = greedy_step(state, free, fixed_sum=0j, fixed_mass=0.0,
-                              tail_mass=1.0)
-    assert new.correction == 0j
-    assert abs(new.partial) <= 1e-9
+    correction, angles, partial = greedy_step(0j, free)
+    assert correction == 0j
+    assert abs(partial) <= 1e-9
 
-    state = GreedyState(0, 3 + 0j, 0, 0, 0, 0, 0j)
-    new, _ = greedy_step(state, free, 0j, 0.0, 1.0)
-    assert new.correction == -3 + 0j
-    assert abs(new.partial) <= 1e-9
+    correction, _, partial = greedy_step(3 + 0j, free)
+    assert correction == -3 + 0j
+    assert abs(partial) <= 1e-9
 
-    state = GreedyState(0, 10 + 0j, 0, 0, 0, 0, 0j)
     free4 = [(n, 1.0) for n in range(4)]
-    new, _ = greedy_step(state, free4, 0j, 0.0, 1.0)
-    assert abs(new.correction + 4) < 1e-12
-    assert abs(abs(new.partial) - 6.0) <= 1e-9
+    correction, _, partial = greedy_step(10 + 0j, free4)
+    assert abs(correction + 4) < 1e-12
+    assert abs(abs(partial) - 6.0) <= 1e-9
 
 
 def test_greedy_step_annulus_gap():
-    state = GreedyState(0, 1 + 0j, 0, 0, 0, 0, 0j)
     with pytest.raises(AnnulusGap):
-        greedy_step(state, [(5, 1.0)], 0j, 0.0, 1.0)
+        greedy_step(1 + 0j, [(5, 1.0)])
     with pytest.raises(AnnulusGap):
-        greedy_step(state, [(5, 1.0), (6, 3.0)], 0j, 0.0, 1.0)
+        greedy_step(1 + 0j, [(5, 1.0), (6, 3.0)])
 
 
 def test_case_sigma_found_and_unreachable():

@@ -4,6 +4,7 @@ import cmath
 import math
 from types import SimpleNamespace
 
+import mpmath as mp
 import pytest
 
 from zetalab import zerofinder
@@ -17,7 +18,7 @@ from zetalab.zerofinder import (Circle, PipelineBudget, Rectangle,
                                 argument_count, find_zero_pipeline,
                                 RoucheCertificate, newton_refine,
                                 rouche_certificate, rouche_check,
-                                _NEWTON_TOL)
+                                _abs_log_weight_sum, _NEWTON_TOL)
 
 ONE = PeriodicFunction.constant()
 
@@ -138,6 +139,26 @@ def test_rouche_synthetic_cross_validation(rng):
             # the certified disk really contains a zero of L iff F had one
             assert count_f == (1 if inside else 0)
     assert false_positives == 0
+
+
+@pytest.mark.parametrize("cut", [0, 1, 2, 6, 2000])
+def test_derivative_bound_is_at_least_the_series(cut):
+    # sum_n |log(n+a)| (n+a)^(-sigma) is -zeta'(sigma, a), with the n = 0
+    # term's sign turned when a < 1; the bound over the disk must reach it
+    # at both ends of the disk's sigma range
+    def exact(a, sigma):
+        total = -mp.zeta(sigma, a, 1)
+        if a < 1:
+            total += 2 * abs(mp.log(a)) * mp.power(a, -sigma)
+        return float(total)
+
+    sigmas = (1.001, 1.01, 1.1, 1.2, 1.5, 1.9, 2.0, 3.0)
+    for a in (0.05, 0.3, 0.5, 0.7853981634, 1.0, 1.5, 2.5):
+        for lo, hi in zip(sigmas, sigmas[1:]):
+            disk = Circle((lo + hi) / 2, (hi - lo) / 2)
+            bound = _abs_log_weight_sum(ONE, a, disk, cut)
+            for sigma in (lo, hi):
+                assert bound >= exact(a, sigma), (a, lo, hi, sigma)
 
 
 def test_rouche_identity_comparison():
