@@ -27,10 +27,10 @@ import math
 import sys
 
 from .annulus import AnnulusSpec, radii, realize_phases
-from .errors import ConfigInvalid, ZetalabError
+from .errors import ConfigInvalid, PrecisionUnreachable, ZetalabError
 from .kronecker import KroneckerProblem, SearchBudget, solve
 from .quadfield import factor_shift, ideal_denominator, private_primes
-from .series import Alpha, PeriodicFunction, lfunction
+from .series import Alpha, PeriodicFunction, lfunction, series_tail_mp
 from .twist import BlockSchedule, TwistedSeries, find_sigma0, run_schedule, \
     truncation_index
 from .zerofinder import PipelineBudget, Rectangle, argument_count, \
@@ -97,8 +97,16 @@ def _cmd_eval(args) -> int:
     alpha = Alpha.parse(args.alpha)
 
     def value(s: complex) -> complex:
-        return complex(lfunction(s, f, alpha, tol=args.tol,
-                                 dps=args.precision))
+        if args.precision is None:
+            return lfunction(s, f, alpha, tol=args.tol)
+        # mpmath at ten guard digits past the precision; the value carries
+        # the precision less five digits of its magnitude
+        v, magnitude = series_tail_mp(s, f, alpha, 0, args.precision + 10)
+        floor = 10.0 ** (5 - args.precision) * float(magnitude)
+        if args.tol < floor:
+            raise PrecisionUnreachable("tolerance below reachable floor",
+                                       tol=args.tol, floor=floor)
+        return complex(v)
 
     if args.grid:
         srange, trange = args.grid.split(":")
@@ -260,8 +268,8 @@ _TOL = ("--tol", dict(type=float, default=1e-12))
 _COMMANDS = {
     ("eval",): (_cmd_eval, "series values and identity checks", _SERIES + (
         _TOL,
-        ("--precision", dict(type=int,
-                             help="software precision in decimal digits")),
+        ("--precision", dict(type=int, help="evaluate by mpmath at this "
+                             "many decimal digits")),
         ("--s", dict(default="2,0", help="sigma,t")),
         ("--grid", dict(help="smin,smax,ns:tmin,tmax,nt (CSV output)")),
     )),

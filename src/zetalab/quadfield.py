@@ -15,14 +15,14 @@ Factorizations are sieved over whole ranges of n in integer arithmetic.
 With D the common denominator of alpha's integral coordinates,
 D*(n + alpha) = A(n) + B*w where A(n) = D*n + A0, and its norm g(n) is an
 integer quadratic in n.  The few primes dividing 2*d*D*B get exact local
-valuations (a split one through the p-adic embedding that sends w to a
-Hensel lift of r).  Any other prime dividing g(n) is split, and its ideal
-(p, r) divides exactly the n in one residue class mod p, with exponent
-v_p(g(n)).  Once the primes up to the square root of the largest cofactor
-are stripped, what is left of g(n) is 1 or one prime q, whose ideal is
-(q, -A(n)/B mod q).  Two checks guard every
-factorization: the ideal (n + alpha)*a must come out integral, and the
-norms of its prime factors must multiply back to its norm.
+valuations (at a split one, p is stripped from both coordinates, and what
+is left lies in at most one of the two conjugate ideals).  Any other prime
+dividing g(n) is split, and its ideal (p, r) divides exactly the n in one
+residue class mod p, with exponent v_p(g(n)).  Once the primes up to the
+square root of the largest cofactor are stripped, what is left of g(n) is
+1 or one prime q, whose ideal is (q, -A(n)/B mod q).  Two checks guard
+every factorization: the ideal (n + alpha)*a must come out integral, and
+the norms of its prime factors must multiply back to its norm.
 
 The interface is degree-agnostic on purpose (factorizations are lists of
 labeled primes with exponents); only the quadratic case is implemented.
@@ -318,37 +318,6 @@ def _primes_above(field: QuadraticField, p: int) -> list[PrimeIdeal]:
     return [PrimeIdeal(p, r1, "split"), PrimeIdeal(p, r2, "split")]
 
 
-class _RootLift:
-    """Hensel lifts of a generator-polynomial root modulo growing p-powers."""
-
-    def __init__(self, field: QuadraticField, prime: PrimeIdeal):
-        self.lin, self.const = _minpoly_coeffs(field)
-        self.p = prime.p
-        self.k = 1
-        self.mod = prime.p
-        self.root = prime.r
-
-    def ensure(self, k: int):
-        while self.k < k:
-            new_mod = self.mod * self.mod
-            r = self.root
-            g = (r * r + self.lin * r + self.const) % new_mod
-            gp = (2 * r + self.lin) % new_mod
-            inv = pow(gp, -1, new_mod)
-            self.root = (r - g * inv) % new_mod
-            self.mod = new_mod
-            self.k *= 2
-
-    def valuation(self, a: int, b: int, bound: int) -> int:
-        """v_P(a + b*w) through the embedding w -> lifted root, for an
-        integral a + b*w whose valuation is at most bound."""
-        self.ensure(bound + 1)
-        x = (a + b * self.root) % self.mod
-        if x == 0:
-            raise ArithmeticError("lift precision exhausted")
-        return _vp(x, self.p)
-
-
 @dataclass(frozen=True)
 class IdealFactorization:
     """Factorization of (n + alpha) * a into labeled prime-ideal powers."""
@@ -400,7 +369,6 @@ class _ShiftFactorizer:
         self.D = math.lcm(x.denominator, y.denominator)
         self.A0, self.B = int(x * self.D), int(y * self.D)
         self.lin, self.const = _minpoly_coeffs(field)
-        self.lifts: dict[PrimeIdeal, _RootLift] = {}
         self.cache: dict[int, IdealFactorization] = {}
         # primes dividing 2*d*D*B get exact local valuations; every other
         # prime ideal dividing some g(n) is split and is sieved
@@ -443,9 +411,14 @@ class _ShiftFactorizer:
             elif prime.kind == "ramified":
                 v = vg
             else:
-                if prime not in self.lifts:
-                    self.lifts[prime] = _RootLift(self.field, prime)
-                v = self.lifts[prime].valuation(a, self.B, vg)
+                # p O = P P' with P = (p, w - r): p stripped from both
+                # coordinates e times leaves an element in at most one of
+                # P and P', in P iff it vanishes at w = r mod p, and then
+                # with the rest of the norm's valuation
+                x, y, e = a, self.B, 0
+                while x % p == 0 and y % p == 0:
+                    x, y, e = x // p, y // p, e + 1
+                v = vg - e if (x + y * prime.r) % p == 0 else e
             out.append((prime, v))
         # sum of f_P * v_P over P | p must equal v_p of the norm
         if sum((2 if pr.kind == "inert" else 1) * v for pr, v in out) != vg:

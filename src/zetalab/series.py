@@ -20,13 +20,15 @@ even-order Bernoulli corrections (B_2 .. B_2K, K <= 40) with a rigorous
 remainder bound.  M and K are planned together: for each K the remainder
 bound is solved for the least M that meets the requested tolerance, and the
 pair of least cost M + c*K is kept.  The bound is checked again after
-evaluation; M is doubled in the rare case that it does not hold.
+evaluation; M is doubled in the rare case that it does not hold.  The
+core runs in double precision only.  High-precision values come from one
+route, series_tail_mp: mpmath's own Hurwitz zeta on the same residue-class
+split, at a stated number of working digits.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +39,8 @@ from .errors import PoleAt1, PrecisionUnreachable
 
 __all__ = [
     "Alpha", "PeriodicFunction", "hurwitz_zeta", "lfunction", "residue",
-    "lfunction_direct", "series_tail", "series_head",
+    "lfunction_direct", "series_tail", "series_tail_mp", "series_head",
+    "tail_bound",
 ]
 
 # Euler-Maclaurin orders K (corrections B_2 .. B_2K) the plan chooses from.
@@ -69,10 +72,9 @@ def _bernoulli_even(count: int) -> list[Fraction]:
     return [Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
             for k in range(1, count + 1)]
 
-# B_{2k} / (2k)!, k = 1 .. max order + 1: exact, and as floats
-_C_EXACT = [b / math.factorial(2 * k)
-            for k, b in enumerate(_bernoulli_even(_ORDERS[-1] + 1), 1)]
-_C_EVEN = [float(c) for c in _C_EXACT]
+# B_{2k} / (2k)!, k = 1 .. max order + 1, as floats
+_C_EVEN = [float(b / math.factorial(2 * k))
+           for k, b in enumerate(_bernoulli_even(_ORDERS[-1] + 1), 1)]
 
 # per candidate order K: (K, 2K + 1, log |B_{2K+2} / (2K+2)!|)
 _PLAN_ROWS = [(k, 2 * k + 1, math.log(abs(_C_EVEN[k]))) for k in _ORDERS]
@@ -183,11 +185,11 @@ class Alpha:
         return self.value
 
 
-def _shift_value(alpha, dps: int | None = None):
-    """The shift as a float, or with dps set as an mpf at working precision."""
+def _shift_value(alpha) -> float:
+    """The shift as a float."""
     if isinstance(alpha, Alpha):
-        return alpha.value if dps is None else alpha.value_mp()
-    a = float(alpha) if dps is None else mp.mpf(alpha)
+        return alpha.value
+    a = float(alpha)
     if a <= 0:
         raise ValueError("shift must be positive")
     return a
@@ -248,28 +250,14 @@ def residue(f: PeriodicFunction) -> float:
 # Euler-Maclaurin core
 # ----------------------------------------------------------------------------
 
-def _precision(dps: int | None):
-    return nullcontext() if dps is None else mp.workdps(dps + 10)
+def _working(s: complex, alpha):
+    """(s, shift): s as a float on the real axis (so powers stay real and
+    results exactly real) or else complex, and the shift as a float."""
+    return (s if s.imag else s.real), _shift_value(alpha)
 
 
-def _working(s: complex, alpha, dps: int | None):
-    """(s, shift) in the arithmetic of the evaluation.
-
-    Without dps: s as a float on the real axis (so powers stay real and
-    results exactly real) or else complex, and the shift as a float.  With
-    dps: mpmath numbers at the current working precision.
-    """
-    if dps is None:
-        sw = s if s.imag else s.real
-    else:
-        sw = mp.mpc(s.real, s.imag) if s.imag else mp.mpf(s.real)
-    return sw, _shift_value(alpha, dps)
-
-
-def _complete(value, s: complex, dps: int | None):
-    """Double-precision results as complex, with imag exactly 0 at real s."""
-    if dps is not None:
-        return value
+def _complete(value, s: complex) -> complex:
+    """Results as complex, with imag exactly 0 at real s."""
     return complex(value) if s.imag else complex(value.real, 0.0)
 
 
@@ -303,17 +291,11 @@ def _em_plan(s: complex, a: float, tol: float) -> tuple[int, int]:
     return best
 
 
-def _direct_block(s, a, m: int, f: PeriodicFunction | None = None):
+def _direct_block(s, a: float, m: int, f: PeriodicFunction | None = None):
     """(sum, sum of |terms|) of f(n) (n+a)^(-s), n = 0..m-1 (f = 1 if None).
 
-    An mpf shift sums in mpmath, each power computed once; otherwise numpy
-    sums chunks of terms and fsum combines the chunk sums.
+    numpy sums chunks of terms and fsum combines the chunk sums.
     """
-    if isinstance(a, mp.mpf):
-        terms = [(n + a) ** (-s) for n in range(m)]
-        if f is not None:
-            terms = [f(n) * x for n, x in enumerate(terms)]
-        return mp.fsum(terms), mp.fsum(terms, absolute=True)
     sums, mags = [], []
     for lo in range(0, m, _CHUNK):
         hi = min(lo + _CHUNK, m)
@@ -326,11 +308,10 @@ def _direct_block(s, a, m: int, f: PeriodicFunction | None = None):
                    math.fsum(x.imag for x in sums)), math.fsum(mags)
 
 
-def _em_once(s, a, m: int, order: int, coeffs):
-    """One Euler-Maclaurin pass at cutoff m and order K, in the arithmetic of
-    s and a.
+def _em_once(s, a: float, m: int, order: int, coeffs):
+    """One Euler-Maclaurin pass at cutoff m and order K.
 
-    coeffs are B_2k/(2k)!, k = 1..K+1, in that arithmetic too.  Returns
+    coeffs are B_2k/(2k)!, k = 1..K+1.  Returns
     (value, remainder bound, magnitude scale).  The remainder bound is the
     standard one: |first omitted correction| * |s+2K+1| / (sigma+2K+1),
     valid here since sigma + 2K + 1 > 0 (the factor is 1 on the real axis).
@@ -350,47 +331,41 @@ def _em_once(s, a, m: int, order: int, coeffs):
     return direct + tail + half + corr, rem, mag + abs(tail) + abs(half)
 
 
-def hurwitz_zeta(s, alpha, tol: float = 1e-12, dps: int | None = None):
-    """zeta(s, alpha) with absolute error at most tol.
+def hurwitz_zeta(s, alpha, tol: float = 1e-12):
+    """zeta(s, alpha) with absolute error at most tol, in double precision.
 
     Requires Re(s) > 1/2 and s != 1.  At real s the result has zero
-    imaginary part.  With dps set, evaluation runs in mpmath software
-    precision (for certificate margins that double precision cannot carry).
+    imaginary part.  A tol below a few ulps of the magnitude scale raises
+    PrecisionUnreachable; series_tail_mp gives values beyond that floor.
     """
     s = complex(s)
     _refuse_pole(s)
     if s.real <= 0.5:
         raise ValueError("evaluation requires Re(s) > 1/2")
-    with _precision(dps):
-        sw, a = _working(s, alpha, dps)
-        m, order = _em_plan(s, float(a), tol)
-        if dps is None:
-            # the direct block is summed in fsum-combined chunks; a few ulps
-            # of the magnitude scale is what double precision can deliver
-            coeffs, unit = _C_EVEN, 4 * math.ulp(1.0)
-        else:
-            coeffs = [mp.mpf(c.numerator) / c.denominator
-                      for c in _C_EXACT[:order + 1]]
-            unit = mp.mpf(10) ** (5 - dps)
-        while True:
-            if m > _MAX_DIRECT:
-                raise PrecisionUnreachable(
-                    "cutoff beyond the direct-block cap", tol=tol, cutoff=m)
-            value, rem, scale = _em_once(sw, a, m, order, coeffs)
-            if not rem < math.inf:      # inf or nan
-                raise PrecisionUnreachable(
-                    "Euler-Maclaurin remainder bound is not finite",
-                    s=[s.real, s.imag], cutoff=m, order=order)
-            if not tol >= unit * scale:
-                raise PrecisionUnreachable("tolerance below reachable floor",
-                                           tol=tol, floor=float(unit * scale))
-            if rem <= tol:
-                return _complete(value, s, dps)
-            m *= 2
+    sw, a = _working(s, alpha)
+    m, order = _em_plan(s, a, tol)
+    # the direct block is summed in fsum-combined chunks; a few ulps of the
+    # magnitude scale is what double precision can deliver
+    unit = 4 * math.ulp(1.0)
+    while True:
+        if m > _MAX_DIRECT:
+            raise PrecisionUnreachable(
+                "cutoff beyond the direct-block cap", tol=tol, cutoff=m)
+        value, rem, scale = _em_once(sw, a, m, order, _C_EVEN)
+        if not rem < math.inf:      # inf or nan
+            raise PrecisionUnreachable(
+                "Euler-Maclaurin remainder bound is not finite",
+                s=[s.real, s.imag], cutoff=m, order=order)
+        if not tol >= unit * scale:
+            raise PrecisionUnreachable("tolerance below reachable floor",
+                                       tol=tol, floor=unit * scale)
+        if rem <= tol:
+            return _complete(value, s)
+        m *= 2
 
 
 def series_tail(s, f: PeriodicFunction, alpha, start: int,
-                tol: float = 1e-12, dps: int | None = None):
+                tol: float = 1e-12):
     """sum_{n >= start} f(n) (n+alpha)^(-s) via the residue-class split.
 
     Works for astronomically large start (the split shifts the zeta
@@ -400,16 +375,43 @@ def series_tail(s, f: PeriodicFunction, alpha, start: int,
     q = f.period
     weight = q ** (-s.real) * (math.fsum(abs(v) for v in f.values) + 1.0)
     each = 0.5 * tol / weight
-    with _precision(dps):
-        sw, a = _working(s, alpha, dps)
-        total = 0
+    sw, a = _working(s, alpha)
+    total = 0
+    for r in range(q):
+        c = f(start + r)
+        if c == 0.0:
+            continue
+        total += c * hurwitz_zeta(s, (a + start + r) / q, tol=each)
+    return _complete(q ** (-sw) * total, s)
+
+
+def series_tail_mp(s, f: PeriodicFunction, alpha, start: int, dps: int):
+    """(value, magnitude) of sum_{n >= start} f(n) (n+alpha)^(-s) as mpmath
+    numbers at dps working digits: the high-precision route.
+
+    The value is q^(-s) sum_r f(start+r) zeta(s, (alpha+start+r)/q) with
+    mpmath's own Hurwitz zeta, the class terms summed in order of r; the
+    magnitude is |q^(-s)| sum_r |f(start+r) zeta(...)|, the scale of its
+    rounding.  Refuses what lfunction refuses: s near 1 and Re(s) <= 1/2.
+    """
+    s = complex(s)
+    _refuse_pole(s)
+    if s.real <= 0.5:
+        raise ValueError("evaluation requires Re(s) > 1/2")
+    q = f.period
+    with mp.workdps(dps):
+        sw = mp.mpc(s.real, s.imag) if s.imag else mp.mpf(s.real)
+        a = alpha.value_mp() if isinstance(alpha, Alpha) else \
+            mp.mpf(_shift_value(alpha))
+        total, mass = mp.mpf(0), mp.mpf(0)
         for r in range(q):
             c = f(start + r)
-            if c == 0.0:
-                continue
-            total += c * hurwitz_zeta(s, (a + start + r) / q, tol=each,
-                                      dps=dps)
-        return _complete(q ** (-sw) * total, s, dps)
+            if c:
+                term = c * mp.zeta(sw, (a + start + r) / q)
+                total += term
+                mass += abs(term)
+        scale = mp.power(q, -sw)
+        return scale * total, abs(scale) * mass
 
 
 def series_head(s, f: PeriodicFunction, alpha, upto: int,
@@ -421,15 +423,14 @@ def series_head(s, f: PeriodicFunction, alpha, upto: int,
     """
     s = complex(s)
     if upto <= _HEAD_DIRECT:
-        sw, a = _working(s, alpha, None)
-        return _complete(_direct_block(sw, a, upto + 1, f)[0], s, None)
+        sw, a = _working(s, alpha)
+        return _complete(_direct_block(sw, a, upto + 1, f)[0], s)
     full = lfunction(s, f, alpha, tol=tol / 2)
     tail = series_tail(s, f, alpha, upto + 1, tol=tol / 2)
     return full - tail
 
 
-def lfunction(s, f: PeriodicFunction, alpha, tol: float = 1e-12,
-              dps: int | None = None):
+def lfunction(s, f: PeriodicFunction, alpha, tol: float = 1e-12):
     """L(s, f, alpha) for s != 1 (meromorphic continuation for Re(s) > 1/2).
 
     This is the residue-class split q^(-s) sum_b f(b) zeta(s, (alpha+b)/q),
@@ -439,22 +440,29 @@ def lfunction(s, f: PeriodicFunction, alpha, tol: float = 1e-12,
     """
     s = complex(s)
     _refuse_pole(s)
-    return series_tail(s, f, alpha, 0, tol=tol, dps=dps)
+    return series_tail(s, f, alpha, 0, tol=tol)
 
 
 def lfunction_direct(s, f: PeriodicFunction, alpha, n_terms: int):
     """Brute-force partial sum with a rigorous tail bound.
 
     Returns (partial, bound) where |L(s,f,alpha) - partial| <= bound.  The
-    bound is max|f| * integral_{n_terms-1}^inf (x+alpha)^(-sigma) dx and
-    needs sigma > 1.  Independent of the Euler-Maclaurin machinery; this is
-    the test oracle for everything above.
+    bound is tail_bound from n_terms - 1 and needs sigma > 1.  Independent
+    of the Euler-Maclaurin machinery; this is the test oracle for
+    everything above.
     """
     s = complex(s)
     if s.real <= 1:
         raise ValueError("direct summation needs Re(s) > 1")
-    sw, a = _working(s, alpha, None)
-    partial = _complete(_direct_block(sw, a, n_terms, f)[0], s, None)
-    sigma = s.real
-    bound = f.max_abs * (n_terms - 1 + a) ** (1 - sigma) / (sigma - 1)
-    return partial, bound
+    sw, a = _working(s, alpha)
+    partial = _complete(_direct_block(sw, a, n_terms, f)[0], s)
+    return partial, tail_bound(f, a, s.real, n_terms - 1)
+
+
+def tail_bound(f: PeriodicFunction, alpha, sigma: float, start: int) -> float:
+    """Rigorous upper bound for sum_{n > start} |f(n)| (n+alpha)^(-sigma),
+    by comparison with the integral from start."""
+    a = float(alpha)
+    if sigma <= 1:
+        return math.inf
+    return f.max_abs * (start + a) ** (1.0 - sigma) / (sigma - 1.0)

@@ -40,22 +40,14 @@ from .annulus import AnnulusSpec, realize_phases
 from .errors import (AnnulusGap, CaseUnreachable, NoSuchIndex,
                      SignChangeNotBracketed, ZetalabError)
 from .quadfield import private_primes, _factorizer
-from .series import Alpha, PeriodicFunction, lfunction, series_head, series_tail
+from .series import (Alpha, PeriodicFunction, lfunction, series_head,
+                     series_tail, series_tail_mp)
 
 __all__ = [
     "TwistedSeries", "BlockSchedule", "BlockLedger",
     "ScheduleReport", "truncation_index", "find_sigma0", "greedy_step",
-    "run_schedule", "choose_case_sigma", "tail_bound",
+    "run_schedule", "choose_case_sigma",
 ]
-
-
-def tail_bound(f: PeriodicFunction, alpha, sigma: float, start: int) -> float:
-    """Rigorous upper bound for sum_{n > start} |f(n)| (n+alpha)^(-sigma),
-    by comparison with the integral from start."""
-    a = float(alpha)
-    if sigma <= 1:
-        return math.inf
-    return f.max_abs * (start + a) ** (1.0 - sigma) / (sigma - 1.0)
 
 
 @dataclass(frozen=True)
@@ -426,17 +418,6 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
                     acc_hp += f(n) * mp.mpc(cos, sin) / (n + a_mp) ** sigma_mp
         return acc, acc_hp
 
-    def tail_hp(start: int):
-        # independent high-precision tail through mpmath's own zeta
-        with mp.workdps(_HP_DPS):
-            q = f.period
-            total = mp.mpf(0)
-            for r in range(q):
-                c = f(start + r)
-                if c:
-                    total += c * mp.zeta(sigma_mp, (a_mp + start + r) / q)
-            return mp.power(q, -sigma_mp) * total
-
     # first block preassignment: everything visible up to n1 is pinned at 1
     n1 = schedule.n1
     if authentic:
@@ -537,7 +518,8 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         if hp_check:
             with mp.workdps(_HP_DPS):
                 lhs_hp_v = abs(settled_hp)
-                rhs_hp_v = mp.mpf("0.01") * tail_hp(top + 1)
+                rhs_hp_v = mp.mpf("0.01") * series_tail_mp(
+                    sigma, f, alpha, top + 1, _HP_DPS)[0]
                 ok_hp = bool(lhs_hp_v < rhs_hp_v)
                 lhs_hp, rhs_hp = float(lhs_hp_v), float(rhs_hp_v)
         ratio = s3 / s2 if s2 > 0 else math.inf

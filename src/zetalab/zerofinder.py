@@ -37,8 +37,8 @@ from .errors import (FVanishesOnCircle, LeftHalfPlane, NegativeMargin,
                      NoConvergence, QuadratureStalled, ResidueZero,
                      ZeroOnBoundary, ZetalabError)
 from .kronecker import PHASE_LIPSCHITZ, KroneckerProblem, SearchBudget, solve
-from .series import PeriodicFunction, lfunction
-from .twist import (TwistedSeries, find_sigma0, tail_bound, truncation_index)
+from .series import PeriodicFunction, lfunction, tail_bound
+from .twist import TwistedSeries, find_sigma0, truncation_index
 
 __all__ = [
     "Rectangle", "Circle", "RoucheCertificate",
@@ -455,9 +455,11 @@ def find_zero_pipeline(f: PeriodicFunction, alpha, delta: float,
             stages["n_cut"] = n_cut
             stages["tail_budget_met"] = not capped
 
+            # the matched terms' largest mass on the disk, with a term at
+            # n + a < 1 taken at the disk's right end
             ns = np.arange(n_cut + 1, dtype=float) + a
             matched_mass = float((np.abs([f(n) for n in range(n_cut + 1)])
-                                  * ns ** (-sigma_min)).sum())
+                                  * _max_powers(ns, circle)).sum())
             chord = probe / (4.0 * matched_mass)
             delta_phase = min(chord / PHASE_LIPSCHITZ, 0.45)
             freqs = tuple(math.log(n + a) / (2 * math.pi)

@@ -2,8 +2,10 @@
 the contour types, the one winding function and the one route to L, and
 every function the benchmark traces by name exists."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,24 @@ def test_traced_names_resolve():
     for module, name in tracing.TRACED:
         assert callable(getattr(importlib.import_module(module), name)), \
             f"{module}.{name}"
+
+
+def test_euler_maclaurin_core_is_float_only():
+    # one arithmetic in the core; high precision is series_tail_mp alone
+    from zetalab import quadfield, series
+    for fn in (series.hurwitz_zeta, series.series_tail, series.lfunction):
+        assert "dps" not in inspect.signature(fn).parameters, fn.__name__
+    for name in ("_precision", "_C_EXACT"):
+        assert not hasattr(series, name), name
+    assert not hasattr(quadfield, "_RootLift")
+    tree = ast.parse(inspect.getsource(series))
+    allowed = [range(node.lineno, node.end_lineno + 1)
+               for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("series_tail_mp", "value_mp")]
+    assert len(allowed) == 2
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id == "mp":
+            assert any(node.lineno in lines for lines in allowed), \
+                f"series.py:{node.lineno} uses mp.{node.attr}"

@@ -47,6 +47,29 @@ def test_eval_against_mpmath():
         assert abs(mp.mpc(doc["re"], doc["im"]) - ref) < 1e-10
 
 
+def test_eval_precision_is_mpmath_at_that_many_digits(capsys):
+    # the float route holds this point as a strict xfail at tol = 1e-12
+    base = ["eval", "--alpha", "dec:0.3183098861837907", "--s", "1.1,2000"]
+    assert main(base + ["--precision", "30"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    with mp.workdps(40):
+        ref = mp.zeta(mp.mpc(1.1, 2000), mp.mpf("0.3183098861837907"))
+        assert abs(mp.mpc(doc["re"], doc["im"]) - ref) <= 1e-15
+    # the precision less five digits of the magnitude must reach --tol
+    for digits in (10, 16, 17):
+        assert main(base + ["--precision", str(digits)]) == 3, digits
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PrecisionUnreachable", digits
+    for digits in (20, 40):
+        assert main(base + ["--precision", str(digits)]) == 0, digits
+        capsys.readouterr()
+    high = ["eval", "--alpha", "dec:0.3183098861837907", "--precision", "30"]
+    assert main(high + ["--s", "1,0"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "PoleAt1"
+    assert main(high + ["--s", "0.4,3"]) == 2
+    assert "Re(s) > 1/2" in capsys.readouterr().err
+
+
 def test_eval_has_one_route():
     code, out, err = run_cli("eval", "--route", "decompose", "--f", "1,-1",
                              "--alpha", "rat:1,1", "--s", "2.5,3")

@@ -30,9 +30,8 @@ def membership_divides(prime, n, alpha=SQRT2):
 
     Membership test in terms of the integral basis: a + b*w lies in
     (p, w - r) iff a + b*r = 0 (mod p); inert primes require p | a and
-    p | b.  No valuations, no Hensel lifting, no sieve.  Every prime factor
-    of (n + alpha)*a contains D*(n + alpha); for p not dividing D the test
-    is exact.
+    p | b.  No valuations, no sieve.  Every prime factor of (n + alpha)*a
+    contains D*(n + alpha); for p not dividing D the test is exact.
     """
     _, a, b = integral_coords(n, alpha)
     if prime.kind == "inert":
@@ -177,10 +176,12 @@ def test_membership_oracle_consistency():
 
 # an inert prime dividing B, split-prime denominators, a half basis with a
 # denominator, class number two, a denominator at an inert prime, a split
-# prime dividing B (7 in Q(sqrt 2): Hensel lifts past the first step), and
-# the split prime 2 (d = 17 = 1 mod 8)
+# prime dividing B (7 in Q(sqrt 2): p stripped from both coordinates), the
+# split prime 2 (d = 17 = 1 mod 8), and the split prime 2 not dividing B,
+# where nothing is stripped and one conjugate takes the whole valuation
 RANGE_SHAPES = ["quad:0,3,2", "quad:0,1/7,2", "quad:1/4,1/2,5",
-                "quad:0,1,10", "quad:1/3,1,2", "quad:0,7,2", "quad:0,1,17"]
+                "quad:0,1,10", "quad:1/3,1,2", "quad:0,7,2", "quad:0,1,17",
+                "quad:1/2,1/2,17"]
 
 
 @pytest.mark.parametrize("shape", RANGE_SHAPES)

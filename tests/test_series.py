@@ -73,7 +73,7 @@ def test_pole_and_domain_errors():
         lfunction(1 + 1e-13j, ONE, 1.0)
     # no residue class calls hurwitz_zeta here, so lfunction must refuse itself
     with pytest.raises(PoleAt1):
-        lfunction(1 + 0j, PeriodicFunction((0.0, 0.0)), 1.0, dps=30)
+        lfunction(1 + 0j, PeriodicFunction((0.0, 0.0)), 1.0)
 
 
 def test_lfunction_reduces_to_hurwitz():
@@ -185,23 +185,6 @@ def test_series_tail_and_head_consistency():
         assert abs(head + tail - full) < 1e-11
 
 
-def test_high_precision_mode():
-    import mpmath as mp
-    v = hurwitz_zeta(2 + 0j, Alpha.rational(1, 2), tol=1e-24, dps=30)
-    assert isinstance(v, mp.mpf)
-    with mp.workdps(35):
-        ref = 3 * mp.zeta(2)
-        assert abs(v - ref) < mp.mpf(10) ** -22
-    s, a = 1.5 + 20j, Alpha.rational(3, 4)
-    v = hurwitz_zeta(s, a, tol=1e-24, dps=30)
-    assert isinstance(v, mp.mpc)
-    with mp.workdps(40):
-        assert abs(v - mp.zeta(mp.mpc(s.real, s.imag), mp.mpf(3) / 4)) < 1e-24
-    # 30 digits less five guard digits, times the magnitude scale (about 2.9)
-    with pytest.raises(PrecisionUnreachable):
-        hurwitz_zeta(s, a, tol=1e-25, dps=30)
-
-
 @given(st.integers(1, 8), st.integers(0, 7))
 @settings(max_examples=30, deadline=None)
 def test_periodic_indexing(q, n):
@@ -264,9 +247,10 @@ def test_bernoulli_table_matches_mpmath():
     import mpmath as mp
     from fractions import Fraction
     from zetalab import series
-    assert len(series._C_EXACT) == 41
-    for k, c in enumerate(series._C_EXACT, 1):
-        assert c * math.factorial(2 * k) == Fraction(*mp.bernfrac(2 * k))
+    table = series._bernoulli_even(41)
+    assert len(table) == 41
+    for k, b in enumerate(table, 1):
+        assert b == Fraction(*mp.bernfrac(2 * k))
 
 
 @pytest.fixture
@@ -353,16 +337,6 @@ def test_eval_families_against_mpmath(request, shift, fvals, t):
         ref = _mp_series_tail(s, f.values, alpha, 0)
         v = lfunction(s, f, alpha, tol=1e-12)
         assert abs(mp.mpc(v.real, v.imag) - ref) <= 1e-12
-
-
-def test_high_precision_route_against_mpmath():
-    import mpmath as mp
-    alpha = Alpha.parse("quad:1/2,1,3")
-    f = PeriodicFunction((2.0, -1.0, 1.0))
-    s = 1.1 + 300j
-    v = lfunction(s, f, alpha, tol=1e-22, dps=30)
-    with mp.workdps(40):
-        assert abs(v - _mp_series_tail(s, f.values, alpha, 0)) <= 1e-22
 
 
 @pytest.mark.parametrize("shift, fvals", [EVAL_FAMILIES[0], EVAL_FAMILIES[4]])

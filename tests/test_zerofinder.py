@@ -12,6 +12,7 @@ from zetalab.errors import (FVanishesOnCircle, LeftHalfPlane, NegativeMargin,
                             NoConvergence, NoSuchIndex,
                             SignChangeNotBracketed, ZeroOnBoundary,
                             ZetalabError)
+from zetalab.kronecker import PHASE_LIPSCHITZ
 from zetalab.series import Alpha, PeriodicFunction, lfunction
 from zetalab.twist import TwistedSeries, find_sigma0, truncation_index
 from zetalab.zerofinder import (Circle, PipelineBudget, Rectangle,
@@ -318,6 +319,22 @@ def test_pipeline_smoke_structured():
         assert res.record.certificate.margin > 0
     else:
         assert res.failed_stage is not None and res.failure is not None
+
+
+@pytest.mark.parametrize("shift", ["dec:0.7853981634", "rat:1,3"])
+def test_pipeline_phase_tolerance_covers_the_matched_mass(shift):
+    # the phase tolerance bounds the matched terms' error by the probe
+    # minimum on the whole circle: for a < 1 the n = 0 term is largest at
+    # the circle's right end, where at a = 1/3 it outweighs the rest
+    alpha = Alpha.parse(shift)
+    res = find_zero_pipeline(ONE, alpha, 0.5, PipelineBudget(max_t=1.0))
+    st = res.stages
+    assert res.failed_stage == "kronecker"
+    circle = Circle(st["sigma0"], st["delta1"])
+    ns = [n + alpha.value for n in range(st["n_cut"] + 1)]
+    mass = max(sum(abs(ONE(n)) * x ** -circle.boundary(i / 4096).real
+                   for n, x in enumerate(ns)) for i in range(4096))
+    assert st["kron_delta"] * 4 * PHASE_LIPSCHITZ * mass <= st["eps_probe"]
 
 
 @pytest.mark.parametrize("center, radius", [
