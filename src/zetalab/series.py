@@ -24,6 +24,12 @@ evaluation; M is doubled in the rare case that it does not hold.  The
 core runs in double precision only.  High-precision values come from one
 route, series_tail_mp: mpmath's own Hurwitz zeta on the same residue-class
 split, at a stated number of working digits.
+
+lfunction and series_tail also take a batch: a 1-D complex array of points,
+for which they return the array of values.  One kernel serves a single
+point and a batch; a batch shares one plan (at its largest |s| and smallest
+sigma) and one table of log(n + a) per shift, and every check holds at each
+of its points.  hurwitz_zeta takes a single point.
 """
 
 from __future__ import annotations
@@ -79,8 +85,12 @@ _C_EVEN = [float(b / math.factorial(2 * k))
 # per candidate order K: (K, 2K + 1, log |B_{2K+2} / (2K+2)!|)
 _PLAN_ROWS = [(k, 2 * k + 1, math.log(abs(_C_EVEN[k]))) for k in _ORDERS]
 
-# numpy chunk length of the direct block: bounds its memory at large cutoffs
+# numpy chunk length of the direct block at one s: bounds its memory at
+# large cutoffs
 _CHUNK = 1 << 19
+# elements (points x terms) of one direct-block slab of a batch; larger
+# slabs gain little speed and cost peak memory
+_SLAB = 4096
 
 
 def _is_squarefree(d: int) -> bool:
@@ -249,34 +259,78 @@ def residue(f: PeriodicFunction) -> float:
 # ----------------------------------------------------------------------------
 # Euler-Maclaurin core
 # ----------------------------------------------------------------------------
+#
+# The functions below take s as a Python complex or as a batch: a 1-D
+# complex array of points.  Every check holds at each point of a batch.
 
-def _working(s: complex, alpha):
-    """(s, shift): s as a float on the real axis (so powers stay real and
-    results exactly real) or else complex, and the shift as a float."""
-    return (s if s.imag else s.real), _shift_value(alpha)
+def _points(s):
+    """s as a Python complex, or a batch as a nonempty 1-D complex array."""
+    if not isinstance(s, np.ndarray) or s.ndim == 0:
+        return complex(s)
+    if s.ndim != 1 or not s.size:
+        raise ValueError("a batch of points is a nonempty 1-D array")
+    return s.astype(complex, copy=False)
 
 
-def _complete(value, s: complex) -> complex:
+def _first(s, mask):
+    """s where mask holds, or for a batch its first point where mask holds;
+    None if there is none."""
+    if not isinstance(s, np.ndarray):
+        return s if mask else None
+    hits = np.flatnonzero(mask)
+    return complex(s[hits[0]]) if hits.size else None
+
+
+def _extent(s) -> tuple[float, float]:
+    """(largest |s|, smallest Re s) over the points of s."""
+    if isinstance(s, np.ndarray):
+        return float(np.abs(s).max()), float(s.real.min())
+    return abs(s), s.real
+
+
+def _working(s):
+    """s for the arithmetic: a float on the real axis (so powers stay real
+    and results exactly real), else complex.  A batch stays complex;
+    _complete makes its values at real points exactly real."""
+    if isinstance(s, np.ndarray) or s.imag:
+        return s
+    return s.real
+
+
+def _complete(value, s):
     """Results as complex, with imag exactly 0 at real s."""
+    if isinstance(s, np.ndarray):
+        return np.where(s.imag == 0, value.real + 0j, value)
     return complex(value) if s.imag else complex(value.real, 0.0)
 
 
-def _refuse_pole(s: complex) -> None:
-    if abs(s - 1) < 1e-12:
-        raise PoleAt1("s is within 1e-12 of the pole at 1", s=[s.real, s.imag])
+def _refuse_pole(s) -> None:
+    at = _first(s, abs(s - 1) < 1e-12)
+    if at is not None:
+        raise PoleAt1("s is within 1e-12 of the pole at 1",
+                      s=[at.real, at.imag])
 
 
-def _em_plan(s: complex, a: float, tol: float) -> tuple[int, int]:
-    """(cutoff M >= 1, order K in _ORDERS) of least M + _ORDER_COST * K.
+def _refuse_left(s) -> None:
+    if _first(s, s.real <= 0.5) is not None:
+        raise ValueError("evaluation requires Re(s) > 1/2")
+
+
+def _em_plan(abs_s: float, sigma: float, a: float,
+             tol: float) -> tuple[int, int]:
+    """(cutoff M >= 1, order K in _ORDERS) of least M + _ORDER_COST * K at
+    |s| = abs_s and Re s = sigma.
 
     For each K the remainder bound of _em_once is bounded above through
     |s| |s+1| ... |s+2K+1| <= (|s|+2K+1)^(2K+2) and solved in closed form
     for the least p = M + a that brings it to tol.  The cost falls and then
-    rises with K, so the scan stops at its first rise.
+    rises with K, so the scan stops at its first rise.  The bound rises
+    with |s| and falls with sigma, so the plan at a batch's largest |s| and
+    smallest sigma covers each of its points.
     """
-    if not tol > 0:     # nothing meets it; hurwitz_zeta's floor check says so
+    if not tol > 0:     # nothing meets it; the kernel's floor check says so
         return 1, 1
-    abs_s, sigma, log_tol = abs(s), s.real, math.log(tol)
+    log_tol = math.log(tol)
     best_cost = math.inf
     for k, e, log_c in _PLAN_ROWS:
         d = sigma + e
@@ -291,14 +345,13 @@ def _em_plan(s: complex, a: float, tol: float) -> tuple[int, int]:
     return best
 
 
-def _direct_block(s, a: float, m: int, f: PeriodicFunction | None = None):
-    """(sum, sum of |terms|) of f(n) (n+a)^(-s), n = 0..m-1 (f = 1 if None).
-
-    numpy sums chunks of terms and fsum combines the chunk sums.
-    """
+def _point_block(s, a: float, m: int, f: PeriodicFunction | None,
+                 width: int):
+    """(sum, sum of |terms|) of the direct block at one point, in chunks of
+    width terms that numpy sums and fsum combines."""
     sums, mags = [], []
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
+    for lo in range(0, m, width):
+        hi = min(lo + width, m)
         terms = (np.arange(lo, hi, dtype=float) + a) ** (-s)
         if f is not None:
             terms *= np.take(f.values, np.arange(lo - 1, hi - 1) % f.period)
@@ -308,8 +361,37 @@ def _direct_block(s, a: float, m: int, f: PeriodicFunction | None = None):
                    math.fsum(x.imag for x in sums)), math.fsum(mags)
 
 
+def _direct_block(s, a: float, m: int, f: PeriodicFunction | None = None):
+    """(sum, sum of |terms|) of f(n) (n+a)^(-s), n = 0..m-1 (f = 1 if None),
+    at s or at each point of a batch.
+
+    A single s is summed in chunks of _CHUNK terms.  A batch is summed in
+    slabs of at most _SLAB points x terms, as many whole points as fit, with
+    one table of log(n + a) for all of them; past _SLAB terms each point is
+    summed alone in chunks of _SLAB terms.
+    """
+    if not isinstance(s, np.ndarray):
+        return _point_block(s, a, m, f, _CHUNK)
+    if m > _SLAB:
+        sums, mags = zip(*(_point_block(x, a, m, f, _SLAB) for x in s))
+        return np.array(sums), np.array(mags)
+    rows = _SLAB // m
+    logs = np.log(np.arange(m, dtype=float) + a)
+    weights = None if f is None else \
+        np.take(f.values, np.arange(-1, m - 1) % f.period)
+    sums, mags = [], []
+    for lo in range(0, s.size, rows):
+        terms = np.exp(np.multiply.outer(-s[lo:lo + rows], logs))
+        if weights is not None:
+            terms *= weights
+        sums.append(terms.sum(axis=1))
+        mags.append(np.abs(terms).sum(axis=1))
+    return np.concatenate(sums), np.concatenate(mags)
+
+
 def _em_once(s, a: float, m: int, order: int, coeffs):
-    """One Euler-Maclaurin pass at cutoff m and order K.
+    """One Euler-Maclaurin pass at cutoff m and order K, at s or at each
+    point of a batch.
 
     coeffs are B_2k/(2k)!, k = 1..K+1.  Returns
     (value, remainder bound, magnitude scale).  The remainder bound is the
@@ -331,19 +413,17 @@ def _em_once(s, a: float, m: int, order: int, coeffs):
     return direct + tail + half + corr, rem, mag + abs(tail) + abs(half)
 
 
-def hurwitz_zeta(s, alpha, tol: float = 1e-12):
-    """zeta(s, alpha) with absolute error at most tol, in double precision.
+def _zeta(s, a: float, tol: float):
+    """zeta(s, a) with absolute error at most tol: the kernel of hurwitz_zeta,
+    at a Python complex s or at each point of a batch.
 
-    Requires Re(s) > 1/2 and s != 1.  At real s the result has zero
-    imaginary part.  A tol below a few ulps of the magnitude scale raises
-    PrecisionUnreachable; series_tail_mp gives values beyond that floor.
+    A batch takes one plan, at its largest |s| and smallest sigma, and its
+    cutoff doubles until the remainder bound holds at every point.
     """
-    s = complex(s)
     _refuse_pole(s)
-    if s.real <= 0.5:
-        raise ValueError("evaluation requires Re(s) > 1/2")
-    sw, a = _working(s, alpha)
-    m, order = _em_plan(s, a, tol)
+    _refuse_left(s)
+    m, order = _em_plan(*_extent(s), a, tol)
+    sw, batch = _working(s), isinstance(s, np.ndarray)
     # the direct block is summed in fsum-combined chunks; a few ulps of the
     # magnitude scale is what double precision can deliver
     unit = 4 * math.ulp(1.0)
@@ -352,16 +432,30 @@ def hurwitz_zeta(s, alpha, tol: float = 1e-12):
             raise PrecisionUnreachable(
                 "cutoff beyond the direct-block cap", tol=tol, cutoff=m)
         value, rem, scale = _em_once(sw, a, m, order, _C_EVEN)
-        if not rem < math.inf:      # inf or nan
+        worst = rem.max() if batch else rem
+        if not worst < math.inf:      # inf or nan
+            at = _first(s, ~np.isfinite(rem))
             raise PrecisionUnreachable(
                 "Euler-Maclaurin remainder bound is not finite",
-                s=[s.real, s.imag], cutoff=m, order=order)
-        if not tol >= unit * scale:
+                s=[at.real, at.imag], cutoff=m, order=order)
+        floor = unit * (scale.max() if batch else scale)
+        if not tol >= floor:
             raise PrecisionUnreachable("tolerance below reachable floor",
-                                       tol=tol, floor=unit * scale)
-        if rem <= tol:
+                                       tol=tol, floor=floor)
+        if worst <= tol:
             return _complete(value, s)
         m *= 2
+
+
+def hurwitz_zeta(s, alpha, tol: float = 1e-12):
+    """zeta(s, alpha) with absolute error at most tol, in double precision,
+    at a single point s (lfunction and series_tail also take a batch).
+
+    Requires Re(s) > 1/2 and s != 1.  At real s the result has zero
+    imaginary part.  A tol below a few ulps of the magnitude scale raises
+    PrecisionUnreachable; series_tail_mp gives values beyond that floor.
+    """
+    return _zeta(complex(s), _shift_value(alpha), tol)
 
 
 def series_tail(s, f: PeriodicFunction, alpha, start: int,
@@ -369,20 +463,26 @@ def series_tail(s, f: PeriodicFunction, alpha, start: int,
     """sum_{n >= start} f(n) (n+alpha)^(-s) via the residue-class split.
 
     Works for astronomically large start (the split shifts the zeta
-    arguments by start/q; no term-by-term summation happens here).
+    arguments by start/q; no term-by-term summation happens here).  At a
+    batch s (a 1-D complex array) the result is the array of values, each
+    within tol.
     """
-    s = complex(s)
+    s = _points(s)
     q = f.period
-    weight = q ** (-s.real) * (math.fsum(abs(v) for v in f.values) + 1.0)
+    weight = q ** (-_extent(s)[1]) * (math.fsum(abs(v) for v in f.values)
+                                      + 1.0)
     each = 0.5 * tol / weight
-    sw, a = _working(s, alpha)
+    a = _shift_value(alpha)
+    # a single point goes through the public hurwitz_zeta, a batch straight
+    # to the kernel they share
+    zeta = _zeta if isinstance(s, np.ndarray) else hurwitz_zeta
     total = 0
     for r in range(q):
         c = f(start + r)
         if c == 0.0:
             continue
-        total += c * hurwitz_zeta(s, (a + start + r) / q, tol=each)
-    return _complete(q ** (-sw) * total, s)
+        total += c * zeta(s, (a + start + r) / q, tol=each)
+    return _complete(q ** (-_working(s)) * total, s)
 
 
 def series_tail_mp(s, f: PeriodicFunction, alpha, start: int, dps: int):
@@ -396,8 +496,7 @@ def series_tail_mp(s, f: PeriodicFunction, alpha, start: int, dps: int):
     """
     s = complex(s)
     _refuse_pole(s)
-    if s.real <= 0.5:
-        raise ValueError("evaluation requires Re(s) > 1/2")
+    _refuse_left(s)
     q = f.period
     with mp.workdps(dps):
         sw = mp.mpc(s.real, s.imag) if s.imag else mp.mpf(s.real)
@@ -423,8 +522,8 @@ def series_head(s, f: PeriodicFunction, alpha, upto: int,
     """
     s = complex(s)
     if upto <= _HEAD_DIRECT:
-        sw, a = _working(s, alpha)
-        return _complete(_direct_block(sw, a, upto + 1, f)[0], s)
+        return _complete(_direct_block(_working(s), _shift_value(alpha),
+                                       upto + 1, f)[0], s)
     full = lfunction(s, f, alpha, tol=tol / 2)
     tail = series_tail(s, f, alpha, upto + 1, tol=tol / 2)
     return full - tail
@@ -437,8 +536,9 @@ def lfunction(s, f: PeriodicFunction, alpha, tol: float = 1e-12):
     series_tail from 0: the residues b = 0..q-1 (with f(0) = f(q) by
     periodicity) cover the n = 0 term of the defining series.  The pole is
     refused here, since residue classes with f(b) = 0 call no hurwitz_zeta.
+    At a batch s (a 1-D complex array) the result is the array of values.
     """
-    s = complex(s)
+    s = _points(s)
     _refuse_pole(s)
     return series_tail(s, f, alpha, 0, tol=tol)
 
@@ -454,8 +554,8 @@ def lfunction_direct(s, f: PeriodicFunction, alpha, n_terms: int):
     s = complex(s)
     if s.real <= 1:
         raise ValueError("direct summation needs Re(s) > 1")
-    sw, a = _working(s, alpha)
-    partial = _complete(_direct_block(sw, a, n_terms, f)[0], s)
+    a = _shift_value(alpha)
+    partial = _complete(_direct_block(_working(s), a, n_terms, f)[0], s)
     return partial, tail_bound(f, a, s.real, n_terms - 1)
 
 

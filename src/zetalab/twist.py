@@ -72,9 +72,9 @@ class TwistedSeries:
 
         Sign-flip evaluation uses F(s) = L(s) - 2 * tail_{m+1}(s): one
         L and one tail for every m, however far beyond anything summable
-        term by term.
+        term by term.  At a batch s (a 1-D complex array) the result is the
+        array of values.
         """
-        s = complex(s)
         if self.flip_index is None:
             return lfunction(s, self.f, self.alpha, tol=tol)
         full = lfunction(s, self.f, self.alpha, tol=tol / 2)

@@ -6,7 +6,8 @@ Three layers:
   analytic function along the boundary of a Rectangle or a Circle,
   computed by adaptive phase tracking with every consecutive argument step
   forced below pi/2 (a heuristic segment test; no derivative bound backs
-  it yet);
+  it yet).  The evaluator maps a 1-D complex array of boundary points to
+  the array of its values, and is called once per refinement level;
 
 * Newton refinement of individual zeros with a central-difference
   derivative;
@@ -55,6 +56,7 @@ _NEWTON_STEP = 1e-6        # central-difference step of the Newton derivative
 _NEWTON_TOL = 1e-9         # residual the pipeline's Newton stage must reach
 _ESCAPE_RADIUS = 20.0      # Newton gives up this far from its start
 _DELTA1_TRIES = 3          # circle radii the pipeline tries, each half the last
+_SLAB = 4096               # points x terms of one slab of the Rouche difference
 
 
 @dataclass(frozen=True)
@@ -72,22 +74,20 @@ class Rectangle:
         if not (self.sigma_min < self.sigma_max and self.t_min < self.t_max):
             raise ValueError("degenerate rectangle")
 
-    def boundary(self, u: float) -> complex:
-        """Counterclockwise boundary point for u in [0, 1)."""
-        u = u % 1.0
+    def boundary(self, u):
+        """Counterclockwise boundary points for parameters u in [0, 1), a
+        number or an array."""
         w, h = self.sigma_max - self.sigma_min, self.t_max - self.t_min
-        per = 2 * (w + h)
-        d = u * per
-        if d < w:
-            return complex(self.sigma_min + d, self.t_min)
-        d -= w
-        if d < h:
-            return complex(self.sigma_max, self.t_min + d)
-        d -= h
-        if d < w:
-            return complex(self.sigma_max - d, self.t_max)
-        d -= w
-        return complex(self.sigma_min, self.t_max - d)
+        d0 = (np.asarray(u) % 1.0) * (2 * (w + h))
+        d1 = d0 - w
+        d2 = d1 - h
+        d3 = d2 - w
+        side = [d0 < w, d1 < h, d2 < w]     # bottom, right, top; else left
+        re = np.select(side, [self.sigma_min + d0, self.sigma_max,
+                              self.sigma_max - d2], self.sigma_min)
+        im = np.select(side, [self.t_min, self.t_min + d1, self.t_max],
+                       self.t_max - d3)
+        return re + 1j * im
 
 
 @dataclass(frozen=True)
@@ -103,64 +103,79 @@ class Circle:
             raise ValueError("circle needs a finite center and a finite "
                              "positive radius")
 
-    def boundary(self, u: float) -> complex:
-        """Counterclockwise boundary point for u in [0, 1)."""
-        return self.center + self.radius * cmath.exp(2j * math.pi * u)
+    def boundary(self, u):
+        """Counterclockwise boundary points for parameters u in [0, 1), a
+        number or an array."""
+        return self.center + self.radius * np.exp(2j * math.pi
+                                                  * np.asarray(u))
+
+
+def _values(fn, pts):
+    """fn at the points pts as a complex array; a constant fn broadcasts."""
+    return np.broadcast_to(np.asarray(fn(pts), dtype=complex), pts.shape)
 
 
 def argument_count(evaluator, contour: Rectangle | Circle,
                    initial_points: int = 256) -> int:
     """Number of zeros (with multiplicity) of evaluator inside contour.
 
-    The evaluator must be analytic inside and on the contour and nonzero on
-    it (a sampled modulus below _ZERO_FLOOR raises ZeroOnBoundary; move or
-    shrink the contour then).  The contour is first sampled at
-    initial_points >= 16 equally spaced parameters.  Each initial segment
-    is subdivided until its argument step is clearly below pi/2 and its
-    modulus jump is moderate; the phase steps then telescope to the winding
+    The evaluator maps a 1-D complex array of contour points to the array
+    of its values.  It must be analytic inside and on the contour and
+    nonzero on it (a sampled modulus below _ZERO_FLOOR raises
+    ZeroOnBoundary; move or shrink the contour then).  The contour is first
+    sampled at initial_points >= 16 equally spaced parameters.  Each
+    segment whose argument step is not clearly below pi/2, or whose modulus
+    jump is not moderate, is halved; the midpoints of all such segments of
+    one level are evaluated in one call, so the evaluator is called once
+    per refinement level.  The phase steps then telescope to the winding
     number up to rounding noise, which is accepted only within 0.25 of an
-    integer.  A negative count, which no analytic integrand gives, raises
-    ZetalabError.
+    integer.  More than _MAX_POINTS evaluations raise QuadratureStalled.  A
+    negative count, which no analytic integrand gives, raises ZetalabError.
     """
     if not initial_points >= _MIN_POINTS:
         raise ValueError(f"a winding count needs initial_points >= "
                          f"{_MIN_POINTS}, got {initial_points}")
-    spent = [0]
+    spent = 0
 
-    def sample(u: float) -> complex:
-        if spent[0] >= _MAX_POINTS:
-            raise QuadratureStalled("refinement cap reached",
-                                    points=spent[0])
-        spent[0] += 1
-        pt = contour.boundary(u)
-        v = evaluator(pt)
-        if abs(v) < _ZERO_FLOOR:
+    def sample(us):
+        nonlocal spent
+        if spent + us.size > _MAX_POINTS:
+            raise QuadratureStalled("refinement cap reached", points=spent)
+        spent += us.size
+        pts = contour.boundary(us)
+        vals = _values(evaluator, pts)
+        low = np.flatnonzero(np.abs(vals) < _ZERO_FLOOR)
+        if low.size:
+            pt, v = pts[low[0]], vals[low[0]]
             raise ZeroOnBoundary("contour value below the zero floor",
-                                 at=[pt.real, pt.imag], value=abs(v))
-        return v
+                                 at=[float(pt.real), float(pt.imag)],
+                                 value=float(abs(v)))
+        return vals
 
-    # the loop closes at u = 1 with the value at u = 0
-    us = [i / initial_points for i in range(initial_points)] + [1.0]
-    vals = [sample(u) for u in us[:-1]]
-    vals.append(vals[0])
+    # segments [a, b] with values va, vb; the loop closes at u = 1 with the
+    # value at u = 0
+    a = np.arange(initial_points) / initial_points
+    va = sample(a)
+    b, vb = np.append(a[1:], 1.0), np.roll(va, -1)
     pieces = []
-    for i in range(initial_points):
-        stack = [(us[i], vals[i], us[i + 1], vals[i + 1])]
-        while stack:
-            a, va, b, vb = stack.pop()
-            d = cmath.phase(vb / va)
-            if abs(d) < math.pi / 2 and abs(math.log(abs(vb / va))) < 1.2:
-                pieces.append(d)
-                continue
-            um = 0.5 * (a + b)
-            vm = sample(um)
-            stack.append((um, vm, b, vb))
-            stack.append((a, va, um, vm))
-    total = math.fsum(pieces) / (2 * math.pi)
+    while True:
+        ratio = vb / va
+        d = np.angle(ratio)
+        done = (np.abs(d) < math.pi / 2) & (np.abs(np.log(np.abs(ratio)))
+                                            < 1.2)
+        pieces.append(d[done])
+        if done.all():
+            break
+        a, b, va, vb = a[~done], b[~done], va[~done], vb[~done]
+        um = 0.5 * (a + b)
+        vm = sample(um)
+        a, b = np.concatenate([a, um]), np.concatenate([um, b])
+        va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
+    total = math.fsum(np.concatenate(pieces).tolist()) / (2 * math.pi)
     nearest = round(total)
     if abs(total - nearest) > 0.25:
         raise QuadratureStalled("phase accounting did not settle",
-                                raw=total, points=spent[0])
+                                raw=total, points=spent)
     if nearest < 0:
         raise ZetalabError("negative winding for an analytic integrand",
                            count=nearest)
@@ -239,22 +254,20 @@ def rouche_certificate(f_eval, diff_eval, center: float, radius: float,
                        t: float = 0.0) -> RoucheCertificate:
     """Assemble a certificate from callables on the circle.
 
-    f_eval(s) is the comparison function; diff_eval(s) the difference
-    against the shifted target.  Derivative bounds convert the sampled
-    extrema into bounds over the whole circle; diff_tail is added to the
-    sampled sup (series mass not represented in diff_eval).  May return a
+    f_eval is the comparison function and diff_eval the difference against
+    the shifted target; each maps the 1-D complex array of the samples
+    circle points to its values (a constant broadcasts).  Derivative bounds
+    convert the sampled extrema into bounds over the whole circle;
+    diff_tail is added to the sampled sup (series mass not represented in
+    diff_eval).  May return a
     certificate with nonpositive margin; raising on that is the caller's
     policy.  Needs samples >= 1: no samples would bound nothing."""
     if samples < 1:
         raise ValueError(f"a certificate needs samples >= 1, got {samples}")
-    circle = Circle(center, radius)
     arc = math.pi * radius / samples
-    eps_min = math.inf
-    sup = 0.0
-    for i in range(samples):
-        s = circle.boundary(i / samples)
-        eps_min = min(eps_min, abs(f_eval(s)))
-        sup = max(sup, abs(diff_eval(s)))
+    pts = Circle(center, radius).boundary(np.arange(samples) / samples)
+    eps_min = float(np.abs(_values(f_eval, pts)).min())
+    sup = float(np.abs(_values(diff_eval, pts)).max())
     eps_safe = eps_min - f_deriv_bound * arc
     sup_safe = sup + diff_deriv_bound * arc + diff_tail
     return RoucheCertificate(sigma0=center, delta1=radius, t=t,
@@ -325,8 +338,12 @@ def rouche_check(series: TwistedSeries, sigma0: float, delta1: float,
     coeffs = np.array([f(n) for n in range(n_cut + 1)], dtype=float) \
         * (np.exp(-1j * t * logns) - wts)
 
-    def diff_eval(s: complex) -> complex:
-        return complex((coeffs * np.exp(-s * logns)).sum())
+    def diff_eval(s):
+        # slabs bound the table's memory: 720 x 2001 terms would take 23 MB
+        step = max(1, _SLAB // logns.size)
+        return np.concatenate([
+            np.exp(-np.multiply.outer(s[i:i + step], logns)) @ coeffs
+            for i in range(0, s.size, step)])
 
     d_diff = float((np.abs(coeffs) * np.abs(logns)
                     * _max_powers(ns, disk)).sum())
@@ -336,9 +353,9 @@ def rouche_check(series: TwistedSeries, sigma0: float, delta1: float,
         tail = 2.0 * tail_bound(f, a, sigma_min, n_cut)
 
     cert = rouche_certificate(
-        lambda s: series.evaluate(s, tol=1e-12), diff_eval, sigma0, delta1,
-        samples, f_deriv_bound=d_f, diff_deriv_bound=d_diff, diff_tail=tail,
-        t=t)
+        lambda s: series.evaluate(s, tol=1e-12), diff_eval,
+        sigma0, delta1, samples, f_deriv_bound=d_f, diff_deriv_bound=d_diff,
+        diff_tail=tail, t=t)
     if cert.eps_min <= 0:
         raise FVanishesOnCircle(
             "comparison minimum not separated from zero on the circle",
@@ -438,8 +455,8 @@ def find_zero_pipeline(f: PeriodicFunction, alpha, delta: float,
             stages["theta"] = 0.5 * (sigma_min - 1.0)
             # probe the comparison minimum to size the error budget
             circle = Circle(sigma0, delta1)
-            probe = min(abs(series.evaluate(circle.boundary(i / 64),
-                                            tol=1e-10)) for i in range(64))
+            probe = float(np.abs(series.evaluate(
+                circle.boundary(np.arange(64) / 64), tol=1e-10)).min())
             stages["delta1"] = delta1
             stages["eps_probe"] = probe
             if probe <= 0:

@@ -349,3 +349,65 @@ def test_series_tail_far_start_against_mpmath(shift, fvals):
             v = series_tail(s, f, alpha, 10**6, tol=1e-12)
             ref = _mp_series_tail(s, f.values, alpha, 10**6)
             assert abs(mp.mpc(v.real, v.imag) - ref) <= 1e-12, s
+
+
+# ---------------------------------------------------------------------------
+# Batches: one array of points through the same kernel
+# ---------------------------------------------------------------------------
+
+BATCH = np.array([complex(sigma, t) for sigma in (1.1, 1.5, 2.5)
+                  for t in (0.0, 10.0, -10.0, 300.0, -300.0, 1e3, -1e3)])
+
+# The phase error of the large terms at large |t| (see the xfail above)
+# misses tol = 1e-12 at these points of the batch, on the single-point route
+# as well: 3.1e-12 at a = 0.318..., 1.6e-12 for rat:2,5.
+PHASE_FAULTS = [(EVAL_FAMILIES[i], complex(2.5, t))
+                for i in (2, 3) for t in (1e3, -1e3)]
+
+
+def _batch_values(shift, fvals, tol):
+    alpha = Alpha.parse(shift)
+    f = PeriodicFunction(tuple(float(v) for v in fvals.split(",")))
+    return f, alpha, lfunction(BATCH, f, alpha, tol=tol)
+
+
+@pytest.mark.parametrize("shift, fvals", EVAL_FAMILIES)
+def test_batch_agrees_with_single_points_and_mpmath(shift, fvals):
+    import mpmath as mp
+    from zetalab.series import series_tail_mp
+    tol = 1e-12
+    f, alpha, values = _batch_values(shift, fvals, tol)
+    assert isinstance(values, np.ndarray) and values.shape == BATCH.shape
+    for s, v in zip(BATCH.tolist(), values.tolist()):
+        assert abs(v - lfunction(s, f, alpha, tol=tol)) <= tol, s
+        if ((shift, fvals), s) not in PHASE_FAULTS:
+            ref, _ = series_tail_mp(s, f, alpha, 0, 30)
+            assert abs(mp.mpc(v.real, v.imag) - ref) <= tol, s
+        if s.imag == 0:
+            assert v.imag == 0.0, s
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="phase error of large terms at large |t|")
+@pytest.mark.parametrize("family, s", PHASE_FAULTS)
+def test_batch_phase_fault_points_against_mpmath(family, s):
+    import mpmath as mp
+    from zetalab.series import series_tail_mp
+    f, alpha, values = _batch_values(*family, 1e-12)
+    v = complex(values[BATCH.tolist().index(s)])
+    ref, _ = series_tail_mp(s, f, alpha, 0, 30)
+    assert abs(mp.mpc(v.real, v.imag) - ref) <= 1e-12
+
+
+def test_batch_refuses_what_a_single_point_refuses():
+    with pytest.raises(PoleAt1):
+        lfunction(np.array([2 + 0j, 1 + 0j, 1.5 + 3j]), ONE, 0.75)
+    with pytest.raises(ValueError, match="Re"):
+        lfunction(np.array([2 + 0j, 0.5 + 3j]), ONE, 0.75)
+    with pytest.raises(ValueError, match="1-D"):
+        lfunction(np.array([[2 + 0j]]), ONE, 0.75)
+    with pytest.raises(PrecisionUnreachable, match="floor"):
+        lfunction(np.array([2 + 0j, 1.5 + 3j]), ONE, 0.75, tol=1e-18)
+    # the public hurwitz_zeta takes one point
+    with pytest.raises(TypeError):
+        hurwitz_zeta(np.array([2 + 0j, 3 + 0j]), 1.0)

@@ -5,11 +5,12 @@ import math
 from types import SimpleNamespace
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from zetalab import zerofinder
 from zetalab.errors import (FVanishesOnCircle, LeftHalfPlane, NegativeMargin,
-                            NoConvergence, NoSuchIndex,
+                            NoConvergence, NoSuchIndex, QuadratureStalled,
                             SignChangeNotBracketed, ZeroOnBoundary,
                             ZetalabError)
 from zetalab.kronecker import PHASE_LIPSCHITZ
@@ -75,6 +76,74 @@ def test_zero_on_boundary_detected():
     pol = lambda s: s - (1.5 + 5j)
     with pytest.raises(ZeroOnBoundary):
         argument_count(pol, Rectangle(1.5 - 1e-15, 2.0, 4.0, 6.0), 64)
+
+
+def test_zero_on_boundary_reports_a_point_below_the_floor():
+    pol = lambda s: s - (1.5 + 5j)
+    rect = Rectangle(1.5 - 1e-15, 2.0, 4.0, 6.0)
+    with pytest.raises(ZeroOnBoundary) as err:
+        argument_count(pol, rect, 64)
+    at = complex(*err.value.details["at"])
+    assert at.real == rect.sigma_min and 4.0 <= at.imag <= 6.0
+    assert abs(pol(at)) == err.value.details["value"] < zerofinder._ZERO_FLOOR
+
+
+def test_argument_count_calls_once_per_level():
+    # a zero 1e-4 inside the circle forces refinement next to it; a sample
+    # of level k sits at an odd multiple of 1 / (initial * 2^k)
+    center, radius, initial = 1.5 + 2j, 0.5, 16
+    near = center + (radius - 1e-4) * cmath.exp(0.3j)
+    batches = []
+
+    def ev(s):
+        assert isinstance(s, np.ndarray) and s.ndim == 1
+        batches.append(s.copy())
+        return (s - near) * (s - (1.6 + 2.1j))
+
+    assert argument_count(ev, Circle(center, radius), initial) == 2
+
+    def level(pt):
+        u = (cmath.phase(pt - center) / (2 * math.pi)) % 1.0
+        return next(k for k in range(40)
+                    if abs(u * initial * 2 ** k - round(u * initial * 2 ** k))
+                    < 1e-9)
+
+    depth = max(level(pt) for batch in batches for pt in batch)
+    assert depth >= 3
+    assert len(batches) <= 1 + depth
+
+
+def test_argument_count_cap_holds_for_every_point(monkeypatch):
+    rect = Rectangle(1.01, 1.1, -1.0, 20.0)
+    sizes = []
+
+    def ev(s):
+        sizes.append(s.size)
+        return dirichlet_poly(s)
+
+    assert argument_count(ev, rect) == 3
+    spent = sum(sizes)
+    assert spent > 256                  # the count refines
+    monkeypatch.setattr(zerofinder, "_MAX_POINTS", spent)
+    assert argument_count(dirichlet_poly, rect) == 3
+    monkeypatch.setattr(zerofinder, "_MAX_POINTS", spent - 1)
+    sizes.clear()
+    with pytest.raises(QuadratureStalled) as err:
+        argument_count(ev, rect)
+    assert err.value.details["points"] == sum(sizes) < spent
+
+
+# rectangles of the benchmark's contour pool, with their reference counts
+@pytest.mark.parametrize("shift, fvals, rect, count", [
+    ("rat:3,4", "1", (1.001, 2.0, 343.0, 363.0), 1),
+    ("dec:0.9", "1", (1.001, 2.0, 70.0, 90.0), 3),
+    ("dec:0.7", "2,1,1", (1.001, 2.0, 5.0, 25.0), 2),
+])
+def test_pool_rectangle_counts(shift, fvals, rect, count):
+    f = PeriodicFunction(tuple(float(v) for v in fvals.split(",")))
+    alpha = Alpha.parse(shift)
+    ev = lambda s: lfunction(s, f, alpha, tol=1e-12)
+    assert argument_count(ev, Rectangle(*rect)) == count
 
 
 def test_rectangle_validation():
@@ -355,6 +424,22 @@ def test_circle_boundary_is_the_closed_form():
     pol = lambda s: (s - (1.5 + 2.1j)) * (s - (1.9 + 2j))
     assert argument_count(pol, circle) == 1
     assert argument_count(pol, Rectangle(1.05, 2.0, 1.0, 3.0)) == 2
+
+
+def test_rouche_certificate_samples_in_one_batch():
+    shapes = []
+
+    def F(s):
+        shapes.append(np.shape(s))
+        return s - 1.4
+
+    cert = rouche_certificate(F, lambda s: 0.05, 1.4, 0.1, samples=64,
+                              f_deriv_bound=1.0, diff_deriv_bound=0.0,
+                              diff_tail=0.0)
+    assert shapes == [(64,)]
+    arc = math.pi * 0.1 / 64
+    assert cert.eps_min == pytest.approx(0.1 - arc, rel=1e-12)
+    assert cert.sup_diff == 0.05
 
 
 @pytest.mark.parametrize("samples", [0, -3])
