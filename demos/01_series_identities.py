@@ -7,7 +7,7 @@
 import numpy as np
 
 from zetalab import (Alpha, PeriodicFunction, hurwitz_zeta, lfunction,
-                     residue, series_head, series_tail)
+                     series_head, series_tail)
 
 ## Basic values
 print("zeta(2, 1)   =", hurwitz_zeta(2 + 0j, 1.0).real, " (pi^2/6)")
@@ -24,8 +24,8 @@ print("half identity residual:", abs(lhs - rhs))
 ## series is entire; f = (3, 1, 2) has residue 2 at s = 1.
 f_alt = PeriodicFunction((1.0, -1.0))
 f_pos = PeriodicFunction((3.0, 1.0, 2.0))
-print("residue of (1,-1):", residue(f_alt))
-print("residue of (3,1,2):", residue(f_pos))
+print("residue of (1,-1):", f_alt.residue)
+print("residue of (3,1,2):", f_pos.residue)
 
 ## L is the residue-class split; it agrees with the defining series summed
 ## directly up to n = 47 and split from n = 48 = 16 q on

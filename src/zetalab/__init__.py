@@ -16,7 +16,7 @@ from .quadfield import CasselsBlock, IdealFactorization, MultiplicativeBasis, \
     PrimeIdeal, QuadElement, QuadraticField, factor_shift, fundamental_unit, \
     ideal_denominator, multiplicative_basis, private_primes
 from .series import Alpha, PeriodicFunction, hurwitz_zeta, lfunction, \
-    lfunction_direct, residue, series_head, series_tail
+    series_head, series_tail
 from .twist import BlockSchedule, ScheduleReport, TwistedSeries, \
     choose_case_sigma, find_sigma0, greedy_step, run_schedule, \
     truncation_index

@@ -28,8 +28,12 @@ split, at a stated number of working digits.
 lfunction and series_tail also take a batch: a 1-D complex array of points,
 for which they return the array of values.  One kernel serves a single
 point and a batch; a batch shares one plan (at its largest |s| and smallest
-sigma) and one table of log(n + a) per shift, and every check holds at each
-of its points.  hurwitz_zeta takes a single point.
+sigma), and every check holds at each of its points.  hurwitz_zeta takes a
+single point.
+
+One routine, _direct_block, forms every finite sum w(n) (n+a)^(-s): the
+Euler-Maclaurin direct block, series_head, and the disk bounds and Rouche
+difference of zerofinder.  It treats a single point as a batch of one.
 """
 
 from __future__ import annotations
@@ -44,9 +48,8 @@ import mpmath as mp
 from .errors import PoleAt1, PrecisionUnreachable
 
 __all__ = [
-    "Alpha", "PeriodicFunction", "hurwitz_zeta", "lfunction", "residue",
-    "lfunction_direct", "series_tail", "series_tail_mp", "series_head",
-    "tail_bound",
+    "Alpha", "PeriodicFunction", "hurwitz_zeta", "lfunction", "series_tail",
+    "series_tail_mp", "series_head", "tail_bound",
 ]
 
 # Euler-Maclaurin orders K (corrections B_2 .. B_2K) the plan chooses from.
@@ -85,11 +88,8 @@ _C_EVEN = [float(b / math.factorial(2 * k))
 # per candidate order K: (K, 2K + 1, log |B_{2K+2} / (2K+2)!|)
 _PLAN_ROWS = [(k, 2 * k + 1, math.log(abs(_C_EVEN[k]))) for k in _ORDERS]
 
-# numpy chunk length of the direct block at one s: bounds its memory at
-# large cutoffs
-_CHUNK = 1 << 19
-# elements (points x terms) of one direct-block slab of a batch; larger
-# slabs gain little speed and cost peak memory
+# elements (points x terms) of one direct-block slab; larger slabs gain
+# little speed and cost peak memory
 _SLAB = 4096
 
 
@@ -247,13 +247,12 @@ class PeriodicFunction:
     def max_abs(self) -> float:
         return max(abs(v) for v in self.values)
 
+    def table(self, m: int) -> np.ndarray:
+        """f(0), f(1), ..., f(m-1) as a float array."""
+        return np.take(self.values, np.arange(-1, m - 1) % self.period)
+
     def negated(self) -> "PeriodicFunction":
         return PeriodicFunction(tuple(-v for v in self.values))
-
-
-def residue(f: PeriodicFunction) -> float:
-    """Residue of L(s, f, alpha) at s = 1; zero means the function is entire."""
-    return f.residue
 
 
 # ----------------------------------------------------------------------------
@@ -345,48 +344,40 @@ def _em_plan(abs_s: float, sigma: float, a: float,
     return best
 
 
-def _point_block(s, a: float, m: int, f: PeriodicFunction | None,
-                 width: int):
-    """(sum, sum of |terms|) of the direct block at one point, in chunks of
-    width terms that numpy sums and fsum combines."""
-    sums, mags = [], []
-    for lo in range(0, m, width):
-        hi = min(lo + width, m)
-        terms = (np.arange(lo, hi, dtype=float) + a) ** (-s)
-        if f is not None:
-            terms *= np.take(f.values, np.arange(lo - 1, hi - 1) % f.period)
-        sums.append(complex(terms.sum()))
-        mags.append(float(np.abs(terms).sum()))
-    return complex(math.fsum(x.real for x in sums),
-                   math.fsum(x.imag for x in sums)), math.fsum(mags)
+def _direct_block(s, a: float, m: int, weights=None):
+    """(sum, sum of |terms|) of w(n) (n+a)^(-s), n = 0..m-1, at s or at each
+    point of a batch; w(n) is weights[n] (real or complex), or 1 if weights
+    is None.  m = 0 gives a zero sum and a zero mass.
 
-
-def _direct_block(s, a: float, m: int, f: PeriodicFunction | None = None):
-    """(sum, sum of |terms|) of f(n) (n+a)^(-s), n = 0..m-1 (f = 1 if None),
-    at s or at each point of a batch.
-
-    A single s is summed in chunks of _CHUNK terms.  A batch is summed in
-    slabs of at most _SLAB points x terms, as many whole points as fit, with
-    one table of log(n + a) for all of them; past _SLAB terms each point is
-    summed alone in chunks of _SLAB terms.
+    A single s is a batch of one.  The terms go in slabs of at most _SLAB
+    points x terms: as many whole points as fit, or past _SLAB terms one
+    point's terms _SLAB at a time, whose slab sums fsum combines.  Each
+    slab of terms takes its log(n + a) from one table that all the points
+    share.
     """
-    if not isinstance(s, np.ndarray):
-        return _point_block(s, a, m, f, _CHUNK)
-    if m > _SLAB:
-        sums, mags = zip(*(_point_block(x, a, m, f, _SLAB) for x in s))
-        return np.array(sums), np.array(mags)
-    rows = _SLAB // m
-    logs = np.log(np.arange(m, dtype=float) + a)
-    weights = None if f is None else \
-        np.take(f.values, np.arange(-1, m - 1) % f.period)
+    neg = -np.array(s, ndmin=1)
+    rows = max(1, _SLAB // max(m, 1))
     sums, mags = [], []
-    for lo in range(0, s.size, rows):
-        terms = np.exp(np.multiply.outer(-s[lo:lo + rows], logs))
-        if weights is not None:
-            terms *= weights
-        sums.append(terms.sum(axis=1))
-        mags.append(np.abs(terms).sum(axis=1))
-    return np.concatenate(sums), np.concatenate(mags)
+    for lo in range(0, max(m, 1), _SLAB):
+        hi = min(lo + _SLAB, m)
+        logs = np.log(np.arange(lo, hi, dtype=float) + a)
+        for p in range(0, neg.size, rows):
+            terms = np.exp(np.multiply.outer(neg[p:p + rows], logs))
+            if weights is not None:
+                terms = terms * weights[lo:hi]
+            sums.append(terms.sum(axis=1))
+            mags.append(np.abs(terms).sum(axis=1))
+    if m <= _SLAB:      # one slab of terms: the groups of points in order
+        total, mass = np.concatenate(sums), np.concatenate(mags)
+    else:               # one point a slab: a row per slab, a column per point
+        sums = np.reshape(sums, (-1, neg.size))
+        mags = np.reshape(mags, (-1, neg.size))
+        total = np.array([complex(math.fsum(col.real), math.fsum(col.imag))
+                          for col in sums.T])
+        mass = np.array([math.fsum(col) for col in mags.T])
+    if isinstance(s, np.ndarray):
+        return total, mass
+    return total.item(), mass.item()
 
 
 def _em_once(s, a: float, m: int, order: int, coeffs):
@@ -424,7 +415,7 @@ def _zeta(s, a: float, tol: float):
     _refuse_left(s)
     m, order = _em_plan(*_extent(s), a, tol)
     sw, batch = _working(s), isinstance(s, np.ndarray)
-    # the direct block is summed in fsum-combined chunks; a few ulps of the
+    # the direct block is summed in fsum-combined slabs; a few ulps of the
     # magnitude scale is what double precision can deliver
     unit = 4 * math.ulp(1.0)
     while True:
@@ -517,13 +508,13 @@ def series_head(s, f: PeriodicFunction, alpha, upto: int,
                 tol: float = 1e-12):
     """sum_{n = 0..upto} f(n) (n+alpha)^(-s), inclusive.
 
-    Ranges up to _HEAD_DIRECT are summed directly (numpy chunks combined by
-    fsum); larger ones go through head = full series minus tail.
+    Ranges up to _HEAD_DIRECT are summed directly by _direct_block; larger
+    ones go through head = full series minus tail.  upto = -1 gives 0.
     """
     s = complex(s)
     if upto <= _HEAD_DIRECT:
         return _complete(_direct_block(_working(s), _shift_value(alpha),
-                                       upto + 1, f)[0], s)
+                                       upto + 1, f.table(upto + 1))[0], s)
     full = lfunction(s, f, alpha, tol=tol / 2)
     tail = series_tail(s, f, alpha, upto + 1, tol=tol / 2)
     return full - tail
@@ -541,22 +532,6 @@ def lfunction(s, f: PeriodicFunction, alpha, tol: float = 1e-12):
     s = _points(s)
     _refuse_pole(s)
     return series_tail(s, f, alpha, 0, tol=tol)
-
-
-def lfunction_direct(s, f: PeriodicFunction, alpha, n_terms: int):
-    """Brute-force partial sum with a rigorous tail bound.
-
-    Returns (partial, bound) where |L(s,f,alpha) - partial| <= bound.  The
-    bound is tail_bound from n_terms - 1 and needs sigma > 1.  Independent
-    of the Euler-Maclaurin machinery; this is the test oracle for
-    everything above.
-    """
-    s = complex(s)
-    if s.real <= 1:
-        raise ValueError("direct summation needs Re(s) > 1")
-    a = _shift_value(alpha)
-    partial = _complete(_direct_block(_working(s), a, n_terms, f)[0], s)
-    return partial, tail_bound(f, a, s.real, n_terms - 1)
 
 
 def tail_bound(f: PeriodicFunction, alpha, sigma: float, start: int) -> float:

@@ -17,7 +17,9 @@ Three layers:
   explicit inter-sample Lipschitz slack and a rigorous series tail bound,
   so a positive margin certifies a zero of L(. + it) inside the disk.  The
   certificate is cross-checked against the winding count on the same
-  Circle.
+  Circle.  The matched difference and the derivative bounds are direct
+  sums from series._direct_block; a bound over the disk is the larger of
+  the sums of |terms| at its two real ends, as they are convex in Re s.
 
 A pipeline chains truncation index -> real zero of the sign-flip twist ->
 phase matching (Kronecker search) -> certificate -> Newton refinement, with
@@ -38,7 +40,7 @@ from .errors import (FVanishesOnCircle, LeftHalfPlane, NegativeMargin,
                      NoConvergence, QuadratureStalled, ResidueZero,
                      ZeroOnBoundary, ZetalabError)
 from .kronecker import PHASE_LIPSCHITZ, KroneckerProblem, SearchBudget, solve
-from .series import PeriodicFunction, lfunction, tail_bound
+from .series import PeriodicFunction, _direct_block, lfunction, tail_bound
 from .twist import TwistedSeries, find_sigma0, truncation_index
 
 __all__ = [
@@ -56,7 +58,9 @@ _NEWTON_STEP = 1e-6        # central-difference step of the Newton derivative
 _NEWTON_TOL = 1e-9         # residual the pipeline's Newton stage must reach
 _ESCAPE_RADIUS = 20.0      # Newton gives up this far from its start
 _DELTA1_TRIES = 3          # circle radii the pipeline tries, each half the last
-_SLAB = 4096               # points x terms of one slab of the Rouche difference
+# a disk bound's sum of positive terms, each from one log and one exp of
+# modest arguments, is rounded by far less than this relative amount
+_MASS_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -275,19 +279,25 @@ def rouche_certificate(f_eval, diff_eval, center: float, radius: float,
                              samples=samples, margin=eps_safe - sup_safe)
 
 
-def _max_powers(ns, disk: Circle):
-    """max over s in the closed disk of |x^(-s)| = x^(-Re s), for each x in
-    ns: at the disk's right end for x < 1, at its left end otherwise."""
-    sigma_min = disk.center.real - disk.radius
-    sigma_max = disk.center.real + disk.radius
-    return ns ** -np.where(ns < 1.0, sigma_max, sigma_min)
+def _disk_mass(a: float, weights, disk: Circle) -> float:
+    """Upper bound of sum_n |w(n)| (n+a)^(-Re s) over s in the closed disk,
+    w(n) = weights[n], n = 0..len(weights)-1.
+
+    Each term is convex in Re s, and so is the sum: its maximum over the
+    disk is at one of the disk's two real ends, where the sum is the mass
+    that _direct_block returns.  It is rounded up by _MASS_ROUNDING.
+    """
+    ends = np.array([disk.center.real - disk.radius,
+                     disk.center.real + disk.radius])
+    mass = _direct_block(ends, a, len(weights), weights)[1].max()
+    return float(mass) * (1.0 + _MASS_ROUNDING)
 
 
 def _abs_log_weight_sum(f: PeriodicFunction, alpha: float, disk: Circle,
                         cut: int) -> float:
     """Upper bound of sum_n |f(n)| |log(n+alpha)| (n+alpha)^(-Re s) over s
-    in the closed disk (a derivative bound for the series there): exact
-    head to cut plus an integral bound for the rest.
+    in the closed disk (a derivative bound for the series there): the head
+    to cut by _disk_mass plus an integral bound for the rest.
 
     A term past cut sits at x = n + alpha > 1, where log(x) x^(-sigma)
     rises until x = e^(1/sigma), to 1/(e sigma), and falls after.  So the
@@ -297,9 +307,8 @@ def _abs_log_weight_sum(f: PeriodicFunction, alpha: float, disk: Circle,
     """
     a = float(alpha)
     sigma = disk.center.real - disk.radius
-    ns = np.arange(cut + 1, dtype=float) + a
-    coeffs = np.array([abs(f(n)) for n in range(cut + 1)])
-    head = float((coeffs * np.abs(np.log(ns)) * _max_powers(ns, disk)).sum())
+    logs = np.log(np.arange(cut + 1, dtype=float) + a)
+    head = _disk_mass(a, f.table(cut + 1) * logs, disk)
     x = max(cut + a, 1.0)
     s1 = sigma - 1.0
     tail = x ** (-s1) * (math.log(x) / s1 + 1.0 / (s1 * s1))
@@ -331,22 +340,15 @@ def rouche_check(series: TwistedSeries, sigma0: float, delta1: float,
 
     d_f = _abs_log_weight_sum(f, a, disk, min(n_cut, 4000))
 
-    ns = np.arange(n_cut + 1, dtype=float) + a
-    logns = np.log(ns)
+    logns = np.log(np.arange(n_cut + 1, dtype=float) + a)
     wts = np.array([series.weight(n) for n in range(n_cut + 1)],
                    dtype=complex)
-    coeffs = np.array([f(n) for n in range(n_cut + 1)], dtype=float) \
-        * (np.exp(-1j * t * logns) - wts)
+    coeffs = f.table(n_cut + 1) * (np.exp(-1j * t * logns) - wts)
 
     def diff_eval(s):
-        # slabs bound the table's memory: 720 x 2001 terms would take 23 MB
-        step = max(1, _SLAB // logns.size)
-        return np.concatenate([
-            np.exp(-np.multiply.outer(s[i:i + step], logns)) @ coeffs
-            for i in range(0, s.size, step)])
+        return _direct_block(s, a, n_cut + 1, coeffs)[0]
 
-    d_diff = float((np.abs(coeffs) * np.abs(logns)
-                    * _max_powers(ns, disk)).sum())
+    d_diff = _disk_mass(a, coeffs * logns, disk)
     if series.flip_index is None and t == 0.0:
         tail = 0.0
     else:
@@ -472,11 +474,8 @@ def find_zero_pipeline(f: PeriodicFunction, alpha, delta: float,
             stages["n_cut"] = n_cut
             stages["tail_budget_met"] = not capped
 
-            # the matched terms' largest mass on the disk, with a term at
-            # n + a < 1 taken at the disk's right end
-            ns = np.arange(n_cut + 1, dtype=float) + a
-            matched_mass = float((np.abs([f(n) for n in range(n_cut + 1)])
-                                  * _max_powers(ns, circle)).sum())
+            # the matched terms' largest mass on the disk
+            matched_mass = _disk_mass(a, f.table(n_cut + 1), circle)
             chord = probe / (4.0 * matched_mass)
             delta_phase = min(chord / PHASE_LIPSCHITZ, 0.45)
             freqs = tuple(math.log(n + a) / (2 * math.pi)

@@ -17,7 +17,7 @@ from zetalab.annulus import AnnulusSpec, radii, realize_phases, sample_oracle
 from zetalab.kronecker import KroneckerProblem, SearchBudget, solve, verify
 from zetalab.quadfield import factor_shift, private_primes
 from zetalab.series import (Alpha, PeriodicFunction, hurwitz_zeta, lfunction,
-                            residue, series_head, series_tail)
+                            series_head, series_tail)
 from zetalab.twist import BlockSchedule, run_schedule, _correction
 from zetalab.zerofinder import (Circle, PipelineBudget, Rectangle,
                                 argument_count, find_zero_pipeline,
@@ -74,7 +74,7 @@ def test_criterion_03_residue_convergence():
         q = int(rng.integers(1, 9))
         f = PeriodicFunction(tuple(rng.uniform(-2, 2, q)))
         alpha = float(rng.uniform(1.0, 3.0))
-        r = residue(f)
+        r = f.residue
         for k in range(2, 7):
             s = 1.0 + 10.0 ** -k
             v = (s - 1.0) * lfunction(s + 0j, f, alpha, tol=1e-7)

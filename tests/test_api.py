@@ -37,6 +37,10 @@ def test_package_exports():
     assert not hasattr(zetalab, "QuadratureSpec")
     assert not hasattr(zetalab, "GreedyState")
     assert not hasattr(zetalab.twist, "GreedyState")
+    # f.residue is the residue, and brute_series in the tests the oracle
+    for name in ("residue", "lfunction_direct"):
+        assert not hasattr(zetalab, name), name
+        assert not hasattr(zetalab.series, name), name
 
 
 def test_traced_names_resolve():
@@ -69,3 +73,23 @@ def test_euler_maclaurin_core_is_float_only():
                 isinstance(node.value, ast.Name) and node.value.id == "mp":
             assert any(node.lineno in lines for lines in allowed), \
                 f"series.py:{node.lineno} uses mp.{node.attr}"
+
+
+def test_one_direct_sum():
+    # _direct_block in series.py forms every sum w(n) (n+a)^(-s); no other
+    # module builds its own points x terms table or slab size
+    package = Path(zetalab.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "series.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "outer":
+                assert not (isinstance(node.value, ast.Attribute)
+                            and node.value.attr == "multiply"), \
+                    f"{path.name}:{node.lineno} calls np.multiply.outer"
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                assert not (isinstance(target, ast.Name)
+                            and target.id == "_SLAB"), \
+                    f"{path.name}:{node.lineno} defines _SLAB"

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from zetalab.errors import PoleAt1, PrecisionUnreachable
 from zetalab.series import (Alpha, PeriodicFunction, hurwitz_zeta, lfunction,
-                            lfunction_direct, residue, series_head,
-                            series_tail)
+                            series_head, series_tail)
 
 from conftest import brute_hurwitz, brute_series
 
@@ -133,9 +132,9 @@ def test_decomposition_identity_random():
 
 
 def test_residue_examples():
-    assert residue(ONE) == 1.0
-    assert residue(PeriodicFunction((1.0, -1.0))) == 0.0
-    assert residue(PeriodicFunction((3.0, 1.0, 2.0))) == 2.0
+    assert ONE.residue == 1.0
+    assert PeriodicFunction((1.0, -1.0)).residue == 0.0
+    assert PeriodicFunction((3.0, 1.0, 2.0)).residue == 2.0
 
 
 def test_residue_limit():
@@ -144,7 +143,7 @@ def test_residue_limit():
         q = int(rng.integers(1, 9))
         f = PeriodicFunction(tuple(rng.uniform(-2, 2, q)))
         alpha = float(rng.uniform(1.0, 3.0))
-        r = residue(f)
+        r = f.residue
         errs = []
         for k in range(2, 7):
             s = 1.0 + 10.0 ** -k
@@ -171,7 +170,7 @@ def test_em_vs_direct_summation_sigma3():
         assert h < 5e-12
         assert abs(em - v) <= h + 1e-11
     f = PeriodicFunction((1.0, 0.25, -0.5))
-    p, b = lfunction_direct(3 + 0j, f, 0.8, 1_000_000)
+    p, b = brute_series(f, 0.8, 3 + 0j, 1_000_000)
     assert abs(lfunction(3 + 0j, f, 0.8, tol=1e-13) - p) <= b + 1e-11
 
 
@@ -180,9 +179,17 @@ def test_series_tail_and_head_consistency():
     s = 2.2 + 3j
     full = lfunction(s, f, 0.7, tol=1e-13)
     for cut in (0, 5, 37, 1000):
-        head = series_head(s, f, 0.7, cut - 1) if cut else 0j
+        head = series_head(s, f, 0.7, cut - 1)
         tail = series_tail(s, f, 0.7, cut, tol=1e-13)
         assert abs(head + tail - full) < 1e-11
+
+
+def test_empty_head_is_zero():
+    from zetalab.series import _direct_block
+    assert series_head(2 + 0j, ONE, 0.5, -1) == 0
+    assert _direct_block(2 + 1j, 0.5, 0) == (0, 0)
+    total, mass = _direct_block(np.array([2 + 0j, 3 + 1j]), 0.5, 0)
+    assert total.tolist() == [0, 0] and mass.tolist() == [0, 0]
 
 
 @given(st.integers(1, 8), st.integers(0, 7))
@@ -411,3 +418,32 @@ def test_batch_refuses_what_a_single_point_refuses():
     # the public hurwitz_zeta takes one point
     with pytest.raises(TypeError):
         hurwitz_zeta(np.array([2 + 0j, 3 + 0j]), 1.0)
+
+
+# Past _SLAB terms a batch goes one point at a time through the slabs of
+# the direct block: M is about 21,000 at |t| = 1e5.
+LONG_BATCH = np.array([complex(sigma, t) for sigma in (1.1, 2.5)
+                       for t in (2e4, -2e4, 1e5, -1e5)])
+
+
+@pytest.mark.parametrize("shift, fvals", [EVAL_FAMILIES[0], EVAL_FAMILIES[4]])
+def test_batch_past_a_slab_agrees_with_single_points(shift, fvals):
+    from zetalab import series
+    tol = 1e-12
+    alpha = Alpha.parse(shift)
+    f = PeriodicFunction(tuple(float(v) for v in fvals.split(",")))
+    assert series._em_plan(1e5, 1.1, 0.75, tol)[0] > series._SLAB
+    values = lfunction(LONG_BATCH, f, alpha, tol=tol)
+    for s, v in zip(LONG_BATCH.tolist(), values.tolist()):
+        assert abs(v - lfunction(s, f, alpha, tol=tol)) <= tol, s
+
+
+@pytest.mark.parametrize("m", [100, 10_000])
+def test_direct_block_point_is_a_batch_of_one(m):
+    from zetalab.series import _direct_block
+    s = 1.3 + 2e4j
+    weights = PeriodicFunction((2.0, -1.0, 1.0)).table(m)
+    for w in (None, weights):
+        total, mass = _direct_block(s, 0.75, m, w)
+        batch_total, batch_mass = _direct_block(np.array([s]), 0.75, m, w)
+        assert total == batch_total[0] and mass == batch_mass[0]
