@@ -3,8 +3,10 @@
 ## Block by block, the integers owning a private prime ideal are steered:
 ## their character values realize a correction z that cancels as much of
 ## the running sum as the free mass S3 allows.  The ledger tracks the
-## damping inequality |settled sum| < 1e-2 * tail at every block, each
-## side recomputed from scratch and re-checked in 30-digit arithmetic.
+## damping inequality |settled sum| < 1e-2 * tail at every block and
+## re-checks it in 30-digit arithmetic: the settled sum is a running
+## prefix, the float tail is evaluated afresh, and the 30-digit tail is
+## evaluated once and carried, each block subtracting its own mass.
 
 from zetalab import Alpha, BlockSchedule, PeriodicFunction, run_schedule
 

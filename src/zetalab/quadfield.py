@@ -318,9 +318,12 @@ def _primes_above(field: QuadraticField, p: int) -> list[PrimeIdeal]:
     return [PrimeIdeal(p, r1, "split"), PrimeIdeal(p, r2, "split")]
 
 
-@dataclass(frozen=True)
-class IdealFactorization:
-    """Factorization of (n + alpha) * a into labeled prime-ideal powers."""
+class IdealFactorization(NamedTuple):
+    """Factorization of (n + alpha) * a into labeled prime-ideal powers,
+    in _prime_key order.
+
+    A named tuple, as PrimeIdeal is: the sieve makes one per n.
+    """
 
     n: int
     factors: tuple          # ((PrimeIdeal, exponent >= 1), ...)
@@ -466,6 +469,8 @@ class _ShiftFactorizer:
         norms = [self._norm(a_lo + i * self.D) for i in range(size)]
         rest = [abs(g) for g in norms]
         found: list[list] = [[] for _ in range(size)]
+        # the norms of the factors found, multiplied as they are appended
+        recombined = [1] * size
         for p in self.special:
             for i in range(size):
                 # no prime above p divides (n + alpha) * a when p does not
@@ -478,6 +483,7 @@ class _ShiftFactorizer:
                         raise ArithmeticError("shifted ideal is not integral")
                     if e:
                         found[i].append((prime, e))
+                        recombined[i] *= prime.ideal_norm ** e
                 while rest[i] % p == 0:
                     rest[i] //= p
         # the residue table grows by doubling, and only while what is left
@@ -495,6 +501,7 @@ class _ShiftFactorizer:
                         v += 1
                     rest[i] = r
                     found[i].append((prime, v))
+                    recombined[i] *= p ** v
             if k < len(self.roots) or self.roots_to >= bound:
                 break
             bound = math.isqrt(max(rest))
@@ -503,20 +510,23 @@ class _ShiftFactorizer:
         for i in range(size):
             n = lo + i
             q = rest[i]
+            factors = found[i]
             if q > 1:
                 r = -(a_lo + i * self.D) * pow(self.B, -1, q) % q
-                found[i].append((PrimeIdeal(q, r, "split"), 1))
+                factors.append((PrimeIdeal(q, r, "split"), 1))
+                recombined[i] *= q
             norm, frac = divmod(abs(norms[i]) * self.denominator_norm,
                                 self.D * self.D)
-            fact = IdealFactorization(
-                n=n, factors=tuple(sorted(found[i],
-                                          key=lambda t: _prime_key(t[0]))),
-                norm=norm)
-            if frac or fact.recombined_norm() != norm:
+            if frac or recombined[i] != norm:
                 raise ArithmeticError(
                     f"norm recombination failed at n={n}: "
-                    f"{fact.recombined_norm()} != {norm}")
-            self.cache.setdefault(n, fact)
+                    f"{recombined[i]} != {norm}")
+            # plain tuple order is _prime_key order: no prime repeats, and
+            # the labels above one p are all inert (r = None, alone) or
+            # all carry an integer r
+            factors.sort()
+            self.cache.setdefault(n, IdealFactorization(n, tuple(factors),
+                                                        norm))
 
     def factor(self, n: int) -> IdealFactorization:
         if n not in self.cache:
@@ -529,7 +539,7 @@ class _ShiftFactorizer:
             return
         self._sieve(self.scanned + 1, top)
         for m in range(self.scanned + 1, top + 1):
-            for prime in self.cache[m].primes():
+            for prime, _ in self.cache[m].factors:
                 if prime not in self.first:
                     self.first[prime] = m
                 elif prime not in self.second:
@@ -581,7 +591,7 @@ def private_primes(n_start: int, length: int, alpha: Alpha) -> CasselsBlock:
     fz.index_to(top)
     private: dict[int, PrimeIdeal] = {}
     for n in range(n_start + 1, top + 1):
-        for prime in fz.factor(n).primes():
+        for prime, _ in fz.cache[n].factors:
             if fz.first[prime] == n and fz.second.get(prime, top + 1) > top:
                 private[n] = prime
                 break

@@ -19,12 +19,14 @@ masses S1..S4, the correction, and the damping inequality
     |sum_{n <= N_{j+1}} f(n) chi(n+alpha) / (n+alpha)^sigma| < 1e-2 * tail,
 
 with the left side summed from the character values (optionally also in
-30-digit arithmetic) and the tail evaluated afresh.  The character value
-of every n <= N_{j+1} is frozen once the block ends: a witness prime
-divides no other shift up to the block end, and new non-witness primes are
-pinned to 1.  So the angle of chi(n + alpha) is written once into a per-n
-table, and the settled sums are kept as running prefixes, each block
-adding only its own terms, in the order a sum from n = 0 would take them.
+30-digit arithmetic).  The float tail is evaluated afresh for every block;
+the 30-digit tail is evaluated once, at N_1 + 1, and carried: each block
+subtracts its own 30-digit mass.  The character value of every
+n <= N_{j+1} is frozen once the block ends: a witness prime divides no
+other shift up to the block end, and new non-witness primes are pinned
+to 1.  So the angle of chi(n + alpha) is written once into a per-n table,
+and the settled sums are kept as running prefixes, each block adding only
+its own terms, in the order a sum from n = 0 would take them.
 """
 
 from __future__ import annotations
@@ -366,8 +368,12 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     are frozen from then on; a witness prime that already carries an angle
     would break it and raises ZetalabError.  The prefixes are summed from
     the table, never taken from the running sum that greedy_step returns,
-    so realize_err stays an independent check.  The tail is evaluated
-    afresh for every block.
+    so realize_err stays an independent check.  The float tail is
+    evaluated afresh for every block.  The 30-digit sums come from mpmath's
+    Hurwitz zeta twice: every angle up to n1 is 0, so the head is the
+    series from 0 minus the tail from n1 + 1, taken with guard digits
+    against the cancellation at the pole; that tail is then carried, each
+    block subtracting the 30-digit mass of its own terms.
 
     Processing halts at the first block whose damping inequality fails (the
     offending row stays in the report with ok=False).  A free set whose
@@ -405,18 +411,25 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         sigma_mp = mp.mpf(sigma)
 
     def settle(acc: complex, acc_hp, lo: int, hi: int):
-        """The settled prefixes over n < lo extended by the terms lo..hi;
-        acc_hp is None when there is no high-precision recheck."""
+        """The settled prefixes over n < lo extended by the terms lo..hi,
+        and the 30-digit mass of those terms; acc_hp is None (and so is the
+        mass) when there is no high-precision recheck."""
         ns = range(lo, hi + 1)
         phases = chi[lo:hi + 1]
         for n, ph in zip(ns, phases):
             acc += weight(n) * cmath.exp(1j * ph)
-        if acc_hp is not None:
-            with mp.workdps(_HP_DPS):
-                for n, ph in zip(ns, phases):
+        if acc_hp is None:
+            return acc, None, None
+        with mp.workdps(_HP_DPS):
+            mass = mp.mpf(0)
+            for n, ph in zip(ns, phases):
+                w = f(n) / (n + a_mp) ** sigma_mp
+                mass += w
+                if ph:
                     cos, sin = mp.cos_sin(mp.mpf(ph))
-                    acc_hp += f(n) * mp.mpc(cos, sin) / (n + a_mp) ** sigma_mp
-        return acc, acc_hp
+                    w *= mp.mpc(cos, sin)
+                acc_hp += w
+        return acc, acc_hp, mass
 
     # first block preassignment: everything visible up to n1 is pinned at 1
     n1 = schedule.n1
@@ -424,14 +437,24 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         fz.index_to(n1)
         for prime in fz.denominator:
             prime_angles[prime] = 0.0
-        for n in range(n1 + 1):
-            for prime in fz.factor(n).primes():
+        for prime, m in fz.first.items():
+            if m <= n1:
                 prime_angles.setdefault(prime, 0.0)
     # chi[n]: the settled angle of chi(n + alpha), written once; up to n1
     # it is 0 in both modes, every prime seen there being pinned at 0
     chi = [0.0] * (n1 + 1)
 
-    settled, settled_hp = settle(0j, mp.mpc(0) if hp_check else None, 0, n1)
+    settled, _, _ = settle(0j, None, 0, n1)
+    settled_hp = tail_hp = None
+    if hp_check:
+        # the 30-digit head is L minus the tail from n1 + 1, both near
+        # 1/(sigma - 1): guard digits keep the difference good to 30, and
+        # both it and the tail are then rounded to 30
+        guard = _HP_DPS + 5 + max(0, math.ceil(-math.log10(sigma - 1.0)))
+        full = series_tail_mp(sigma, f, alpha, 0, guard)[0]
+        tail_hp = series_tail_mp(sigma, f, alpha, n1 + 1, guard)[0]
+        with mp.workdps(_HP_DPS):
+            settled_hp, tail_hp = mp.mpc(full - tail_hp), +tail_hp
     # the greedy's own running sum, built from the realized phases; the
     # settled prefixes are summed apart from it from the angle table
     partial = settled
@@ -507,7 +530,8 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         # the chain form: the settled sum up to the block start plus the
         # fixed mass minus the free mass
         chain_lhs = abs(settled) + s2 - s3
-        settled, settled_hp = settle(settled, settled_hp, n_cur + 1, top)
+        settled, settled_hp, mass_hp = settle(settled, settled_hp,
+                                              n_cur + 1, top)
         realize_err = abs(settled - partial)
         lhs = abs(settled)
         rhs = 1e-2 * tail_mass
@@ -517,9 +541,9 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         ok_hp = None
         if hp_check:
             with mp.workdps(_HP_DPS):
+                tail_hp -= mass_hp
                 lhs_hp_v = abs(settled_hp)
-                rhs_hp_v = mp.mpf("0.01") * series_tail_mp(
-                    sigma, f, alpha, top + 1, _HP_DPS)[0]
+                rhs_hp_v = mp.mpf("0.01") * tail_hp
                 ok_hp = bool(lhs_hp_v < rhs_hp_v)
                 lhs_hp, rhs_hp = float(lhs_hp_v), float(rhs_hp_v)
         ratio = s3 / s2 if s2 > 0 else math.inf

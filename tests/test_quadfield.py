@@ -9,7 +9,8 @@ from zetalab.errors import NotQuadratic
 from zetalab.quadfield import (PrimeIdeal, QuadraticField, factor_shift,
                                fundamental_unit, ideal_denominator,
                                multiplicative_basis, private_primes)
-from zetalab.quadfield import _FACTORIZERS, _factorizer
+from zetalab.quadfield import (_FACTORIZERS, _ShiftFactorizer, _factorizer,
+                               _prime_key)
 from zetalab.series import Alpha
 from zetalab.twist import BlockSchedule
 
@@ -208,6 +209,26 @@ def test_range_factorizations_match_single_elements(shape):
                 other = PrimeIdeal(prime.p, r, "split")
                 assert (other in fact.primes()) == \
                     membership_divides(other, n, alpha), (n, prime)
+
+
+@pytest.mark.parametrize("shape", RANGE_SHAPES)
+def test_factors_come_in_prime_key_order(shape):
+    # the sieve sorts by plain tuple order; that must be _prime_key order
+    alpha = Alpha.parse(shape)
+    _factorizer(alpha).index_to(3000)
+    for n in range(3001):
+        keys = [_prime_key(prime)
+                for prime, _ in factor_shift(n, alpha).factors]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:])), (n, keys)
+
+
+def test_norm_recombination_check_fires():
+    # the recombination product is built inside the sieve; a wrong norm on
+    # the other side of the check must still be caught
+    fz = _ShiftFactorizer(QuadraticField(2), SQRT2)
+    fz.denominator_norm += 1
+    with pytest.raises(ArithmeticError, match="norm recombination failed"):
+        fz.factor(3)
 
 
 def test_queries_below_the_index_mark_reuse_the_cache(monkeypatch):

@@ -13,7 +13,7 @@ import zetalab.twist as twist
 from zetalab.errors import AnnulusGap, CaseUnreachable, NoSuchIndex, \
     SignChangeNotBracketed, ZetalabError
 from zetalab.quadfield import CasselsBlock, factor_shift, private_primes
-from zetalab.series import Alpha, PeriodicFunction
+from zetalab.series import Alpha, PeriodicFunction, series_tail_mp
 from zetalab.twist import (BlockSchedule, TwistedSeries,
                            choose_case_sigma, find_sigma0, greedy_step,
                            run_schedule, truncation_index)
@@ -300,6 +300,32 @@ def test_hp_recheck_agrees_with_float():
         assert abs(row.damping_rhs - row.damping_rhs_hp) < 1e-9
 
 
+def from_scratch_sums(report, f, alpha, dps=30):
+    """The settled sum at every block start and end, summed from n = 0 under
+    the report's final character values: top -> (the float sum, the modulus
+    of the dps-digit sum)."""
+    a, sigma = float(alpha), report.sigma
+    tops = {row.n_start for row in report.blocks} | \
+        {row.n_end for row in report.blocks}
+    sums = {}
+    acc = 0j
+    with mp.workdps(dps):
+        a_mp = alpha.value_mp()
+        acc_hp = mp.mpc(0)
+        for n in range(max(tops) + 1):
+            total = 0.0
+            for prime, e in factor_shift(n, alpha).factors:
+                total += e * report.prime_angles[prime]
+            angle = math.fmod(total, 2.0 * math.pi)
+            acc += f(n) / (n + a) ** sigma * cmath.exp(1j * angle)
+            ang = mp.mpf(angle)
+            acc_hp += (f(n) * (mp.cos(ang) + 1j * mp.sin(ang))
+                       / (n + a_mp) ** sigma)
+            if n in tops:
+                sums[n] = (acc, abs(acc_hp))
+    return sums
+
+
 def test_ledger_matches_from_scratch_recompute():
     # the running prefixes agree bit for bit with sums taken from n = 0
     # under the final character values, since those never change once
@@ -307,35 +333,77 @@ def test_ledger_matches_from_scratch_recompute():
     schedule = BlockSchedule(n1=200, num_blocks=15, scale_den=10)
     report = run_schedule(ONE, SQRT2, schedule, hp_check=True)
     assert report.ok and len(report.blocks) == 15
-    a, sigma = float(SQRT2), report.sigma
-
-    def angle(n):
-        total = 0.0
-        for prime, e in factor_shift(n, SQRT2).factors:
-            total += e * report.prime_angles[prime]
-        return math.fmod(total, 2.0 * math.pi)
-
-    def settled_sum(top):
-        acc = 0j
-        for n in range(top + 1):
-            acc += ONE(n) / (n + a) ** sigma * cmath.exp(1j * angle(n))
-        return acc
-
-    def settled_sum_hp(top):
-        with mp.workdps(30):
-            a_mp = SQRT2.value_mp()
-            total = mp.mpc(0)
-            for n in range(top + 1):
-                ang = mp.mpf(angle(n))
-                total += (ONE(n) * (mp.cos(ang) + 1j * mp.sin(ang))
-                          / (n + a_mp) ** sigma)
-            return float(abs(total))
-
+    sums = from_scratch_sums(report, ONE, SQRT2)
     for row in report.blocks:
-        assert row.damping_lhs == abs(settled_sum(row.n_end))
-        assert row.chain_lhs == (abs(settled_sum(row.n_start))
-                                 + row.s2 - row.s3)
-        assert row.damping_lhs_hp == settled_sum_hp(row.n_end)
+        assert row.damping_lhs == abs(sums[row.n_end][0])
+        assert row.chain_lhs == abs(sums[row.n_start][0]) + row.s2 - row.s3
+        assert row.damping_lhs_hp == float(sums[row.n_end][1])
+
+
+def test_hp_head_keeps_its_digits_near_the_pole():
+    # the 30-digit head is L minus the tail from n1 + 1, each about 2^20
+    # here, so about six digits cancel
+    sigma = 1 + 2 ** -20
+    schedule = BlockSchedule(n1=200, num_blocks=5, scale_den=10, sigma=sigma)
+    report = run_schedule(ONE, SQRT2, schedule, hp_check=True)
+    assert report.ok and len(report.blocks) == 5
+    sums = from_scratch_sums(report, ONE, SQRT2)
+    for row in report.blocks:
+        assert row.damping_lhs_hp == float(sums[row.n_end][1])
+    # here the free mass cancels the settled sum down to about 1e-16, where
+    # lost digits show: the ledger stays within 30-digit rounding of a
+    # 50-digit sum (without the guard digits it is 2.2e-26 off)
+    schedule = BlockSchedule(n1=20, num_blocks=8, scale_den=1, sigma=sigma)
+    report = run_schedule(ONE, SQRT2, schedule, hp_check=True)
+    assert report.ok and report.blocks[-1].damping_lhs_hp < 1e-15
+    sums = from_scratch_sums(report, ONE, SQRT2, dps=50)
+    with mp.workdps(50):
+        for row in report.blocks:
+            ref = sums[row.n_end][1]
+            assert abs(row.damping_lhs_hp - ref) <= 1e-28 + ref * 2.0 ** -53
+
+
+@pytest.mark.parametrize("alpha, f, blocks", [
+    (Alpha.parse("quad:0,1,7"), ONE, 50),
+    (SQRT2, PeriodicFunction((1.0, 2.0)), 20),
+], ids=["quad:0,1,7", "quad:0,1,2-f1,2"])
+def test_hp_tail_is_carried_exactly(alpha, f, blocks):
+    # the 30-digit tail is evaluated once, from n1 + 1, and each block
+    # subtracts its own 30-digit mass.  Carried so, it stays within 1e-25
+    # relative of a fresh mpmath tail at every block end, and the ledger
+    # reports the double that the fresh tail rounds to.
+    report = run_schedule(f, alpha, BlockSchedule(num_blocks=blocks),
+                          hp_check=True)
+    assert report.ok and len(report.blocks) == blocks
+    sigma = report.sigma
+    with mp.workdps(30):
+        a_mp, sigma_mp = alpha.value_mp(), mp.mpf(sigma)
+        carried = series_tail_mp(sigma, f, alpha, report.blocks[0].n_start + 1,
+                                 30)[0]
+        for row in report.blocks:
+            carried -= mp.fsum(f(n) / (n + a_mp) ** sigma_mp
+                               for n in range(row.n_start + 1, row.n_end + 1))
+            fresh = series_tail_mp(sigma, f, alpha, row.n_end + 1, 30)[0]
+            assert abs(carried - fresh) <= 1e-25 * fresh, row.j
+            assert row.damping_rhs_hp == float(mp.mpf("0.01") * fresh), row.j
+
+
+def test_hp_ledger_calls_mpmath_tails_twice(monkeypatch):
+    # one tail from 0 and one from n1 + 1, however many blocks: a per-block
+    # mpmath call must not come back
+    starts = []
+
+    def counted(*args, **kwargs):
+        starts.append(args[3])
+        return tail_mp(*args, **kwargs)
+
+    tail_mp = twist.series_tail_mp
+    monkeypatch.setattr(twist, "series_tail_mp", counted)
+    report = run_schedule(ONE, Alpha.parse("quad:0,1,7"),
+                          BlockSchedule(n1=1000, num_blocks=50),
+                          hp_check=True)
+    assert report.ok and len(report.blocks) == 50
+    assert starts == [0, 1001]
 
 
 def test_witness_with_an_angle_is_refused(monkeypatch):
