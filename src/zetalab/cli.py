@@ -14,14 +14,17 @@ given on the command line win, unknown keys are rejected.
 
 One table, _COMMANDS, maps the command words to a handler and its flags.
 The top parser reads the global flags given before the command words and
-leaves the rest of the line untouched; then only the chosen command's
-parser is built, with its own flags and the global flags.
+leaves the rest of the line untouched; then the chosen command's parser,
+with its own flags and the global flags, reads the rest.  Parsers are built
+on the first call that needs them, not at import, and then kept: the top
+parser once per process, a command's parser once per config document.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -337,7 +340,8 @@ _COMMANDS = {
 }
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
+@functools.cache
+def _top_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="zetalab", formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="commands:\n" + "".join(
@@ -349,35 +353,19 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     top.add_argument("command", help="one or two command words, see below")
     top.add_argument("flags", nargs=argparse.REMAINDER,
                      help="the command's flags and global flags")
-    args = top.parse_args(argv)
-    rest = vars(args).pop("flags")
-    words = (args.command,)
-    if words not in _COMMANDS and rest:
-        words += (rest.pop(0),)
-    if words not in _COMMANDS:
-        if words[-1] in ("-h", "--help"):      # e.g. zetalab kron -h
-            top.print_help()
-            top.exit()
-        top.error(f"invalid command {' '.join(words)!r}, see zetalab -h")
+    return top
+
+
+@functools.lru_cache(maxsize=64)
+def _leaf_parser(words: tuple[str, ...],
+                 doc_text: str) -> argparse.ArgumentParser:
+    """The parser of one command under one config document, given as its
+    JSON text (a hashable key); parsing never changes it, so every call
+    with the same words and document shares it."""
     run, description, flags = _COMMANDS[words]
     specs = {flag[2:].replace("-", "_"): (flag, kw)
              for flag, kw in flags + _GLOBAL_FLAGS}
-
-    # the document is read before the leaf parser is built, so that it can
-    # supply flags the command requires; every spelling of --config,
-    # abbreviations included, starts with "--c"
-    path = getattr(args, "config", None)
-    for i, arg in enumerate(rest):
-        flag, eq, value = arg.partition("=")
-        if flag.startswith("--c") and "--config".startswith(flag):
-            path = value if eq else next(iter(rest[i + 1:]), None)
-    doc = {}
-    if path:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ConfigInvalid("config document must be a JSON object")
-    for key, value in doc.items():
+    for key, value in json.loads(doc_text).items():
         dest = key.replace("-", "_")
         if dest not in specs:
             raise ConfigInvalid(f"unknown config key {key!r}", key=key)
@@ -395,7 +383,42 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     for flag, kw in specs.values():
         leaf.add_argument(flag, **kw)
     leaf.set_defaults(run=run)
-    return leaf.parse_args(rest, namespace=args)
+    return leaf
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # both parsers come from caches, so a call builds a parser only the
+    # first time a process meets its command words and config document
+    top = _top_parser()
+    args = top.parse_args(argv)
+    rest = vars(args).pop("flags")
+    words = (args.command,)
+    if words not in _COMMANDS and rest:
+        words += (rest.pop(0),)
+    if words not in _COMMANDS:
+        if words[-1] in ("-h", "--help"):      # e.g. zetalab kron -h
+            top.print_help()
+            top.exit()
+        top.error(f"invalid command {' '.join(words)!r}, see zetalab -h")
+
+    # the document is read before the leaf parser is taken, so that it can
+    # supply flags the command requires; every spelling of --config,
+    # abbreviations included, starts with "--c"
+    path = getattr(args, "config", None)
+    for i, arg in enumerate(rest):
+        flag, eq, value = arg.partition("=")
+        if flag.startswith("--c") and "--config".startswith(flag):
+            path = value if eq else next(iter(rest[i + 1:]), None)
+    doc = {}
+    if path:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ConfigInvalid("config document must be a JSON object")
+    # the document's text is the cache key; the leaf parser rejects unknown
+    # keys before anything is parsed
+    return _leaf_parser(words, json.dumps(doc)).parse_args(rest,
+                                                           namespace=args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -410,14 +410,15 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         a_mp = alpha.value_mp() if isinstance(alpha, Alpha) else mp.mpf(a)
         sigma_mp = mp.mpf(sigma)
 
-    def settle(acc: complex, acc_hp, lo: int, hi: int):
-        """The settled prefixes over n < lo extended by the terms lo..hi,
-        and the 30-digit mass of those terms; acc_hp is None (and so is the
-        mass) when there is no high-precision recheck."""
-        ns = range(lo, hi + 1)
-        phases = chi[lo:hi + 1]
-        for n, ph in zip(ns, phases):
-            acc += weight(n) * cmath.exp(1j * ph)
+    def settle(acc: complex, acc_hp, lo: int, ws: list[float]):
+        """The settled prefixes over n < lo extended by the terms from lo on
+        whose float weights are ws, and the 30-digit mass of those terms;
+        acc_hp is None (and so is the mass) when there is no high-precision
+        recheck."""
+        ns = range(lo, lo + len(ws))
+        phases = chi[lo:lo + len(ws)]
+        for w, ph in zip(ws, phases):
+            acc += w * cmath.exp(1j * ph)
         if acc_hp is None:
             return acc, None, None
         with mp.workdps(_HP_DPS):
@@ -434,7 +435,20 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     # first block preassignment: everything visible up to n1 is pinned at 1
     n1 = schedule.n1
     if authentic:
-        fz.index_to(n1)
+        # the occurrence index holds absolute first and second occurrences,
+        # so a census reads the same from an index that runs past its block,
+        # and one sieve can cover many blocks.  It runs to the schedule's
+        # end, but to at most twice the block end in hand: a long schedule
+        # that halts early has then not factored far past its halt
+        end = n1
+        for _ in range(schedule.num_blocks):
+            end += schedule.block_length(end)
+
+        def index_ahead(top: int):
+            if top > fz.scanned:
+                fz.index_to(min(end, 2 * top))
+
+        index_ahead(n1)
         for prime in fz.denominator:
             prime_angles[prime] = 0.0
         for prime, m in fz.first.items():
@@ -444,7 +458,7 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     # it is 0 in both modes, every prime seen there being pinned at 0
     chi = [0.0] * (n1 + 1)
 
-    settled, _, _ = settle(0j, None, 0, n1)
+    settled, _, _ = settle(0j, None, 0, [weight(n) for n in range(n1 + 1)])
     settled_hp = tail_hp = None
     if hp_check:
         # the 30-digit head is L minus the tail from n1 + 1, both near
@@ -470,6 +484,7 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         chi.extend([0.0] * m_len)
 
         if authentic:
+            index_ahead(top)
             census = private_primes(n_cur, m_len, alpha)
             free_ns = sorted(census.private)
         else:
@@ -489,11 +504,15 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
             for n in fixed_ns:
                 chi[n] = angle_of(factors[n])
 
-        fixed_sum = sum(weight(n) * cmath.exp(1j * chi[n]) for n in fixed_ns)
-        free_weights = [(n, weight(n)) for n in free_ns]
+        # each weight of the block, formed once: n's is block_ws[n - n_cur - 1]
+        block_ws = [weight(n) for n in block_ns]
+        fixed_ws = [block_ws[n - n_cur - 1] for n in fixed_ns]
+        fixed_sum = sum(w * cmath.exp(1j * chi[n])
+                        for n, w in zip(fixed_ns, fixed_ws))
+        free_weights = [(n, block_ws[n - n_cur - 1]) for n in free_ns]
         ws = [w for _, w in free_weights]
         # S2 and S3: the fixed and the free mass of the block
-        s2 = math.fsum(weight(n) for n in fixed_ns)
+        s2 = math.fsum(fixed_ws)
         s3 = math.fsum(ws)
         tail_tol = max(1e-11, 1e-14 / (sigma - 1.0))
         tail_mass = series_tail(sigma + 0j, f, alpha, top + 1,
@@ -531,7 +550,7 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         # fixed mass minus the free mass
         chain_lhs = abs(settled) + s2 - s3
         settled, settled_hp, mass_hp = settle(settled, settled_hp,
-                                              n_cur + 1, top)
+                                              n_cur + 1, block_ws)
         realize_err = abs(settled - partial)
         lhs = abs(settled)
         rhs = 1e-2 * tail_mass

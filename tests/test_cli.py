@@ -1,6 +1,9 @@
 """Command-line front end: dispatch, determinism, round trips, exit codes."""
 
+import argparse
+import contextlib
 import inspect
+import io
 import json
 import os
 import re
@@ -578,3 +581,86 @@ def test_readme_command_lines(tmp_path, monkeypatch, capsys):
         # the pipeline ends in a structured failure at desk-scale budgets
         assert code == 0 or (code == 3 and " pipeline " in line), line
     assert (tmp_path / "grid.csv").read_text().startswith("sigma,t,re,im\n")
+
+
+def _run_in_process(argv):
+    """main(argv) in this process: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:         # argparse rejects the command line
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cached_parsers_carry_no_config_defaults(tmp_path):
+    # a document's defaults live in the parser kept for that document only:
+    # the plain call after a --config call prints what it printed before
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"s": "3,0", "alpha": "rat:1,3"}))
+    plain = ["eval", "--alpha", "rat:1,2"]
+    first = _run_in_process(plain)
+    assert first[0] == 0
+    configured = _run_in_process(["--config", str(cfg), "eval"])
+    assert configured[0] == 0 and configured[1] != first[1]
+    assert _run_in_process(plain) == first
+    # --alpha stays required without the document
+    code, out, err = _run_in_process(["eval"])
+    assert code == 2 and out == "" and "--alpha" in err
+    assert _run_in_process(["--config", str(cfg), "eval"]) == configured
+
+
+def test_refused_calls_leave_the_next_call_unchanged(tmp_path):
+    good = ["twist", "greedy", "--alpha", "quad:0,1,2", "--blocks", "2",
+            "--no-hp", "--format", "jsonl"]
+    expected = _run_in_process(good)
+    assert expected[0] == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"blocks": 1, "no_such_key": 1}))
+    refused = (["twist", "greedy", "--blocks", "2"],         # --alpha missing
+               ["--config", str(bad)] + good,                # unknown key
+               good + ["--mode", "neither"],                 # bad choice
+               ["twist", "greedy", "--bogus"] + good[2:])    # unknown flag
+    for argv in refused:
+        assert _run_in_process(argv)[0] == 2, argv
+        assert _run_in_process(good) == expected, argv
+
+
+def test_a_repeated_call_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = ["kron", "solve", "--freqs", "1,1.4142135623730951",
+            "--targets", "0.5,0.25", "--delta", "0.1"]
+    cli._top_parser.cache_clear()
+    cli._leaf_parser.cache_clear()
+    assert main(argv) == 0
+    assert built == ["zetalab", "zetalab kron solve"]
+    first = capsys.readouterr()
+    assert main(argv) == 0
+    assert built == ["zetalab", "zetalab kron solve"]
+    assert capsys.readouterr() == first
+
+
+def test_import_builds_no_parser():
+    # parsers are built by the first call that needs one, never at import
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def counted(self, *a, **k):\n"
+             "    built.append(k.get('prog'))\n"
+             "    init(self, *a, **k)\n"
+             "argparse.ArgumentParser.__init__ = counted\n"
+             "import zetalab, zetalab.cli\n"
+             "print(len(built))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"

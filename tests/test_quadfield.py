@@ -168,6 +168,23 @@ def test_private_primes_over_a_schedule_match_the_definition():
             n += m_len
 
 
+def test_private_primes_read_the_same_from_an_index_past_the_block():
+    # a ledger indexes its whole schedule before its first block: first and
+    # second occurrences are absolute, so every census reads as it does
+    # from an index that ends at the block
+    schedule = BlockSchedule(n1=1000, num_blocks=30)
+    blocks, n = [], schedule.n1
+    for _ in range(schedule.num_blocks):
+        blocks.append((n, schedule.block_length(n)))
+        n += blocks[-1][1]
+    for alpha in (SQRT2, Alpha.quadratic(Fraction(1, 2), 1, 3)):
+        _FACTORIZERS.clear()
+        per_block = [private_primes(n, m, alpha) for n, m in blocks]
+        _FACTORIZERS.clear()
+        _factorizer(alpha).index_to(n)
+        assert [private_primes(n, m, alpha) for n, m in blocks] == per_block
+
+
 def test_membership_oracle_consistency():
     # every factor found by valuations passes the membership test
     for n in range(1, 200):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zetalab.quadfield as quadfield
 import zetalab.twist as twist
 from zetalab.errors import AnnulusGap, CaseUnreachable, NoSuchIndex, \
     SignChangeNotBracketed, ZetalabError
@@ -405,6 +406,40 @@ def test_hp_ledger_calls_mpmath_tails_twice(monkeypatch):
     assert report.ok and len(report.blocks) == 50
     assert starts == [0, 1001]
 
+
+
+@pytest.fixture
+def sieved(monkeypatch):
+    """The spans sieved from here on, by factorizers made from here on."""
+    spans = []
+
+    def counted(self, lo, hi):
+        spans.append((lo, hi))
+        return sieve(self, lo, hi)
+
+    sieve = quadfield._ShiftFactorizer._sieve
+    monkeypatch.setattr(quadfield._ShiftFactorizer, "_sieve", counted)
+    monkeypatch.setattr(quadfield, "_FACTORIZERS", {})
+    return spans
+
+
+def test_authentic_ledger_sieves_once(sieved):
+    # the occurrence index reaches the last block end in one sieve before
+    # the first block, where it once took one sieve per block
+    report = run_schedule(ONE, SQRT2, BlockSchedule(n1=1000, num_blocks=20),
+                          hp_check=False)
+    assert report.ok and len(report.blocks) == 20
+    assert sieved == [(0, report.blocks[-1].n_end)]
+
+
+def test_halting_ledger_sieves_near_its_halt(sieved):
+    # this schedule would end near n = 19,800, but the ledger halts at its
+    # first block (n <= 1010); the index stops at twice n1
+    report = run_schedule(ONE, Alpha.parse("quad:0,1,7"),
+                          BlockSchedule(n1=1000, num_blocks=300, sigma=1.5),
+                          hp_check=False)
+    assert report.halted_at == 1
+    assert sieved == [(0, 2000)]
 
 def test_witness_with_an_angle_is_refused(monkeypatch):
     # a census naming a witness that already carries an angle would change
