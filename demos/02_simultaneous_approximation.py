@@ -2,15 +2,13 @@
 ##
 ## The frequencies log(n + alpha)/2pi are rationally independent for
 ## suitable alpha, so a single multiplier t can park every phase near any
-## target (Kronecker).  The theorem is non-effective; the solvers work
-## inside explicit budgets and re-verify everything before returning.
+## target (Kronecker).  The theorem is non-effective; the solver works
+## inside an explicit budget and re-verifies its witness before returning.
 
 import cmath
 import math
 
-from zetalab import (Alpha, KroneckerProblem, SearchBudget,
-                     multiplicative_basis, solve, solve_character_targets,
-                     verify)
+from zetalab import Alpha, KroneckerProblem, SearchBudget, solve, verify
 
 ## One frequency has a closed form: t = (beta + k) / omega
 w = math.log(2) / (2 * math.pi)
@@ -41,18 +39,3 @@ targets6 = (0.1, 0.3, 0.5, 0.7, 0.9, 0.2)
 problem6 = KroneckerProblem(freqs6, targets6, delta=0.2)
 sol6 = solve(problem6, SearchBudget(max_t=1e7))
 print("six:     t =", sol6.t, " max phase error =", sol6.max_error)
-
-## Character targets on a multiplicative basis: make (n + sqrt2)^(-it)
-## track chi(n + sqrt2) for all n at once by matching the basis elements.
-a2 = Alpha.quadratic(0, 1, 2)
-basis = multiplicative_basis(range(4), a2)
-print("basis size", len(basis.elements), " exponent bound",
-      basis.exponent_bound)
-chi = [cmath.exp(2j * math.pi * x) for x in (0.0, 0.25, 0.5, 0.125)][: len(basis.elements)]
-sol_chi, values = solve_character_targets(a2, basis, chi, epsilon=0.2,
-                                          budget=SearchBudget(max_t=1e7))
-print("character shift t =", sol_chi.t)
-for n, target in sorted(values.items()):
-    x = n + a2.value
-    attained = cmath.exp(-1j * sol_chi.t * math.log(x))
-    print(f"  n={n}: |(n+a)^(-it) - chi| = {abs(attained - target):.4f}")

@@ -1,4 +1,4 @@
-## Ideal bookkeeping in Q(sqrt(2)): factorizations, private primes, bases.
+## Ideal bookkeeping in Q(sqrt(2)): factorizations and private primes.
 ##
 ## For a quadratic irrational shift the elements n + alpha generate
 ## integral ideals (after clearing the denominator ideal); factoring them
@@ -7,14 +7,9 @@
 
 from fractions import Fraction
 
-from zetalab import (Alpha, QuadraticField, factor_shift, fundamental_unit,
-                     ideal_denominator, multiplicative_basis, private_primes)
+from zetalab import Alpha, factor_shift, ideal_denominator, private_primes
 
 a2 = Alpha.quadratic(0, 1, 2)
-
-## Fundamental units for a few small fields
-for d in (2, 3, 5, 10, 13):
-    print(f"fundamental unit of Q(sqrt{d}):", fundamental_unit(QuadraticField(d)))
 
 ## Denominator ideals: sqrt(2) is integral, sqrt(2)/2 is not
 print("denominator of sqrt(2):   ", ideal_denominator(a2) or "unit ideal")
@@ -37,10 +32,3 @@ print("private in (0,5]:",
 ## Density at a larger block (the greedy construction feeds on this)
 block = private_primes(1000, 50, a2)
 print(f"private density in (1000, 1050]: {block.density:.2f}")
-
-## Multiplicative basis of {n + sqrt2 : n <= 5} with verified exponents
-basis = multiplicative_basis(range(6), a2)
-print("basis:", [str(e) for e in basis.elements])
-print("exponent bound:", basis.exponent_bound)
-for n, u in sorted(basis.exponents.items()):
-    print(f"  {n} + sqrt2 = product of basis^{list(u)}")

@@ -11,10 +11,10 @@ from .annulus import AnnulusSpec, contains, radii, realize, realize_phases, \
     sample_oracle
 from .errors import ZetalabError
 from .kronecker import KroneckerProblem, KroneckerSolution, SearchBudget, \
-    solve, solve_character_targets, verify
-from .quadfield import CasselsBlock, IdealFactorization, MultiplicativeBasis, \
-    PrimeIdeal, QuadElement, QuadraticField, factor_shift, fundamental_unit, \
-    ideal_denominator, multiplicative_basis, private_primes
+    solve, verify
+from .quadfield import CasselsBlock, IdealFactorization, PrimeIdeal, \
+    QuadElement, QuadraticField, factor_shift, ideal_denominator, \
+    private_primes
 from .series import Alpha, PeriodicFunction, hurwitz_zeta, lfunction, \
     series_head, series_tail
 from .twist import BlockSchedule, ScheduleReport, TwistedSeries, \

@@ -28,7 +28,6 @@ bounded by arc, Lipschitz constant 2pi).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ import numpy as np
 from .errors import BudgetExhausted, DegenerateInput
 
 __all__ = ["KroneckerProblem", "KroneckerSolution", "SearchBudget",
-           "solve", "verify", "solve_character_targets", "PHASE_LIPSCHITZ"]
+           "solve", "verify", "PHASE_LIPSCHITZ"]
 
 # chord length on the unit circle per unit of phase distance
 PHASE_LIPSCHITZ = 2.0 * math.pi
@@ -174,55 +173,3 @@ def solve(problem: KroneckerProblem, budget: SearchBudget | None = None
                           t_reached=min(max_t, (bmax + k - d) / wmax),
                           max_t=max_t)
 
-
-def solve_character_targets(alpha, basis, chi_on_basis, epsilon: float,
-                            t_min: float = 0.0,
-                            budget: SearchBudget | None = None):
-    """Find t making every s_j^(-it) land within eps/(M*l) of chi(s_j).
-
-    basis is a MultiplicativeBasis over positive field elements; the error
-    budget per basis element propagates through exponent vectors bounded by
-    M across l elements, so the product bound
-
-        |(n+alpha)^(-it) - chi(n+alpha)| <= M * sum_j |s_j^(-it) - chi(s_j)|
-
-    comes out below epsilon for every represented n.  The conclusion is
-    re-verified directly on all n before returning.
-
-    Returns (solution, chi_values) with chi_values[n] the target character
-    value on n + alpha.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    chi = [complex(c) for c in chi_on_basis]
-    if len(chi) != len(basis.elements):
-        raise ValueError("one unit target per basis element required")
-    for c in chi:
-        if abs(abs(c) - 1.0) > 1e-12:
-            raise ValueError("targets must be unimodular")
-    m_bound = max(basis.exponent_bound, 1)
-    ell = len(basis.elements)
-    per = epsilon / (m_bound * ell)
-    delta_phase = min(per / PHASE_LIPSCHITZ, 0.49)
-
-    freqs = [math.log(e.approx()) / (2.0 * math.pi) for e in basis.elements]
-    targets = [(-cmath.phase(c) / (2.0 * math.pi)) % 1.0 for c in chi]
-    problem = KroneckerProblem(tuple(freqs), tuple(targets),
-                               delta=delta_phase, t_min=t_min)
-    sol = solve(problem, budget)
-
-    chi_values = {}
-    worst = 0.0
-    for n, u in basis.exponents.items():
-        val = 1.0 + 0j
-        for cj, uj in zip(chi, u):
-            val *= cj ** uj
-        x = float(n) + alpha.value
-        attained = cmath.exp(-1j * sol.t * math.log(x))
-        worst = max(worst, abs(attained - val))
-        chi_values[n] = val
-    if worst >= epsilon:
-        raise BudgetExhausted(
-            "verified product error not below epsilon; tighten the budget",
-            worst=worst, epsilon=epsilon, t=sol.t)
-    return sol, chi_values

@@ -2,9 +2,8 @@
 
 Supports the ideal bookkeeping the greedy character construction needs:
 the denominator ideal of a shift alpha, factorization of the integral
-ideals (n + alpha)*a into prime ideals, detection of primes private to a
-single n inside a block, and a multiplicative basis (with verified integer
-exponent vectors) of the group generated by the shifted elements.
+ideals (n + alpha)*a into prime ideals, and detection of primes private to
+a single n inside a block.
 
 Elements are stored as x + y*sqrt(d) with exact rational coordinates.
 Prime ideals above p are labeled (p, r) where r is the smallest nonnegative
@@ -35,18 +34,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
-
-import mpmath as mp
 
 from .errors import NotQuadratic
 from .series import Alpha, _is_squarefree
 
 __all__ = [
     "QuadraticField", "QuadElement", "PrimeIdeal", "IdealFactorization",
-    "CasselsBlock", "MultiplicativeBasis", "ideal_denominator", "factor_shift",
-    "private_primes", "multiplicative_basis", "fundamental_unit",
+    "CasselsBlock", "ideal_denominator", "factor_shift", "private_primes",
 ]
 
 
@@ -178,13 +173,6 @@ class QuadElement:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return QuadElement(-self.x, -self.y, self.d)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadElement)
-                       else QuadElement(Fraction(-other), Fraction(0), self.d))
-
     def __mul__(self, other):
         if isinstance(other, QuadElement):
             return QuadElement(self.x * other.x + self.d * self.y * other.y,
@@ -193,30 +181,6 @@ class QuadElement:
         return QuadElement(self.x * k, self.y * k, self.d)
 
     __rmul__ = __mul__
-
-    @cached_property
-    def norm(self) -> Fraction:
-        return self.x * self.x - self.d * self.y * self.y
-
-    def inverse(self) -> "QuadElement":
-        n = self.norm
-        if n == 0:
-            raise ZeroDivisionError("zero element")
-        return QuadElement(self.x / n, -self.y / n, self.d)
-
-    def __pow__(self, e: int) -> "QuadElement":
-        base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        out = QuadElement(Fraction(1), Fraction(0), self.d)
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
 
     def is_integral(self) -> bool:
         if self.d % 4 == 1:
@@ -230,34 +194,6 @@ class QuadElement:
         if self.d % 4 == 1:
             return self.x - self.y, 2 * self.y
         return self.x, self.y
-
-    def is_positive(self) -> bool:
-        # x + y*sqrt(d) > 0, exactly
-        if self.y == 0:
-            return self.x > 0
-        if self.x == 0:
-            return self.y > 0
-        if self.x > 0 and self.y > 0:
-            return True
-        if self.x < 0 and self.y < 0:
-            return False
-        # opposite signs: compare x^2 with d y^2
-        if self.x > 0:
-            return self.x * self.x > self.d * self.y * self.y
-        return self.x * self.x < self.d * self.y * self.y
-
-    def approx(self) -> float:
-        return float(self.x) + float(self.y) * math.sqrt(self.d)
-
-    def log_approx(self) -> float:
-        """log of a positive element, overflow-safe for huge coordinates."""
-        with mp.workdps(40):
-            v = (mp.mpf(self.x.numerator) / self.x.denominator
-                 + (mp.mpf(self.y.numerator) / self.y.denominator) * mp.sqrt(self.d))
-            return float(mp.log(v))
-
-    def __str__(self):
-        return f"{self.x}{'+' if self.y >= 0 else ''}{self.y}*sqrt({self.d})"
 
 
 # ---------------------------------------------------------------------------
@@ -598,187 +534,3 @@ def private_primes(n_start: int, length: int, alpha: Alpha) -> CasselsBlock:
     return CasselsBlock(n_start=n_start, length=length, private=private,
                         density=len(private) / length)
 
-
-# ---------------------------------------------------------------------------
-# fundamental unit and multiplicative bases
-# ---------------------------------------------------------------------------
-
-def _pell_minimal(d: int) -> tuple[int, int]:
-    """Minimal (x, y), y > 0, with x^2 - d y^2 = +-1, by continued fractions."""
-    a0 = math.isqrt(d)
-    m, den, a = 0, 1, a0
-    h_prev, h_cur = 1, a0
-    k_prev, k_cur = 0, 1
-    while True:
-        m = den * a - m
-        den = (d - m * m) // den
-        a = (a0 + m) // den
-        if a == 2 * a0:
-            break
-        h_prev, h_cur = h_cur, a * h_cur + h_prev
-        k_prev, k_cur = k_cur, a * k_cur + k_prev
-    return h_cur, k_cur
-
-
-def fundamental_unit(field: QuadraticField) -> QuadElement:
-    """The fundamental unit > 1 of the ring of integers."""
-    d = field.d
-    x, y = _pell_minimal(d)
-    u = field.element(x, y)
-    assert abs(u.norm) == 1
-    if field.half_basis:
-        # the unit group of Z[sqrt(d)] has index 1 or 3 here; look for an
-        # exact cube root with half-integer coordinates
-        approx = u.approx() ** (1.0 / 3.0)
-        for nu in (1, -1):
-            cx = round(approx + nu / approx)          # = 2x of the candidate
-            cy = round((approx - nu / approx) / math.sqrt(d))
-            if (cx - cy) % 2 == 0 and (cx, cy) != (0, 0):
-                cand = field.element(Fraction(cx, 2), Fraction(cy, 2))
-                if cand.is_integral() and cand ** 3 == u:
-                    return cand if cand.is_positive() else -cand
-    return u
-
-
-@dataclass(frozen=True)
-class MultiplicativeBasis:
-    """Basis s_1..s_l of the group generated by the input elements, with
-    verified exponent vectors: elements[n] = prod s_j^(u_j) exactly."""
-
-    elements: tuple          # QuadElement, all positive
-    exponents: dict          # n -> tuple of ints, one per basis element
-    exponent_bound: int      # max |u_j| over all represented n
-
-
-def multiplicative_basis(shifts, alpha: Alpha) -> MultiplicativeBasis:
-    """Multiplicative basis for {n + alpha : n in shifts}.
-
-    Ideal exponent vectors are reduced to an integer echelon basis by
-    unimodular row operations carried out simultaneously on the field
-    elements, so each basis vector is realized by an explicit element of
-    the group.  Rows that reduce to the zero vector are units; they land in
-    the sign-free cyclic group generated by the fundamental unit, which is
-    appended as an extra basis element when needed.  Every reconstruction
-    is re-verified in exact field arithmetic.
-    """
-    fz = _factorizer(alpha)
-    fld = fz.field
-    ns = sorted(set(int(n) for n in shifts))
-    if any(n < 0 for n in ns):
-        raise ValueError("shifts must be nonnegative")
-
-    # principal ideal exponents of n + alpha: shift factorization minus a
-    denom = fz.denominator
-    vectors: dict[int, dict[PrimeIdeal, int]] = {}
-    for n in ns:
-        exps = {pr: e for pr, e in fz.factor(n).factors}
-        for pr, e in denom.items():
-            exps[pr] = exps.get(pr, 0) - e
-            if exps[pr] == 0:
-                del exps[pr]
-        vectors[n] = exps
-
-    cols = sorted({pr for v in vectors.values() for pr in v}, key=_prime_key)
-    col_ix = {pr: i for i, pr in enumerate(cols)}
-    width = len(cols)
-
-    rows: list[tuple[QuadElement, list[int]]] = []
-    for n in ns:
-        vec = [0] * width
-        for pr, e in vectors[n].items():
-            vec[col_ix[pr]] = e
-        rows.append((fz.alpha_elem + n, vec))
-
-    unit = fundamental_unit(fld)
-    log_unit = unit.log_approx()
-
-    def unit_exponent(elem: QuadElement) -> int:
-        """elem is a positive unit; return m with elem = unit^m, verified."""
-        m = round(elem.log_approx() / log_unit)
-        if unit ** m == elem:
-            return m
-        raise ArithmeticError("element is not a power of the fundamental unit")
-
-    # integer echelon reduction with tracked elements
-    basis_rows: list[tuple[QuadElement, list[int]]] = []
-    unit_ms: list[int] = []
-    active = rows
-    for col in range(width):
-        live = [r for r in active if r[1][col] != 0]
-        rest = [r for r in active if r[1][col] == 0]
-        if not live:
-            active = rest
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[1][col]))
-            pivot = live[0]
-            others = []
-            for elem, vec in live[1:]:
-                qt = vec[col] // pivot[1][col]
-                if qt:
-                    elem = elem * (pivot[0] ** (-qt))
-                    vec = [a - qt * b for a, b in zip(vec, pivot[1])]
-                if vec[col] != 0:
-                    others.append((elem, vec))
-                elif any(vec):
-                    rest.append((elem, vec))
-                else:
-                    unit_ms.append(unit_exponent(elem))
-            live = [pivot] + others
-        elem, vec = live[0]
-        if vec[col] < 0:
-            elem = elem.inverse()
-            vec = [-a for a in vec]
-        basis_rows.append((elem, vec))
-        active = rest
-    for elem, vec in active:
-        if any(vec):
-            raise ArithmeticError("echelon reduction left a nonzero row")
-        unit_ms.append(unit_exponent(elem))
-
-    unit_step = math.gcd(*unit_ms) if unit_ms else 0
-    basis = [elem for elem, _ in basis_rows]
-    if unit_step:
-        basis.append(unit ** unit_step)
-
-    # express each original element in the basis
-    exponents: dict[int, tuple] = {}
-    bound = 0
-    for n in ns:
-        vec = [0] * width
-        for pr, e in vectors[n].items():
-            vec[col_ix[pr]] = e
-        coeffs = []
-        for elem, bvec in basis_rows:
-            col = next(i for i, v in enumerate(bvec) if v != 0)
-            if vec[col] % bvec[col] != 0:
-                raise ArithmeticError("element escapes the basis lattice")
-            c = vec[col] // bvec[col]
-            coeffs.append(c)
-            vec = [a - c * b for a, b in zip(vec, bvec)]
-        if any(vec):
-            raise ArithmeticError("nonzero residual after back-substitution")
-        residual = fz.alpha_elem + n
-        for (elem, _), c in zip(basis_rows, coeffs):
-            residual = residual * (elem ** (-c))
-        m = unit_exponent(residual)
-        if unit_step:
-            if m % unit_step:
-                raise ArithmeticError("unit residual outside the unit lattice")
-            coeffs.append(m // unit_step)
-        elif m != 0:
-            raise ArithmeticError("unit residual with no unit generator")
-        # exact reconstruction check
-        rebuilt = QuadElement(Fraction(1), Fraction(0), fld.d)
-        for b, c in zip(basis, coeffs):
-            rebuilt = rebuilt * (b ** c)
-        if not (rebuilt - (fz.alpha_elem + n)).is_zero():
-            raise ArithmeticError(f"reconstruction failed for n={n}")
-        exponents[n] = tuple(coeffs)
-        bound = max(bound, max((abs(c) for c in coeffs), default=0))
-
-    for b in basis:
-        if not b.is_positive():
-            raise ArithmeticError("basis element not positive")
-    return MultiplicativeBasis(elements=tuple(basis), exponents=exponents,
-                               exponent_bound=bound)

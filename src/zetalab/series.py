@@ -27,8 +27,9 @@ split, at a stated number of working digits.
 
 lfunction and series_tail also take a batch: a 1-D complex array of points,
 for which they return the array of values.  One kernel serves a single
-point and a batch; a batch shares one plan (at its largest |s| and smallest
-sigma), and every check holds at each of its points.  hurwitz_zeta takes a
+point and a batch; a batch shares one plan (at its largest |s|, smallest
+sigma and smallest tolerance), and every check holds at each of its points,
+against the tolerance that point would get alone.  hurwitz_zeta takes a
 single point.
 
 One routine, _direct_block, forms every finite sum w(n) (n+a)^(-s): the
@@ -404,24 +405,28 @@ def _em_once(s, a: float, m: int, order: int, coeffs):
     return direct + tail + half + corr, rem, mag + abs(tail) + abs(half)
 
 
-def _zeta(s, a: float, tol: float):
+def _zeta(s, a: float, tol):
     """zeta(s, a) with absolute error at most tol: the kernel of hurwitz_zeta,
-    at a Python complex s or at each point of a batch.
+    at a Python complex s or at each point of a batch, whose tol may be an
+    array of one tolerance per point.
 
-    A batch takes one plan, at its largest |s| and smallest sigma, and its
-    cutoff doubles until the remainder bound holds at every point.
+    A batch takes one plan, at its largest |s|, smallest sigma and smallest
+    tol, and its cutoff doubles until the remainder bound holds at every
+    point within that point's tol.
     """
     _refuse_pole(s)
     _refuse_left(s)
-    m, order = _em_plan(*_extent(s), a, tol)
-    sw, batch = _working(s), isinstance(s, np.ndarray)
+    batch = isinstance(s, np.ndarray)
+    least = np.min(tol) if batch else tol
+    m, order = _em_plan(*_extent(s), a, least)
+    sw = _working(s)
     # the direct block is summed in fsum-combined slabs; a few ulps of the
     # magnitude scale is what double precision can deliver
     unit = 4 * math.ulp(1.0)
     while True:
         if m > _MAX_DIRECT:
-            raise PrecisionUnreachable(
-                "cutoff beyond the direct-block cap", tol=tol, cutoff=m)
+            raise PrecisionUnreachable("cutoff beyond the direct-block cap",
+                                       tol=float(least), cutoff=m)
         value, rem, scale = _em_once(sw, a, m, order, _C_EVEN)
         worst = rem.max() if batch else rem
         if not worst < math.inf:      # inf or nan
@@ -429,11 +434,18 @@ def _zeta(s, a: float, tol: float):
             raise PrecisionUnreachable(
                 "Euler-Maclaurin remainder bound is not finite",
                 s=[at.real, at.imag], cutoff=m, order=order)
-        floor = unit * (scale.max() if batch else scale)
-        if not tol >= floor:
-            raise PrecisionUnreachable("tolerance below reachable floor",
-                                       tol=tol, floor=floor)
-        if worst <= tol:
+        floor = unit * scale
+        reached = tol >= floor
+        if not (reached.all() if batch else reached):
+            i = int(np.argmin(reached)) if batch else 0
+            at, tol_at, floor_at = (np.ravel(x)[i]
+                                    for x in np.broadcast_arrays(s, tol, floor))
+            raise PrecisionUnreachable(
+                "tolerance below reachable floor", tol=float(tol_at),
+                shift=a, s=[float(at.real), float(at.imag)],
+                floor=float(floor_at))
+        met = rem <= tol
+        if met.all() if batch else met:
             return _complete(value, s)
         m *= 2
 
@@ -460,19 +472,25 @@ def series_tail(s, f: PeriodicFunction, alpha, start: int,
     """
     s = _points(s)
     q = f.period
-    weight = q ** (-_extent(s)[1]) * (math.fsum(abs(v) for v in f.values)
-                                      + 1.0)
+    # each point's share of tol per class, from its own q^(-sigma)
+    weight = q ** -s.real * (math.fsum(abs(v) for v in f.values) + 1.0)
     each = 0.5 * tol / weight
     a = _shift_value(alpha)
     # a single point goes through the public hurwitz_zeta, a batch straight
     # to the kernel they share
     zeta = _zeta if isinstance(s, np.ndarray) else hurwitz_zeta
     total = 0
-    for r in range(q):
-        c = f(start + r)
-        if c == 0.0:
-            continue
-        total += c * zeta(s, (a + start + r) / q, tol=each)
+    try:
+        for r in range(q):
+            c = f(start + r)
+            if c == 0.0:
+                continue
+            total += c * zeta(s, (a + start + r) / q, tol=each)
+    except PrecisionUnreachable as err:
+        if "tol" in err.details:    # the kernel's tol is one class's share
+            err.details = {"tol": float(tol),
+                           "class_tol": err.details.pop("tol"), **err.details}
+        raise
     return _complete(q ** (-_working(s)) * total, s)
 
 

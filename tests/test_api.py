@@ -41,6 +41,12 @@ def test_package_exports():
     for name in ("residue", "lfunction_direct"):
         assert not hasattr(zetalab, name), name
         assert not hasattr(zetalab.series, name), name
+    # the character-target route is gone
+    for name in ("solve_character_targets", "multiplicative_basis",
+                 "MultiplicativeBasis", "fundamental_unit"):
+        for module in (zetalab, zetalab.kronecker, zetalab.quadfield):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(zetalab.quadfield, "_pell_minimal")
 
 
 def test_traced_names_resolve():
@@ -93,3 +99,32 @@ def test_one_direct_sum():
                 assert not (isinstance(target, ast.Name)
                             and target.id == "_SLAB"), \
                     f"{path.name}:{node.lineno} defines _SLAB"
+
+
+def test_no_unused_imports():
+    # no linter runs here: a module-level import is used or exported
+    package = Path(zetalab.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        exported = {name for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets
+                         if isinstance(t, ast.Name)] == ["__all__"]
+                    for name in ast.literal_eval(node.value)}
+        for name, line in imported.items():
+            assert name in used or name in exported, \
+                f"{path.name}:{line} imports {name} and never uses it"

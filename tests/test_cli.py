@@ -234,6 +234,24 @@ def test_zeros_count():
     assert json.loads(out)["count"] == 0
 
 
+def test_zeros_count_gives_each_point_its_own_class_tol(capsys):
+    # at sigma = 1.001 the class a = 1/8 gets a tol below the floor that
+    # a^(-3) = 512 sets at 3+1.35i; the tol 3+1.35i gets alone is above it
+    count = ["zeros", "count", "--alpha", "rat:1,4", "--f", "1,-1",
+             "--rect", "1.001,3,1,600"]
+    assert main(count) == 0
+    assert isinstance(json.loads(capsys.readouterr().out)["count"], int)
+    assert main(count + ["--tol", "1e-14"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PrecisionUnreachable"
+    details = err["details"]
+    assert details["tol"] == 1e-14
+    assert details["class_tol"] < details["floor"]
+    assert details["shift"] in (0.125, 0.625)
+    sigma, t = details["s"]
+    assert 1.001 <= sigma <= 3 and 1 <= t <= 600
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_zeros_count_refuses_too_few_samples(samples, capsys):
     code = main(["zeros", "count", "--alpha", "rat:1,1", "--rect",

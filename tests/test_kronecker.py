@@ -9,10 +9,7 @@ import pytest
 
 from zetalab.errors import BudgetExhausted, DegenerateInput
 from zetalab.kronecker import (PHASE_LIPSCHITZ, KroneckerProblem,
-                               SearchBudget, solve,
-                               solve_character_targets, verify)
-from zetalab.quadfield import multiplicative_basis
-from zetalab.series import Alpha
+                               SearchBudget, solve, verify)
 
 
 def coarse_witness(problem, t_hi, step):
@@ -181,47 +178,6 @@ def _scan_peak(n):
 
 def test_phase_table_memory_does_not_grow_with_n():
     assert _scan_peak(8) <= 1.1 * _scan_peak(4)
-
-
-def test_character_targets_trivial():
-    alpha = Alpha.quadratic(0, 1, 2)
-    basis = multiplicative_basis(range(3), alpha)
-    chi = [1.0 + 0j] * len(basis.elements)
-    sol, values = solve_character_targets(alpha, basis, chi, epsilon=0.5,
-                                          t_min=-1.0)
-    assert all(abs(v - 1.0) < 1e-12 for v in values.values())
-    for n in basis.exponents:
-        x = n + alpha.value
-        assert abs(cmath.exp(-1j * sol.t * math.log(x)) - 1.0) < 0.5
-
-
-def test_character_targets_single_negative():
-    # single generator 1 + sqrt(2) sent to -1: t log(1+sqrt2) = pi (mod 2pi)
-    alpha = Alpha.quadratic(1, 1, 2)       # shift 1 + sqrt(2), a unit
-    basis = multiplicative_basis([0], alpha)
-    assert len(basis.elements) == 1
-    sol, values = solve_character_targets(alpha, basis, [-1.0 + 0j],
-                                          epsilon=0.1)
-    base = math.pi / math.log(1 + math.sqrt(2))
-    # t is an odd multiple of pi / log(1+sqrt2)
-    k = sol.t / base
-    assert abs(k - round(k)) < 0.05 and round(k) % 2 == 1
-    x = alpha.value
-    assert abs(cmath.exp(-1j * sol.t * math.log(x)) - (-1.0)) < 0.1
-
-
-def test_character_targets_random_units(rng):
-    alpha = Alpha.quadratic(0, 1, 2)
-    basis = multiplicative_basis(range(4), alpha)
-    chi = [cmath.exp(2j * math.pi * rng.uniform())
-           for _ in basis.elements]
-    sol, values = solve_character_targets(
-        alpha, basis, chi, epsilon=0.2,
-        budget=SearchBudget(max_t=1e7, max_iterations=40_000_000))
-    # the postcondition re-verified on every represented shift
-    for n, vals in values.items():
-        x = n + alpha.value
-        assert abs(cmath.exp(-1j * sol.t * math.log(x)) - vals) < 0.2
 
 
 @pytest.mark.parametrize("freqs, targets, delta, max_t, reach", [

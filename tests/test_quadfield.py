@@ -1,4 +1,4 @@
-"""Quadratic field arithmetic: factorizations, censuses, bases."""
+"""Quadratic field arithmetic: factorizations and censuses."""
 
 import math
 from fractions import Fraction
@@ -7,8 +7,7 @@ import pytest
 
 from zetalab.errors import NotQuadratic
 from zetalab.quadfield import (PrimeIdeal, QuadraticField, factor_shift,
-                               fundamental_unit, ideal_denominator,
-                               multiplicative_basis, private_primes)
+                               ideal_denominator, private_primes)
 from zetalab.quadfield import (_FACTORIZERS, _ShiftFactorizer, _factorizer,
                                _prime_key)
 from zetalab.series import Alpha
@@ -38,16 +37,6 @@ def membership_divides(prime, n, alpha=SQRT2):
     if prime.kind == "inert":
         return a % prime.p == 0 and b % prime.p == 0
     return (a + b * prime.r) % prime.p == 0
-
-
-def test_fundamental_units():
-    cases = {2: (1, 1, 1), 3: (2, 1, 1), 5: (Fraction(1, 2), Fraction(1, 2), 1),
-             7: (8, 3, 1), 10: (3, 1, 1), 13: (Fraction(3, 2), Fraction(1, 2), 1)}
-    for d, (x, y, _) in cases.items():
-        u = fundamental_unit(QuadraticField(d))
-        assert u.x == Fraction(x) and u.y == Fraction(y)
-        assert abs(u.norm) == 1
-        assert u.is_positive() and u.approx() > 1
 
 
 def test_ideal_denominator_examples():
@@ -268,61 +257,6 @@ def test_queries_below_the_index_mark_reuse_the_cache(monkeypatch):
     assert all(fz.cache[n] is fact for n, fact in cached.items())
 
 
-def test_multiplicative_basis_singleton():
-    mb = multiplicative_basis([0], SQRT2)
-    assert len(mb.elements) == 1
-    assert mb.exponents[0] == (1,)
-    assert mb.exponent_bound == 1
-
-
-def test_multiplicative_basis_unit_split():
-    # 2 + sqrt2 = sqrt2 * (1 + sqrt2): basis {sqrt2, fundamental unit}
-    mb = multiplicative_basis([0, 2], SQRT2)
-    assert len(mb.elements) == 2
-    assert mb.exponents[0] == (1, 0)
-    assert mb.exponents[2] == (1, 1)
-    assert mb.exponent_bound == 1
-    unit = mb.elements[1]
-    assert unit.x == 1 and unit.y == 1
-
-
-def test_multiplicative_basis_first_four():
-    mb = multiplicative_basis(range(4), SQRT2)
-    assert len(mb.elements) <= 4
-    field = QuadraticField(2)
-    for n, u in mb.exponents.items():
-        rebuilt = field.element(1, 0)
-        for b, c in zip(mb.elements, u):
-            rebuilt = rebuilt * (b ** c)
-        assert (rebuilt - (field.element(0, 1) + n)).is_zero()
-        assert max(abs(c) for c in u) <= mb.exponent_bound
-
-
-def test_multiplicative_basis_half_coordinates():
-    golden = Alpha.quadratic(Fraction(1, 2), Fraction(1, 2), 5)
-    mb = multiplicative_basis(range(5), golden)
-    field = QuadraticField(5)
-    alpha_elem = field.from_alpha(golden)
-    for n, u in mb.exponents.items():
-        rebuilt = field.element(1, 0)
-        for b, c in zip(mb.elements, u):
-            rebuilt = rebuilt * (b ** c)
-        assert (rebuilt - (alpha_elem + n)).is_zero()
-
-
-def test_basis_in_class_number_two_field():
-    # Q(sqrt10) has a nontrivial class group; the basis realization only
-    # ever multiplies group elements, so principality is never needed
-    a10 = Alpha.quadratic(0, 1, 10)
-    field = QuadraticField(10)
-    mb = multiplicative_basis(range(8), a10)
-    for n, u in mb.exponents.items():
-        rebuilt = field.element(1, 0)
-        for b, c in zip(mb.elements, u):
-            rebuilt = rebuilt * (b ** c)
-        assert (rebuilt - (field.element(0, 1) + n)).is_zero()
-
-
 def test_split_prime_denominator():
     # sqrt(2)/7: both primes above 7 carry the denominator
     a7 = Alpha.quadratic(0, Fraction(1, 7), 2)
@@ -332,16 +266,3 @@ def test_split_prime_denominator():
     for n in range(12):
         fact = factor_shift(n, a7)
         assert Fraction(fact.recombined_norm()) == fact.norm
-
-
-def test_quad_element_arithmetic():
-    field = QuadraticField(2)
-    x = field.element(3, 1)
-    assert x.norm == 7
-    assert (x * x.inverse() - field.element(1, 0)).is_zero()
-    assert (x ** 3).norm == 343
-    assert (x ** -2).norm == Fraction(1, 49)
-    assert field.element(0, 1).is_positive()
-    assert not field.element(0, -1).is_positive()
-    assert field.element(-1, 1).is_positive()       # sqrt2 - 1 > 0
-    assert not field.element(2, -Fraction(3, 2)).is_positive()

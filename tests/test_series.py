@@ -219,6 +219,10 @@ def test_against_mpmath_oracle():
 def test_cutoff_cap_fails_fast():
     with pytest.raises(PrecisionUnreachable):
         hurwitz_zeta(2 + 1e9j, 1.0, tol=1e-10)
+    # a batch's refusal carries plain numbers, no array
+    with pytest.raises(PrecisionUnreachable) as err:
+        lfunction(np.array([2 + 1e9j, 3 + 0j]), ONE, 1.0, tol=1e-10)
+    assert {type(v) for v in err.value.details.values()} <= {int, float}
 
 
 def test_alpha_parsing_and_validation():
@@ -418,6 +422,18 @@ def test_batch_refuses_what_a_single_point_refuses():
     # the public hurwitz_zeta takes one point
     with pytest.raises(TypeError):
         hurwitz_zeta(np.array([2 + 0j, 3 + 0j]), 1.0)
+
+
+def test_batch_evaluates_what_each_single_point_evaluates():
+    # at sigma = 1.001 the class a = 1/8 gets a class tol of 3.3e-13, below
+    # the floor 4.6e-13 that a^(-3) = 512 sets at 3+1.35i; that point alone
+    # gets 1.3e-12, so the batch takes each point's own class tol
+    f = PeriodicFunction((1.0, -1.0))
+    alpha = Alpha.rational(1, 4)
+    batch = np.array([1.001 + 1j, 3 + 1.35j, 2 + 300j, 1.001 + 600j])
+    values = lfunction(batch, f, alpha, tol=1e-12)
+    for s, v in zip(batch.tolist(), values.tolist()):
+        assert abs(v - lfunction(s, f, alpha, tol=1e-12)) <= 1e-12, s
 
 
 # Past _SLAB terms a batch goes one point at a time through the slabs of
