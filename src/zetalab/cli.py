@@ -50,23 +50,43 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+_LITERALS = {True: "true", False: "false", None: "null"}
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def render_json(obj) -> str:
     """Canonical JSON: floats at 17 significant digits, insertion order."""
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {render_json(v)}"
-                          for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(render_json(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
+    parts: list[str] = []
+    _render(obj, parts.append)
+    return "".join(parts)
+
+
+def _render(obj, put) -> None:
+    """Put the pieces of obj's JSON text, in one pass over its values."""
     if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, complex):
-        return render_json([obj.real, obj.imag])
-    return json.dumps(str(obj))
+        put(_fmt_float(obj))
+    elif isinstance(obj, dict):
+        sep = "{"
+        for k, v in obj.items():
+            put(sep + _encode_str(str(k)) + ": ")
+            _render(v, put)
+            sep = ", "
+        put("}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        sep = "["
+        for v in obj:
+            put(sep)
+            _render(v, put)
+            sep = ", "
+        put("]" if obj else "[]")
+    elif obj is None or isinstance(obj, bool):
+        put(_LITERALS[obj])
+    elif isinstance(obj, int):
+        put(str(obj))
+    elif isinstance(obj, complex):
+        _render([obj.real, obj.imag], put)
+    else:
+        put(_encode_str(str(obj)))
 
 
 def _parse_f(ns) -> PeriodicFunction:

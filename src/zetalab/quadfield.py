@@ -10,18 +10,25 @@ Prime ideals above p are labeled (p, r) where r is the smallest nonnegative
 root mod p of the minimal polynomial of the integral generator w (w =
 sqrt(d), or (1+sqrt(d))/2 when d = 1 mod 4); inert primes carry r = None.
 
-Factorizations are sieved over whole ranges of n in integer arithmetic.
-With D the common denominator of alpha's integral coordinates,
-D*(n + alpha) = A(n) + B*w where A(n) = D*n + A0, and its norm g(n) is an
-integer quadratic in n.  The few primes dividing 2*d*D*B get exact local
-valuations (at a split one, p is stripped from both coordinates, and what
-is left lies in at most one of the two conjugate ideals).  Any other prime
-dividing g(n) is split, and its ideal (p, r) divides exactly the n in one
-residue class mod p, with exponent v_p(g(n)).  Once the primes up to the
-square root of the largest cofactor are stripped, what is left of g(n) is
-1 or one prime q, whose ideal is (q, -A(n)/B mod q).  Two checks guard
-every factorization: the ideal (n + alpha)*a must come out integral, and
-the norms of its prime factors must multiply back to its norm.
+Factorizations are sieved over whole ranges of n at once, in numpy
+arrays: int64 while every product the sieve forms fits, Python integers
+past that, by the same code.  With D the common denominator of alpha's
+integral coordinates, D*(n + alpha) = A(n) + B*w where A(n) = D*n + A0,
+and its norm g(n) is an integer quadratic in n.  The few primes dividing
+2*d*D*B get exact local valuations (at a split one, p is stripped from
+both coordinates, and what is left lies in at most one of the two
+conjugate ideals).  Any other prime dividing g(n) is split, and its ideal
+(p, r) divides exactly the n in one residue class mod p, with exponent
+v_p(g(n)); the hits of every class are laid out together from a table of
+classes.  Once the primes up to the square root of the largest cofactor
+are stripped, what is left of g(n) is 1 or one prime q, whose ideal is
+(q, -A(n)/B mod q).  Checks guard every range: parity at inert primes,
+the norm bookkeeping at each special prime, integrality of (n + alpha)*a,
+and the norms of its prime factors multiplying back to its norm.
+
+A sieved range is kept as flat (n, ideal label, exponent) arrays.  The
+occurrence index of the private-prime census reads them directly; the
+IdealFactorization of an n is built, and kept, only when it is asked for.
 
 The interface is degree-agnostic on purpose (factorizations are lists of
 labeled primes with exponents); only the quadratic case is implemented.
@@ -35,6 +42,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import NotQuadratic
 from .series import Alpha, _is_squarefree
@@ -91,11 +100,13 @@ def _sqrt_mod_p(a: int, p: int) -> int | None:
     a %= p
     if a == 0:
         return 0
+    if p % 4 == 3:
+        # a^((p+1)/4) squares to a times a's Euler criterion, so the one
+        # power both finds the root and tells a non-residue
+        r = pow(a, (p + 1) // 4, p)
+        return min(r, p - r) if r * r % p == a else None
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
     # write p-1 = q * 2^s with q odd
     q, s = p - 1, 0
     while q % 2 == 0:
@@ -242,23 +253,29 @@ def _primes_above(field: QuadraticField, p: int) -> list[PrimeIdeal]:
         else:
             r = 0
         return [PrimeIdeal(p, r, "ramified")]
-    root = _sqrt_mod_p(d % p, p)
-    if root is None:
+    roots = _split_roots(field, p)
+    if roots is None:
         return [PrimeIdeal(p, None, "inert")]
+    return [PrimeIdeal(p, r, "split") for r in roots]
+
+
+def _split_roots(field: QuadraticField, p: int) -> tuple[int, int] | None:
+    """The roots mod p of the minimal polynomial of w, ascending, for an odd
+    prime p not dividing d; None when p is inert."""
+    root = _sqrt_mod_p(field.d % p, p)
+    if root is None:
+        return None
     if field.half_basis:
-        inv2 = pow(2, p - 2, p)
-        r1, r2 = (1 + root) * inv2 % p, (1 - root) * inv2 % p
-    else:
-        r1, r2 = root, p - root
-    r1, r2 = sorted((r1, r2))
-    return [PrimeIdeal(p, r1, "split"), PrimeIdeal(p, r2, "split")]
+        inv2 = (p + 1) // 2
+        return tuple(sorted(((1 + root) * inv2 % p, (1 - root) * inv2 % p)))
+    return root, p - root
 
 
 class IdealFactorization(NamedTuple):
     """Factorization of (n + alpha) * a into labeled prime-ideal powers,
     in _prime_key order.
 
-    A named tuple, as PrimeIdeal is: the sieve makes one per n.
+    A named tuple, as PrimeIdeal is: factor() makes one per n asked for.
     """
 
     n: int
@@ -293,12 +310,47 @@ def _prime_key(prime: PrimeIdeal) -> tuple:
     return prime.p, prime.r is None, prime.r or 0
 
 
+_NEVER = np.iinfo(np.int64).max   # a second occurrence past every n
+
+
+def _valuations(x, p):
+    """v_p of each (nonzero) entry of the array x; p is one prime or an
+    array of primes, one per entry.  The result has x's dtype."""
+    if not x.all():
+        raise ValueError("valuation of zero")
+    v = np.zeros(len(x), x.dtype)
+    hit = x % p == 0
+    while hit.any():
+        v += hit
+        x = np.where(hit, x // p, x)
+        hit = x % p == 0
+    return v
+
+
+class _Sieved(NamedTuple):
+    """A sieved range [lo, hi] as flat arrays, one entry per prime-ideal
+    power, sorted by (at, p, c): entry j is the ideal labelled (p[j], c[j])
+    to the exponent e[j] in the factorization of lo + at[j]; norm[i] is the
+    norm of (lo + i + alpha) * a."""
+
+    at: np.ndarray
+    p: np.ndarray
+    c: np.ndarray
+    e: np.ndarray
+    norm: np.ndarray
+
+
 class _ShiftFactorizer:
     """Factorizations of (n + alpha) * a, sieved over ranges of n.
 
     D*(n + alpha) = A(n) + B*w with A(n) = D*n + A0 and fixed integers D > 0
     and B != 0, so the norm of D*(n + alpha) is the integer quadratic
     g(n) = A^2 - lin*A*B + const*B^2.
+
+    The sieve labels a prime ideal by (p, c) without its root r: above a
+    special p, c is its place in above[p]; any other ideal is split, and c
+    is the class mod p of the n it divides.  The index makes one PrimeIdeal
+    per ideal it holds; an IdealFactorization is made when first asked for.
     """
 
     def __init__(self, field: QuadraticField, alpha: Alpha):
@@ -308,14 +360,15 @@ class _ShiftFactorizer:
         self.D = math.lcm(x.denominator, y.denominator)
         self.A0, self.B = int(x * self.D), int(y * self.D)
         self.lin, self.const = _minpoly_coeffs(field)
+        # the factorizations made so far
         self.cache: dict[int, IdealFactorization] = {}
         # primes dividing 2*d*D*B get exact local valuations; every other
         # prime ideal dividing some g(n) is split and is sieved
         self.special = sorted(_factor_int(2 * field.d * self.D * self.B))
         self.above = {p: _primes_above(field, p) for p in self.special}
-        # (p, prime, n0): the split prime divides D*(n + alpha) iff n = n0
-        # mod p; complete for the non-special primes <= roots_to
-        self.roots: list[tuple[int, PrimeIdeal, int]] = []
+        # rows (p, n0), p ascending: the split prime p divides D*(n + alpha)
+        # iff n = n0 mod p; complete for the non-special primes <= roots_to
+        self.roots = np.zeros((0, 2), np.int64)
         self.roots_to = 1
         # the exponent of P above a special p in (n + alpha) * a is
         # v_P(A(n) + B*w) + offset[P]: D contributes e_P * v_p(D), and the
@@ -328,23 +381,29 @@ class _ShiftFactorizer:
         for prime, e in self.denominator.items():
             self.offset[prime] += e
             self.denominator_norm *= prime.ideal_norm ** e
-        # occurrence index over the shifts 0..scanned: the first and second
-        # m whose factorization contains each prime ideal
-        self.first: dict[PrimeIdeal, int] = {}
-        self.second: dict[PrimeIdeal, int] = {}
+        # the occurrence index over the shifts 0..scanned: the sieved range
+        # (at = n); where each n's entries start; each entry's n, its
+        # (PrimeIdeal, exponent) pair, and until[j], the second occurrence
+        # of entry j's ideal when j is its first (_NEVER when there is
+        # none), else -1
+        self.index: _Sieved | None = None
+        self.start: list[int] = [0]
+        self.owner: list[int] = []
+        self.entries: list[tuple[PrimeIdeal, int]] = []
+        self.until: list[int] = []
         self.scanned = -1
 
     def _norm(self, a: int) -> int:
         b = self.B
         return a * a - self.lin * a * b + self.const * b * b
 
-    def _local(self, p: int, a: int, g: int) -> list[tuple[PrimeIdeal, int]]:
-        """v_P(a + B*w) for each P above the special prime p; g is the norm."""
-        vg = _vp(g, p)
+    def _local(self, p: int, a, vg) -> list[tuple[PrimeIdeal, np.ndarray]]:
+        """v_P(a + B*w) for each P above the special prime p, over an array
+        of first coordinates a whose norms have p-valuations vg."""
         out = []
         for prime in self.above[p]:
             if prime.kind == "inert":
-                if vg % 2:
+                if (vg % 2).any():
                     raise ArithmeticError("odd norm valuation at an inert prime")
                 v = vg // 2
             elif prime.kind == "ramified":
@@ -354,22 +413,28 @@ class _ShiftFactorizer:
                 # coordinates e times leaves an element in at most one of
                 # P and P', in P iff it vanishes at w = r mod p, and then
                 # with the rest of the norm's valuation
-                x, y, e = a, self.B, 0
-                while x % p == 0 and y % p == 0:
-                    x, y, e = x // p, y // p, e + 1
-                v = vg - e if (x + y * prime.r) % p == 0 else e
+                x, e = a, np.zeros(len(a), a.dtype)
+                for _ in range(_vp(self.B, p)):
+                    step = x % p == 0
+                    x = np.where(step, x // p, x)
+                    e += step
+                y = self.B // p ** e
+                v = np.where((x + y * prime.r) % p == 0, vg - e, e)
             out.append((prime, v))
         # sum of f_P * v_P over P | p must equal v_p of the norm
-        if sum((2 if pr.kind == "inert" else 1) * v for pr, v in out) != vg:
+        if (sum((2 if pr.kind == "inert" else 1) * v for pr, v in out)
+                != vg).any():
             raise ArithmeticError(f"norm bookkeeping failed at p={p}")
         return out
 
     def _denominator_ideal(self) -> dict[PrimeIdeal, int]:
         out: dict[PrimeIdeal, int] = {}
+        a0 = np.array([self.A0], object)
         g0 = self._norm(self.A0)
         for p in self.special:
-            for prime, v in self._local(p, self.A0, g0):
-                v += self.offset[prime]
+            vg = np.array([_vp(g0, p)], object)
+            for prime, v in self._local(p, a0, vg):
+                v = v[0] + self.offset[prime]
                 if v < 0:
                     out[prime] = -v
         return out
@@ -377,110 +442,172 @@ class _ShiftFactorizer:
     def _extend_roots(self, limit: int):
         """Add the residue classes of the split non-special primes <= limit."""
         primes = _primes_up_to(limit)
+        rows = []
         for p in primes[bisect.bisect_right(primes, self.roots_to):
                         bisect.bisect_right(primes, limit)]:
-            if p in self.above:
-                continue
-            primes_p = _primes_above(self.field, p)
-            if primes_p[0].kind != "split":
+            roots = None if p in self.above else _split_roots(self.field, p)
+            if roots is None:
                 continue
             inv_d = pow(self.D, -1, p)
-            for prime in primes_p:
-                n0 = -(self.A0 + self.B * prime.r) * inv_d % p
-                self.roots.append((p, prime, n0))
+            for r in roots:
+                rows.append((p, -(self.A0 + self.B * r) * inv_d % p))
+        if rows:
+            self.roots = np.concatenate((self.roots, rows))
         self.roots_to = limit
 
-    def _sieve(self, lo: int, hi: int):
-        """Factor (n + alpha) * a for every n in [lo, hi] into the cache.
+    def _sieve(self, lo: int, hi: int) -> _Sieved:
+        """Factor (n + alpha) * a for every n in [lo, hi], as flat arrays.
 
         Special primes are stripped from g(n) with exact local valuations.
         A split prime (p, r) off the special set divides D*(n + alpha) for
         n = -(A0 + B*r)/D (mod p), with exponent v_p(g(n)); inert and
         ramified primes off that set never divide.  Once every prime up to
         the square root of the largest cofactor is stripped, each cofactor
-        is 1 or a prime q, whose ideal is (q, -A(n)/B mod q).
+        is 1 or a prime q, whose ideal is the one dividing n: class n mod q.
+        The arrays are int64 when every product formed here fits, and
+        Python integers otherwise.
         """
         size = hi - lo + 1
-        a_lo = self.D * lo + self.A0
-        norms = [self._norm(a_lo + i * self.D) for i in range(size)]
-        rest = [abs(g) for g in norms]
-        found: list[list] = [[] for _ in range(size)]
-        # the norms of the factors found, multiplied as they are appended
-        recombined = [1] * size
+        a_max = max(abs(self.D * lo + self.A0), abs(self.D * hi + self.A0))
+        g_max = a_max * a_max + abs(self.lin * a_max * self.B) \
+            + abs(self.const) * self.B * self.B
+        dtype = np.int64 if g_max * self.denominator_norm < 1 << 63 else object
+        ns = np.arange(lo, hi + 1, dtype=dtype)
+        a = self.D * ns + self.A0
+        norms = a * a - self.lin * self.B * a + self.const * self.B * self.B
+        rest = np.abs(norms)
+        # the norms of the factors found, multiplied as they are found
+        recombined = np.ones(size, dtype)
+        at, ps, cs, es = [], [], [], []
         for p in self.special:
-            for i in range(size):
-                # no prime above p divides (n + alpha) * a when p does not
-                # divide g(n)
-                if rest[i] % p:
-                    continue
-                for prime, v in self._local(p, a_lo + i * self.D, norms[i]):
-                    e = v + self.offset[prime]
-                    if e < 0:
-                        raise ArithmeticError("shifted ideal is not integral")
-                    if e:
-                        found[i].append((prime, e))
-                        recombined[i] *= prime.ideal_norm ** e
-                while rest[i] % p == 0:
-                    rest[i] //= p
+            # no prime above p divides (n + alpha) * a when p does not
+            # divide g(n)
+            i = np.flatnonzero(rest % p == 0)
+            if not i.size:
+                continue
+            vg = _valuations(rest[i], p)
+            for c, (prime, v) in enumerate(self._local(p, a[i], vg)):
+                e = v + self.offset[prime]
+                if (e < 0).any():
+                    raise ArithmeticError("shifted ideal is not integral")
+                recombined[i] *= prime.ideal_norm ** e
+                keep = e > 0
+                at.append(i[keep])
+                ps.append(np.full(keep.sum(), p, dtype))
+                cs.append(np.full(keep.sum(), c, dtype))
+                es.append(e[keep])
+            rest[i] //= p ** vg
         # the residue table grows by doubling, and only while what is left
         # of some g(n) may still have two prime factors
-        bound = math.isqrt(max(rest))
+        bound = math.isqrt(int(rest.max()))
         k = 0
         while True:
-            while k < len(self.roots) and self.roots[k][0] <= bound:
-                p, prime, n0 = self.roots[k]
-                k += 1
-                for i in range((n0 - lo) % p, size, p):
-                    r, v = rest[i] // p, 1
-                    while r % p == 0:
-                        r //= p
-                        v += 1
-                    rest[i] = r
-                    found[i].append((prime, v))
-                    recombined[i] *= p ** v
+            k_end = int(np.searchsorted(self.roots[:, 0],
+                                        min(bound, self.roots_to), "right"))
+            if k_end > k:
+                p, n0 = self.roots[k:k_end].T
+                start = ((n0.astype(dtype) - lo) % p).astype(np.int64)
+                count = np.maximum((size - 1 - start) // p + 1, 0)
+                hit_p = np.repeat(p, count)
+                # the hits of root j: start[j] + t*p[j] for t < count[j]
+                t = np.arange(len(hit_p)) - np.repeat(np.cumsum(count) - count,
+                                                      count)
+                i = np.repeat(start, count) + t * hit_p
+                v = _valuations(rest[i], hit_p)
+                power = hit_p ** v
+                np.floor_divide.at(rest, i, power)
+                np.multiply.at(recombined, i, power)
+                at.append(i)
+                ps.append(hit_p)
+                cs.append(np.repeat(n0, count))
+                es.append(v)
+                k = k_end
             if k < len(self.roots) or self.roots_to >= bound:
                 break
-            bound = math.isqrt(max(rest))
+            bound = math.isqrt(int(rest.max()))
             if self.roots_to < bound:
                 self._extend_roots(min(bound, 2 * self.roots_to))
-        for i in range(size):
-            n = lo + i
-            q = rest[i]
-            factors = found[i]
-            if q > 1:
-                r = -(a_lo + i * self.D) * pow(self.B, -1, q) % q
-                factors.append((PrimeIdeal(q, r, "split"), 1))
-                recombined[i] *= q
-            norm, frac = divmod(abs(norms[i]) * self.denominator_norm,
-                                self.D * self.D)
-            if frac or recombined[i] != norm:
-                raise ArithmeticError(
-                    f"norm recombination failed at n={n}: "
-                    f"{recombined[i]} != {norm}")
-            # plain tuple order is _prime_key order: no prime repeats, and
-            # the labels above one p are all inert (r = None, alone) or
-            # all carry an integer r
-            factors.sort()
-            self.cache.setdefault(n, IdealFactorization(n, tuple(factors),
-                                                        norm))
+        i = np.flatnonzero(rest > 1)
+        q = rest[i]
+        at.append(i)
+        ps.append(q)
+        cs.append(ns[i] % q)
+        es.append(np.ones(len(i), dtype))
+        recombined[i] *= q
+        norm = np.abs(norms) * self.denominator_norm
+        norm, frac = norm // (self.D * self.D), norm % (self.D * self.D)
+        bad = np.flatnonzero((frac != 0) | (recombined != norm))
+        if bad.size:
+            i = bad[0]
+            raise ArithmeticError(f"norm recombination failed at n={lo + i}: "
+                                  f"{recombined[i]} != {norm[i]}")
+        at, ps, cs, es = map(np.concatenate, (at, ps, cs, es))
+        # (p, c) order is _prime_key order: at most one ideal of a non-special
+        # p divides a given n, and above[p] is in _prime_key order
+        order = np.lexsort((cs, ps, at))
+        return _Sieved(at[order], ps[order], cs[order], es[order], norm)
+
+    def _ideals(self, ps: list, cs: list) -> list[PrimeIdeal]:
+        """The prime ideals labelled (ps[j], cs[j]) by the sieve."""
+        # a split (p, w - r) contains A(c) + B*w, so r = -A(c)/B mod p
+        return [self.above[p][c] if p in self.above else
+                PrimeIdeal(p, -(self.D * c + self.A0) * pow(self.B, -1, p) % p,
+                           "split")
+                for p, c in zip(ps, cs)]
 
     def factor(self, n: int) -> IdealFactorization:
-        if n not in self.cache:
-            self._sieve(n, n)
-        return self.cache[n]
+        """The factorization of n, made on the first request and kept."""
+        fact = self.cache.get(n)
+        if fact is None:
+            if n <= self.scanned:
+                factors = tuple(self.entries[self.start[n]:self.start[n + 1]])
+                norm = int(self.index.norm[n])
+            else:
+                one = self._sieve(n, n)
+                factors = tuple(zip(self._ideals(one.p.tolist(),
+                                                 one.c.tolist()),
+                                    one.e.tolist()))
+                norm = int(one.norm[0])
+            fact = self.cache[n] = IdealFactorization(n, factors, norm)
+        return fact
 
     def index_to(self, top: int):
         """Extend the occurrence index over every m <= top, sieving once."""
         if top <= self.scanned:
             return
-        self._sieve(self.scanned + 1, top)
-        for m in range(self.scanned + 1, top + 1):
-            for prime, _ in self.cache[m].factors:
-                if prime not in self.first:
-                    self.first[prime] = m
-                elif prime not in self.second:
-                    self.second[prime] = m
+        lo = self.scanned + 1
+        new = self._sieve(lo, top)
+        new = new._replace(at=new.at + lo)
+        if self.index is not None:
+            new = _Sieved(*map(np.concatenate, zip(self.index, new)))
+        self.index = new
+        # group the entries by ideal, in n order within a group: an entry
+        # leads its group when the one before it is another ideal
+        order = np.lexsort((new.at, new.c, new.p))
+        at, p, c = new.at[order], new.p[order], new.c[order]
+        lead = np.ones(len(at), bool)
+        lead[1:] = (p[1:] != p[:-1]) | (c[1:] != c[:-1])
+        second = np.full(len(at), _NEVER)
+        second[:-1] = np.where(lead[1:], _NEVER, at[1:])
+        until = np.empty(len(at), np.int64)
+        until[order] = np.where(lead, second, -1)
+        self.until = until.tolist()
+        # one PrimeIdeal per ideal, shared by its entries
+        group = np.empty(len(at), np.int64)
+        group[order] = np.cumsum(lead) - 1
+        ideals = self._ideals(p[lead].tolist(), c[lead].tolist())
+        self.entries = list(zip(map(ideals.__getitem__, group.tolist()),
+                                new.e.tolist()))
+        self.owner = new.at.tolist()
+        self.start = np.searchsorted(new.at, np.arange(top + 2)).tolist()
         self.scanned = top
+
+    def first_seen(self, top: int) -> list[PrimeIdeal]:
+        """The prime ideals whose first occurrence is at most top, in the
+        order they first occur (needs top <= scanned)."""
+        return [prime for (prime, _), until in
+                zip(self.entries[:self.start[top + 1]], self.until)
+                if until >= 0]
 
 
 _FACTORIZERS: dict[tuple, _ShiftFactorizer] = {}
@@ -490,10 +617,11 @@ def _factorizer(alpha: Alpha) -> _ShiftFactorizer:
     """The cached factorizer of alpha, over its field Q(sqrt(d))."""
     if alpha.kind != "quadratic":
         raise NotQuadratic("shift is not a quadratic irrational", kind=alpha.kind)
-    if alpha.data not in _FACTORIZERS:
-        _FACTORIZERS[alpha.data] = _ShiftFactorizer(
+    fz = _FACTORIZERS.get(alpha.data)
+    if fz is None:
+        fz = _FACTORIZERS[alpha.data] = _ShiftFactorizer(
             QuadraticField(alpha.data[2]), alpha)
-    return _FACTORIZERS[alpha.data]
+    return fz
 
 
 def ideal_denominator(alpha: Alpha) -> dict[PrimeIdeal, int]:
@@ -525,12 +653,11 @@ def private_primes(n_start: int, length: int, alpha: Alpha) -> CasselsBlock:
     fz = _factorizer(alpha)
     top = n_start + length
     fz.index_to(top)
+    until, owner, entries = fz.until, fz.owner, fz.entries
     private: dict[int, PrimeIdeal] = {}
-    for n in range(n_start + 1, top + 1):
-        for prime, _ in fz.cache[n].factors:
-            if fz.first[prime] == n and fz.second.get(prime, top + 1) > top:
-                private[n] = prime
-                break
+    # each n's entries are in _prime_key order: its first hit is its witness
+    for j in range(fz.start[n_start + 1], fz.start[top + 1]):
+        if until[j] > top:
+            private.setdefault(owner[j], entries[j][0])
     return CasselsBlock(n_start=n_start, length=length, private=private,
                         density=len(private) / length)
-

@@ -422,14 +422,12 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         if acc_hp is None:
             return acc, None, None
         with mp.workdps(_HP_DPS):
-            mass = mp.mpf(0)
-            for n, ph in zip(ns, phases):
-                w = f(n) / (n + a_mp) ** sigma_mp
-                mass += w
-                if ph:
-                    cos, sin = mp.cos_sin(mp.mpf(ph))
-                    w *= mp.mpc(cos, sin)
-                acc_hp += w
+            ws_hp = [f(n) / (n + a_mp) ** sigma_mp for n in ns]
+            turns = [mp.cos_sin(mp.mpf(ph)) if ph else (1, 0)
+                     for ph in phases]
+            acc_hp += mp.mpc(mp.fdot(ws_hp, [c for c, _ in turns]),
+                             mp.fdot(ws_hp, [s for _, s in turns]))
+            mass = mp.fsum(ws_hp)
         return acc, acc_hp, mass
 
     # first block preassignment: everything visible up to n1 is pinned at 1
@@ -451,9 +449,8 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         index_ahead(n1)
         for prime in fz.denominator:
             prime_angles[prime] = 0.0
-        for prime, m in fz.first.items():
-            if m <= n1:
-                prime_angles.setdefault(prime, 0.0)
+        for prime in fz.first_seen(n1):
+            prime_angles.setdefault(prime, 0.0)
     # chi[n]: the settled angle of chi(n + alpha), written once; up to n1
     # it is 0 in both modes, every prime seen there being pinned at 0
     chi = [0.0] * (n1 + 1)

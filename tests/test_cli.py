@@ -2,9 +2,12 @@
 
 import argparse
 import contextlib
+import hashlib
+import importlib
 import inspect
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -14,6 +17,8 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetalab import cli
 from zetalab.cli import main, render_json
@@ -682,3 +687,80 @@ def test_import_builds_no_parser():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "0\n"
+
+
+def test_importing_the_main_module_runs_nothing(monkeypatch, capsys):
+    # the module runs main() only as `python -m zetalab`
+    monkeypatch.setattr(sys, "argv", ["pytest", "--no-such-flag"])
+    monkeypatch.delitem(sys.modules, "zetalab.__main__", raising=False)
+    importlib.import_module("zetalab.__main__")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_python_dash_m_help_exits_zero():
+    code, out, _ = run_cli("--help")
+    assert code == 0
+    assert "usage: zetalab" in out
+
+
+# SHA-256 of the stdout of three greedy ledgers, recorded before the factor
+# sieve worked on arrays: any drift in a ledger's bytes fails here
+LEDGER_GOLDEN = [
+    (["--alpha", "quad:0,1,7"],
+     "3d030c16ed5f38944046a11a6be8ab8c3e3bfe5be919ff33c9eefae5c50386d2"),
+    (["--alpha", "quad:1/3,1,2", "--no-hp"],
+     "33ecffe9c35968bff5a3a28d2862dfe2f76873f1da5ad6f6f6c9cd1f6907e2f9"),
+    (["--alpha", "quad:1/2,1,3", "--no-hp"],
+     "e3dbde08244c502f31f17e5d65d02cdceb51940746c4c2059b22056b92ceab76"),
+]
+
+
+@pytest.mark.parametrize("flags, digest", LEDGER_GOLDEN,
+                         ids=[f[1] for f, _ in LEDGER_GOLDEN])
+def test_ledger_stdout_is_pinned(flags, digest, capsys):
+    argv = ["twist", "greedy", *flags, "--blocks", "50", "--n1", "1000"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def render_json_oracle(obj) -> str:
+    """The recursive renderer render_json replaced, kept as its oracle."""
+    if isinstance(obj, dict):
+        items = ", ".join(f"{json.dumps(str(k))}: {render_json_oracle(v)}"
+                          for k, v in obj.items())
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(render_json_oracle(v) for v in obj) + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return cli._fmt_float(obj)
+    if isinstance(obj, complex):
+        return render_json_oracle([obj.real, obj.imag])
+    return json.dumps(str(obj))
+
+
+_text = st.text(alphabet=st.characters(codec="utf-8"), max_size=8) | \
+    st.sampled_from(['"', '\\', "q\"u'o\\te", "é", " ", "\x00", "😀"])
+_scalars = (st.none() | st.booleans()
+            | st.integers(min_value=-10**40, max_value=10**40)
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan])
+            | st.complex_numbers(allow_nan=True, allow_infinity=True)
+            | _text)
+_documents = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_text | st.integers(), inner,
+                                     max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_render_json_matches_the_recursive_renderer(doc):
+    assert render_json(doc) == render_json_oracle(doc)

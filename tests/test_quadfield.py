@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zetalab.errors import NotQuadratic
@@ -228,33 +229,69 @@ def test_factors_come_in_prime_key_order(shape):
         assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:])), (n, keys)
 
 
-def test_norm_recombination_check_fires():
+# sqrt(2)/7^5: its denominator ideal has norm 7^10, so the norms the sieve
+# forms pass 2^63 between n = 10 and n = 11, where quad:0,1,2 would not
+# pass it before n of about 3e9, far past any root table
+SWITCH = Alpha.parse("quad:0,1/16807,2")
+
+
+def test_sieve_switches_to_python_integers_past_int64():
+    fz = _ShiftFactorizer(QuadraticField(2), SWITCH)
+    assert fz._sieve(0, 10).norm.dtype == np.int64
+    assert fz._sieve(10, 11).norm.dtype == object
+    assert fz._sieve(11, 11).norm.dtype == object
+
+
+def test_ranges_across_the_int64_switch_match_single_elements():
+    _FACTORIZERS.clear()
+    single = [factor_shift(n, SWITCH) for n in range(17)]
+    # an index of one segment in either dtype, or of an int64 segment and
+    # an object one
+    for lo, hi in ((0, 10), (0, 16), (9, 13), (11, 16)):
+        _FACTORIZERS.clear()
+        _factorizer(SWITCH).index_to(lo - 1)
+        _factorizer(SWITCH).index_to(hi)
+        for n in range(hi + 1):
+            fact = factor_shift(n, SWITCH)
+            assert fact == single[n], (lo, hi, n)
+            assert Fraction(fact.recombined_norm()) == fact.norm
+            for prime in fact.primes():
+                assert membership_divides(prime, n, SWITCH), (n, prime)
+        block = private_primes(lo, hi - lo, SWITCH)
+        assert block.private == census_from_scratch(lo, hi - lo, SWITCH)
+
+
+@pytest.mark.parametrize("alpha, n", [(SQRT2, 3), (SWITCH, 16)],
+                         ids=["int64", "object"])
+def test_norm_recombination_check_fires(alpha, n):
     # the recombination product is built inside the sieve; a wrong norm on
-    # the other side of the check must still be caught
-    fz = _ShiftFactorizer(QuadraticField(2), SQRT2)
+    # the other side of the check must still be caught, in either dtype
+    fz = _ShiftFactorizer(QuadraticField(alpha.data[2]), alpha)
     fz.denominator_norm += 1
     with pytest.raises(ArithmeticError, match="norm recombination failed"):
-        fz.factor(3)
+        fz.factor(n)
 
 
 def test_queries_below_the_index_mark_reuse_the_cache(monkeypatch):
     _FACTORIZERS.clear()
     fz = _factorizer(SQRT2)
     fz.index_to(2000)
-    cached = dict(fz.cache)
+    # the index holds arrays; a factorization is made when first asked for
+    assert fz.cache == {}
 
     def no_sieve(lo, hi):
         raise AssertionError(f"re-sieved [{lo}, {hi}] below the index mark")
 
     monkeypatch.setattr(fz, "_sieve", no_sieve)
-    for n in (0, 1, 999, 1500, 2000):
-        assert factor_shift(n, SQRT2) is cached[n]
+    made = {n: factor_shift(n, SQRT2) for n in (0, 1, 999, 1500, 2000)}
+    assert all(factor_shift(n, SQRT2) is fact for n, fact in made.items())
     for n_start, length in ((0, 30), (1000, 10), (1980, 20)):
         block = private_primes(n_start, length, SQRT2)
         assert block.private == census_from_scratch(n_start, length, SQRT2)
     assert fz.scanned == 2000
-    assert fz.cache == cached
-    assert all(fz.cache[n] is fact for n, fact in cached.items())
+    cached = dict(fz.cache)
+    assert all(factor_shift(n, SQRT2) is fact for n, fact in cached.items())
+    assert all(cached[n] is fact for n, fact in made.items())
 
 
 def test_split_prime_denominator():
