@@ -13,7 +13,7 @@ from zetalab import Alpha, BlockSchedule, PeriodicFunction, run_schedule
 f = PeriodicFunction.constant()
 alpha = Alpha.quadratic(0, 1, 2)
 
-schedule = BlockSchedule(n1=1000, num_blocks=25, scale_num=1, scale_den=100)
+schedule = BlockSchedule(n1=1000, num_blocks=25, scale_den=100)
 report = run_schedule(f, alpha, schedule, hp_check=True)
 
 print(f"exponent sigma = {report.sigma!r}  (found by exploiting the pole)")
@@ -32,11 +32,3 @@ worst = max(b.damping_lhs / b.damping_rhs for b in report.blocks)
 print(f"\nworst damping quotient: {worst:.3f} (must stay below 1)")
 print("high-precision recheck agreed on every block:",
       all(b.damping_ok_hp for b in report.blocks))
-
-## Synthetic mode decouples the combinatorics from the number field:
-## free sets are sampled with a target density instead of factored.
-synth = BlockSchedule(n1=2000, num_blocks=8, mode="synthetic",
-                      synthetic_density=0.6)
-r2 = run_schedule(f, alpha, synth, chi_seed=7, hp_check=False)
-print("\nsynthetic run ok =", r2.ok,
-      " free counts:", [b.free_count for b in r2.blocks])

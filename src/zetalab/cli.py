@@ -227,13 +227,8 @@ def _cmd_sign_flip(args) -> int:
 def _cmd_greedy(args) -> int:
     alpha = Alpha.parse(args.alpha)
     f = _parse_f(args)
-    schedule = BlockSchedule(n1=args.n1, num_blocks=args.blocks,
-                             scale_num=args.scale_num,
-                             scale_den=args.scale_den,
-                             sigma=args.sigma, mode=args.mode,
-                             synthetic_density=args.density)
-    report = run_schedule(f, alpha, schedule, chi_seed=args.seed,
-                          hp_check=not args.no_hp)
+    schedule = BlockSchedule(args.n1, args.blocks, args.scale_den, args.sigma)
+    report = run_schedule(f, alpha, schedule, hp_check=not args.no_hp)
     rows = [b.to_json() for b in report.blocks]
     rows.append({"type": "summary", "sigma": report.sigma, "ok": report.ok,
                  "halted_at": report.halted_at})
@@ -329,14 +324,8 @@ _COMMANDS = {
     ("twist", "greedy"): (_cmd_greedy, "greedy character ledger", _SERIES + (
         ("--blocks", dict(type=int, default=50)),
         ("--n1", dict(type=int, default=1000)),
-        ("--scale-num", dict(type=int, default=1)),
         ("--scale-den", dict(type=int, default=100)),
         ("--sigma", dict(type=float)),
-        ("--mode", dict(choices=["authentic", "synthetic"],
-                        default="authentic")),
-        ("--density", dict(type=float, default=0.55)),
-        ("--seed", dict(type=int, default=0,
-                        help="seed of the synthetic free sets")),
         ("--no-hp", dict(action="store_true",
                          help="skip the high-precision ledger recheck")),
     )),

@@ -18,7 +18,8 @@ delta)/w) for w = max|w_n| (a negative frequency is folded, ||t*w - b|| =
 pieces, across which no phase moves by 1 - 2delta, so in one piece each
 phase can be within delta of one integer only, the nearest to its value at
 the piece middle; the witnesses in the piece then form one interval.  For
-N = 1 this is the closed form t = (b + k)/w.
+N = 1 this is the closed form t = (b + k)/w, except in the window that
+straddles t_min, where it is the middle of the window's part past t_min.
 
 All distances live on R/Z (phase units).  The series application supplies
 w_n = log(n + alpha) / 2pi and unimodular targets g = exp(-2pi i b); a phase
@@ -116,10 +117,11 @@ def solve(problem: KroneckerProblem, budget: SearchBudget | None = None
     """Find t_min < t <= budget.max_t with all phase errors below delta,
     or raise BudgetExhausted.
 
-    Windows are scanned in order from the first one centred past t_min, up
-    to max_t or max_iterations windows, and no witness there is missed, up
-    to rounding.  A piece's witness is its window centre when that lies in
-    the piece's interval, otherwise the interval's middle.  A zero
+    Windows are scanned in order from the first one that reaches past
+    t_min (it may be centred before t_min), up to max_t or max_iterations
+    windows, and no witness there is missed, up to rounding.  A piece's
+    witness is its window centre when that lies in the piece's interval
+    (clipped to t_min and max_t), otherwise the interval's middle.  A zero
     frequency is checked once: a met target drops it, a missed one raises
     BudgetExhausted at once.  The returned solution was re-checked with
     verify() before being handed back.
@@ -143,7 +145,9 @@ def solve(problem: KroneckerProblem, budget: SearchBudget | None = None
     m = int(2 * d / (1 - 2 * d)) + 1
     # piece middles as offsets from the window centre
     mids = d / wmax * ((2 * np.arange(m) + 1) / m - 1)
-    k = k0 = math.floor(t_min * wmax - bmax) + 1
+    # the first window whose upper end passes t_min; its lower end is
+    # clipped to t_min below
+    k = k0 = math.floor(t_min * wmax - bmax - d) + 1
     # window k starts below max_t when k < k_last
     k_last = max_t * wmax - bmax + d
     k_end = min(k_last, k0 + budget.max_iterations)
@@ -161,6 +165,7 @@ def solve(problem: KroneckerProblem, budget: SearchBudget | None = None
             sol = _finish(problem, float(t))
             if sol is not None:
                 return sol
+        c = np.maximum(c, t_min)    # a centre before t_min counts at t_min
         errs = _circle_dist(c[:, None] * w - b).max(axis=1)
         i = int(np.argmin(errs))
         best = min(best, (float(errs[i]), float(c[i])))

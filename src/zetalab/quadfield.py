@@ -614,9 +614,11 @@ _FACTORIZERS: dict[tuple, _ShiftFactorizer] = {}
 
 
 def _factorizer(alpha: Alpha) -> _ShiftFactorizer:
-    """The cached factorizer of alpha, over its field Q(sqrt(d))."""
-    if alpha.kind != "quadratic":
-        raise NotQuadratic("shift is not a quadratic irrational", kind=alpha.kind)
+    """The cached factorizer of alpha, over its field Q(sqrt(d)); anything
+    but a quadratic Alpha raises NotQuadratic naming what it got."""
+    kind = alpha.kind if isinstance(alpha, Alpha) else type(alpha).__name__
+    if kind != "quadratic":
+        raise NotQuadratic("shift is not a quadratic irrational", kind=kind)
     fz = _FACTORIZERS.get(alpha.data)
     if fz is None:
         fz = _FACTORIZERS[alpha.data] = _ShiftFactorizer(

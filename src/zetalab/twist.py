@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -249,36 +248,26 @@ def greedy_step(lam: complex, free_weights):
 class BlockSchedule:
     """Parameterized block layout for the induction.
 
-    M_j = max(1, floor(N_j * scale_num / scale_den)), N_{j+1} = N_j + M_j.
-    sigma > 1 is searched (exploiting the pole) when not fixed.  In synthetic
-    mode the free sets are sampled with the given density instead of coming
-    from ideal factorizations.
+    M_j = max(1, floor(N_j / scale_den)), N_{j+1} = N_j + M_j.  sigma > 1
+    is searched (exploiting the pole) when not fixed.
     """
 
     n1: int = 1000
     num_blocks: int = 50
-    scale_num: int = 1
     scale_den: int = 100
     sigma: float | None = None
-    mode: str = "authentic"          # "authentic" | "synthetic"
-    synthetic_density: float = 0.55
 
     def __post_init__(self):
         rules = (("n1", ">= 0", self.n1 >= 0),
                  ("num_blocks", ">= 0", self.num_blocks >= 0),
-                 ("scale_num", ">= 0", self.scale_num >= 0),
-                 ("scale_den", ">= 1", self.scale_den >= 1),
-                 ("synthetic_density", "in [0, 1]",
-                  0 <= self.synthetic_density <= 1),
-                 ("mode", "authentic or synthetic",
-                  self.mode in ("authentic", "synthetic")))
+                 ("scale_den", ">= 1", self.scale_den >= 1))
         for name, rule, ok in rules:
             if not ok:
                 raise ValueError(f"the block schedule needs {name} {rule}, "
                                  f"got {getattr(self, name)!r}")
 
     def block_length(self, n: int) -> int:
-        return max(1, n * self.scale_num // self.scale_den)
+        return max(1, n // self.scale_den)
 
 
 @dataclass
@@ -352,28 +341,27 @@ def choose_case_sigma(f: PeriodicFunction, alpha, n1: int) -> float:
 
 
 def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
-                 chi_seed: int = 0, hp_check: bool = True) -> ScheduleReport:
+                 hp_check: bool = True) -> ScheduleReport:
     """Run the greedy character induction over the block schedule.
 
-    f must be positive: the free weights are annulus radii.  Authentic
-    mode pulls the free sets from ideal factorizations (integers owning a
-    private prime) and keeps character values on prime ideals as phase
-    angles; synthetic mode samples the free sets with the given density
-    and seed, and pins every fixed n to 1.  Either mode writes the angle of
-    each n once into one per-n table, which is all the sums read.  The
-    settled sum is a running prefix over n = 0, 1, ..., kept in floats and
-    (optionally) at 30 digits: each block adds its own terms once its free
-    angles are written, in index order, so every prefix equals the sum
-    from n = 0.  That holds because the angles of all n up to a block end
-    are frozen from then on; a witness prime that already carries an angle
-    would break it and raises ZetalabError.  The prefixes are summed from
-    the table, never taken from the running sum that greedy_step returns,
-    so realize_err stays an independent check.  The float tail is
-    evaluated afresh for every block.  The 30-digit sums come from mpmath's
-    Hurwitz zeta twice: every angle up to n1 is 0, so the head is the
-    series from 0 minus the tail from n1 + 1, taken with guard digits
-    against the cancellation at the pole; that tail is then carried, each
-    block subtracting the 30-digit mass of its own terms.
+    f must be positive: the free weights are annulus radii, and alpha must
+    be a quadratic irrational; both are checked before any work.  The free
+    sets come from ideal factorizations (integers owning a private prime),
+    and character values are kept on prime ideals as phase angles.  The
+    angle of each n is written once into one per-n table, which is all the
+    sums read.  The settled sum is a running prefix over n = 0, 1, ...,
+    kept in floats and (optionally) at 30 digits: each block adds its own
+    terms once its free angles are written, in index order, so every
+    prefix equals the sum from n = 0.  That holds because the angles of
+    all n up to a block end are frozen from then on; a witness prime that
+    already carries an angle would break it and raises ZetalabError.  The
+    prefixes are summed from the table, never taken from the running sum
+    that greedy_step returns, so realize_err stays an independent check.
+    The float tail is evaluated afresh for every block.  The 30-digit sums
+    come from mpmath's Hurwitz zeta twice: every angle up to n1 is 0, so
+    the head is the series from 0 minus the tail from n1 + 1, taken with
+    guard digits against the cancellation at the pole; that tail is then
+    carried, each block subtracting the 30-digit mass of its own terms.
 
     Processing halts at the first block whose damping inequality fails (the
     offending row stays in the report with ok=False).  A free set whose
@@ -384,17 +372,12 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     if min(f.values) <= 0:
         raise ValueError("the greedy ledger needs f > 0: its free weights "
                          "f(n) / (n+alpha)^sigma are annulus radii")
+    fz = _factorizer(alpha)
     sigma = schedule.sigma if schedule.sigma is not None else \
         choose_case_sigma(f, alpha, schedule.n1)
     if not sigma > 1.0:
         raise ValueError(f"the greedy ledger needs sigma > 1, got {sigma}")
     a = float(alpha)
-
-    authentic = schedule.mode == "authentic"
-    if authentic:
-        fz = _factorizer(alpha)
-    else:
-        rng = random.Random(chi_seed)
     prime_angles: dict = {}
 
     def weight(n: int) -> float:
@@ -407,7 +390,7 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         return math.fmod(total, 2.0 * math.pi)
 
     with mp.workdps(_HP_DPS):
-        a_mp = alpha.value_mp() if isinstance(alpha, Alpha) else mp.mpf(a)
+        a_mp = alpha.value_mp()
         sigma_mp = mp.mpf(sigma)
 
     def settle(acc: complex, acc_hp, lo: int, ws: list[float]):
@@ -432,27 +415,26 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
 
     # first block preassignment: everything visible up to n1 is pinned at 1
     n1 = schedule.n1
-    if authentic:
-        # the occurrence index holds absolute first and second occurrences,
-        # so a census reads the same from an index that runs past its block,
-        # and one sieve can cover many blocks.  It runs to the schedule's
-        # end, but to at most twice the block end in hand: a long schedule
-        # that halts early has then not factored far past its halt
-        end = n1
-        for _ in range(schedule.num_blocks):
-            end += schedule.block_length(end)
+    # the occurrence index holds absolute first and second occurrences,
+    # so a census reads the same from an index that runs past its block,
+    # and one sieve can cover many blocks.  It runs to the schedule's
+    # end, but to at most twice the block end in hand: a long schedule
+    # that halts early has then not factored far past its halt
+    end = n1
+    for _ in range(schedule.num_blocks):
+        end += schedule.block_length(end)
 
-        def index_ahead(top: int):
-            if top > fz.scanned:
-                fz.index_to(min(end, 2 * top))
+    def index_ahead(top: int):
+        if top > fz.scanned:
+            fz.index_to(min(end, 2 * top))
 
-        index_ahead(n1)
-        for prime in fz.denominator:
-            prime_angles[prime] = 0.0
-        for prime in fz.first_seen(n1):
-            prime_angles.setdefault(prime, 0.0)
+    index_ahead(n1)
+    for prime in fz.denominator:
+        prime_angles[prime] = 0.0
+    for prime in fz.first_seen(n1):
+        prime_angles.setdefault(prime, 0.0)
     # chi[n]: the settled angle of chi(n + alpha), written once; up to n1
-    # it is 0 in both modes, every prime seen there being pinned at 0
+    # it is 0, every prime seen there being pinned at 0
     chi = [0.0] * (n1 + 1)
 
     settled, _, _ = settle(0j, None, 0, [weight(n) for n in range(n1 + 1)])
@@ -480,26 +462,21 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         block_ns = range(n_cur + 1, top + 1)
         chi.extend([0.0] * m_len)
 
-        if authentic:
-            index_ahead(top)
-            census = private_primes(n_cur, m_len, alpha)
-            free_ns = sorted(census.private)
-        else:
-            free_ns = [n for n in block_ns
-                       if rng.random() < schedule.synthetic_density]
+        index_ahead(top)
+        census = private_primes(n_cur, m_len, alpha)
+        free_ns = sorted(census.private)
         free_set = set(free_ns)
         fixed_ns = [n for n in block_ns if n not in free_set]
 
-        if authentic:
-            # new primes in this block that are nobody's witness get value 1
-            witness_set = set(census.private.values())
-            factors = {n: fz.factor(n).factors for n in block_ns}
-            for n in block_ns:
-                for prime, _ in factors[n]:
-                    if prime not in prime_angles and prime not in witness_set:
-                        prime_angles[prime] = 0.0
-            for n in fixed_ns:
-                chi[n] = angle_of(factors[n])
+        # new primes in this block that are nobody's witness get value 1
+        witness_set = set(census.private.values())
+        factors = {n: fz.factor(n).factors for n in block_ns}
+        for n in block_ns:
+            for prime, _ in factors[n]:
+                if prime not in prime_angles and prime not in witness_set:
+                    prime_angles[prime] = 0.0
+        for n in fixed_ns:
+            chi[n] = angle_of(factors[n])
 
         # each weight of the block, formed once: n's is block_ws[n - n_cur - 1]
         block_ws = [weight(n) for n in block_ns]
@@ -519,29 +496,24 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         lam = partial + fixed_sum
         correction, angles, partial = greedy_step(lam, free_weights)
 
-        # write the free angles; in authentic mode through the witness
-        # primes, and a witness with an angle already would change terms
-        # the prefixes have summed
-        if authentic:
-            for n in free_ns:
-                witness = census.private[n]
-                if witness in prime_angles:
-                    raise ZetalabError(
-                        "witness prime already carries a character value",
-                        block=j, n=n, witness=witness.label(),
-                        angle=prime_angles[witness])
-                e_w = dict(factors[n])[witness]
-                known = 0.0
-                for prime, e in factors[n]:
-                    if prime != witness:
-                        known += e * prime_angles[prime]
-                prime_angles[witness] = math.fmod(
-                    (angles[n] - known) / e_w, 2.0 * math.pi)
-            for n in free_ns:
-                chi[n] = angle_of(factors[n])
-        else:
-            for n in free_ns:
-                chi[n] = angles[n]
+        # write the free angles through the witness primes; a witness with
+        # an angle already would change terms the prefixes have summed
+        for n in free_ns:
+            witness = census.private[n]
+            if witness in prime_angles:
+                raise ZetalabError(
+                    "witness prime already carries a character value",
+                    block=j, n=n, witness=witness.label(),
+                    angle=prime_angles[witness])
+            e_w = dict(factors[n])[witness]
+            known = 0.0
+            for prime, e in factors[n]:
+                if prime != witness:
+                    known += e * prime_angles[prime]
+            prime_angles[witness] = math.fmod(
+                (angles[n] - known) / e_w, 2.0 * math.pi)
+        for n in free_ns:
+            chi[n] = angle_of(factors[n])
 
         # the chain form: the settled sum up to the block start plus the
         # fixed mass minus the free mass

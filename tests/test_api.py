@@ -128,3 +128,15 @@ def test_no_unused_imports():
         for name, line in imported.items():
             assert name in used or name in exported, \
                 f"{path.name}:{line} imports {name} and never uses it"
+
+
+def test_greedy_ledger_takes_only_its_settable_values():
+    # the ledger runs one way, on the private-prime census: no mode, seed,
+    # density or scale numerator is left to set
+    import dataclasses
+
+    from zetalab.twist import BlockSchedule, run_schedule
+    assert [f.name for f in dataclasses.fields(BlockSchedule)] == \
+        ["n1", "num_blocks", "scale_den", "sigma"]
+    assert list(inspect.signature(run_schedule).parameters) == \
+        ["f", "alpha", "schedule", "hp_check"]

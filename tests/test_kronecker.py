@@ -34,11 +34,31 @@ def test_single_frequency_closed_form():
 
 
 def test_single_frequency_homogeneous():
-    # beta = 0 with generous delta: smallest multiple of 1/w past t_min
+    # beta = 0 with generous delta: window 0, (-0.4/0.31, 0.4/0.31), reaches
+    # past t_min = 0 and holds the first witness, the middle of its part
+    # (0, 0.4/0.31) past t_min
     p = KroneckerProblem((0.31,), (0.0,), delta=0.4, t_min=0.0)
     sol = solve(p)
     assert sol.t > 0.0
-    assert abs(sol.t - 1 / 0.31) < 1e-9
+    assert abs(sol.t - 0.2 / 0.31) < 1e-9
+
+
+def test_window_straddling_t_min_is_scanned():
+    # the window centred before t_min = 0 that reaches past it holds a
+    # witness below 0.16; the scan used to start one window later and
+    # printed t = 19.19
+    p = KroneckerProblem((0.31, 0.05), (0.95, 0.01), delta=0.1)
+    sol = solve(p)
+    assert 0.0 < sol.t < 0.16
+    assert verify(p, sol.t) < 0.1
+    # a scan of that window alone reports its best error at t_min, not at
+    # its centre below t_min
+    p = KroneckerProblem((0.31, 0.05), (0.95, 0.5), delta=0.1, t_min=0.05)
+    with pytest.raises(BudgetExhausted) as exc:
+        solve(p, SearchBudget(max_t=1.0))
+    d = exc.value.details
+    assert d["windows_scanned"] == 1 and d["best_t"] == 0.05
+    assert d["best_error"] == verify(p, 0.05)
 
 
 def test_verify_examples():

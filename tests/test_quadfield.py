@@ -53,6 +53,13 @@ def test_ideal_denominator_examples():
         ideal_denominator(Alpha.rational(1, 3))
 
 
+def test_factor_shift_refuses_a_float_shift():
+    # a plain float used to fail with an AttributeError on alpha.kind
+    with pytest.raises(NotQuadratic) as err:
+        factor_shift(3, 0.5)
+    assert err.value.details["kind"] == "float"
+
+
 def test_denominator_clears_shifts():
     # a * (n + alpha) integral for every n, and no smaller ideal works
     half = Alpha.quadratic(0, Fraction(1, 2), 2)

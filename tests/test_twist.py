@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import zetalab.quadfield as quadfield
 import zetalab.twist as twist
 from zetalab.errors import AnnulusGap, CaseUnreachable, NoSuchIndex, \
-    SignChangeNotBracketed, ZetalabError
+    NotQuadratic, SignChangeNotBracketed, ZetalabError
 from zetalab.quadfield import CasselsBlock, factor_shift, private_primes
 from zetalab.series import Alpha, PeriodicFunction, series_tail_mp
 from zetalab.twist import (BlockSchedule, TwistedSeries,
@@ -231,9 +231,7 @@ def test_greedy_blocks_partition():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("scale_den", 0), ("scale_num", -1), ("n1", -5), ("num_blocks", -1),
-    ("synthetic_density", -0.1), ("synthetic_density", 1.5),
-    ("synthetic_density", math.nan), ("mode", "fast"),
+    ("scale_den", 0), ("n1", -5), ("num_blocks", -1),
 ])
 def test_block_schedule_refuses_bad_fields(field, value):
     with pytest.raises(ValueError, match=f"needs {field} "):
@@ -241,23 +239,16 @@ def test_block_schedule_refuses_bad_fields(field, value):
 
 
 def test_block_schedule_accepts_edge_values():
-    for kwargs in (dict(n1=0, num_blocks=0, scale_num=0, scale_den=1),
-                   dict(mode="synthetic", synthetic_density=0.0),
-                   dict(mode="synthetic", synthetic_density=1.0)):
-        BlockSchedule(**kwargs)
+    BlockSchedule(n1=0, num_blocks=0, scale_den=1)
 
 
-@pytest.mark.parametrize("alpha, schedule, seed", [
-    (SQRT2, BlockSchedule(n1=1000, num_blocks=5), 0),
-    (Alpha.rational(1, 2),
-     BlockSchedule(n1=2000, num_blocks=8, mode="synthetic",
-                   synthetic_density=0.6), 7),
-], ids=["authentic", "synthetic-rational"])
-def test_unified_ledger_invariants(alpha, schedule, seed):
-    # both modes sum the same angle table: the chain form of a block is the
+@pytest.mark.parametrize("alpha, schedule", [
+    (SQRT2, BlockSchedule(n1=1000, num_blocks=5)),
+], ids=["authentic"])
+def test_unified_ledger_invariants(alpha, schedule):
+    # the sums read one angle table: the chain form of a block is the
     # previous settled sum plus the block's fixed mass minus its free mass
-    report = run_schedule(ONE, alpha, schedule, chi_seed=seed,
-                          hp_check=False)
+    report = run_schedule(ONE, alpha, schedule, hp_check=False)
     assert report.ok and len(report.blocks) == schedule.num_blocks
     prev = None
     for row in report.blocks:
@@ -274,22 +265,26 @@ def test_ledger_refuses_nonpositive_f_before_any_work(monkeypatch):
 
     monkeypatch.setattr(twist, "choose_case_sigma", boom)
     monkeypatch.setattr(twist, "private_primes", boom)
-    for f, alpha, mode in ((PeriodicFunction((1.0, 0.0)), SQRT2, "authentic"),
-                           (PeriodicFunction((1.0, -0.5, 2.0)),
-                            Alpha.rational(1, 2), "synthetic")):
+    for f in (PeriodicFunction((1.0, 0.0)), PeriodicFunction((1.0, -0.5, 2.0))):
         with pytest.raises(ValueError, match="f > 0"):
-            run_schedule(f, alpha, BlockSchedule(n1=1000, num_blocks=2,
-                                                 mode=mode), hp_check=False)
+            run_schedule(f, SQRT2, BlockSchedule(n1=1000, num_blocks=2),
+                         hp_check=False)
 
 
-def test_synthetic_mode_deterministic():
-    schedule = BlockSchedule(n1=2000, num_blocks=3, mode="synthetic",
-                             synthetic_density=0.7)
-    r1 = run_schedule(ONE, SQRT2, schedule, chi_seed=5, hp_check=False)
-    r2 = run_schedule(ONE, SQRT2, schedule, chi_seed=5, hp_check=False)
-    assert [b.to_json() for b in r1.blocks] == [b.to_json() for b in r2.blocks]
-    r3 = run_schedule(ONE, SQRT2, schedule, chi_seed=6, hp_check=False)
-    assert [b.free_count for b in r1.blocks] != [b.free_count for b in r3.blocks]
+@pytest.mark.parametrize("alpha, kind", [
+    (Alpha.rational(1, 2), "rational"), (0.5, "float"),
+], ids=["rational", "float"])
+def test_ledger_refuses_a_shift_that_is_not_quadratic_before_any_work(
+        monkeypatch, alpha, kind):
+    def boom(*args, **kwargs):
+        raise AssertionError("work done before the shift check")
+
+    monkeypatch.setattr(twist, "choose_case_sigma", boom)
+    monkeypatch.setattr(twist, "private_primes", boom)
+    with pytest.raises(NotQuadratic) as err:
+        run_schedule(ONE, alpha, BlockSchedule(n1=1000, num_blocks=2),
+                     hp_check=False)
+    assert err.value.details["kind"] == kind
 
 
 def test_hp_recheck_agrees_with_float():
