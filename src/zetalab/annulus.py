@@ -1,10 +1,10 @@
 """Reachable sums of unimodular multiples of fixed radii.
 
-For radii 0 < r_1 <= ... <= r_n the set {sum c_i r_i : |c_i| = 1} is a
+For radii r_1, ..., r_n > 0 the set {sum c_i r_i : |c_i| = 1} is a
 closed annulus.  Its outer radius is R = r_1 + ... + r_n and its inner
 radius is T = max(0, 2*max(r) - R): if the largest radius exceeds the sum
-of all the others the gap r_n - (R - r_n) cannot be bridged, otherwise the
-sums reach all the way to zero.
+of all the others the gap max(r) - (R - max(r)) cannot be bridged,
+otherwise the sums reach all the way to zero.
 
 Besides the radii formula this module tests membership, constructively
 realizes any member as an explicit phase assignment, and provides a
@@ -14,6 +14,7 @@ Monte-Carlo sampling oracle for property tests.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,16 +28,16 @@ __all__ = ["AnnulusSpec", "radii", "contains", "realize", "realize_phases",
 
 @dataclass(frozen=True)
 class AnnulusSpec:
-    """Sorted radii with their prefix sums and the derived inner radius."""
+    """Radii in the order given, with the derived outer and inner radius."""
 
     radii: tuple
 
     def __post_init__(self):
-        r = tuple(sorted(float(x) for x in self.radii))
+        r = tuple(float(x) for x in self.radii)
         if len(r) == 0:
             raise ValueError("empty radius list")
-        if r[0] <= 0:
-            raise ValueError("radii must be positive")
+        if not all(0.0 < x < math.inf for x in r):
+            raise ValueError("radii must be finite and positive")
         object.__setattr__(self, "radii", r)
 
     @property
@@ -45,15 +46,7 @@ class AnnulusSpec:
 
     @property
     def inner(self) -> float:
-        return max(0.0, 2.0 * self.radii[-1] - self.outer)
-
-    @property
-    def prefix_sums(self) -> tuple:
-        acc, out = 0.0, [0.0]
-        for x in self.radii:
-            acc += x
-            out.append(acc)
-        return tuple(out)
+        return max(0.0, 2.0 * max(self.radii) - self.outer)
 
 
 def radii(r) -> tuple[float, float]:
@@ -76,6 +69,8 @@ def _wrap(angle: float) -> float:
 def realize_phases(spec: AnnulusSpec, z: complex, tol: float = 1e-9) -> list[float]:
     """Phase angles theta_i in [0, 2pi) with |sum r_i e^(i theta_i) - z| <= tol.
 
+    theta_i is the angle of spec.radii[i], in the order the radii were given.
+
     Induction from the largest radius down: peel off r_k by intersecting the
     circle of radius r_k around the target with the annulus reachable by the
     remaining radii, steering the residual target onto the inner edge of the
@@ -85,9 +80,12 @@ def realize_phases(spec: AnnulusSpec, z: complex, tol: float = 1e-9) -> list[flo
     if not contains(spec, z, slack=1e-12):
         raise NotInAnnulus("target outside reachable annulus",
                            z=[z.real, z.imag], outer=spec.outer, inner=spec.inner)
-    r = spec.radii
+    # the induction runs on the radii sorted (stably) by size; each angle is
+    # written back to its radius at the end
+    order = sorted(range(len(spec.radii)), key=spec.radii.__getitem__)
+    r = [spec.radii[i] for i in order]
     n = len(r)
-    pre = spec.prefix_sums
+    pre = list(itertools.accumulate(r, initial=0.0))
     # inner radius of the sub-annulus on the first k radii
     def sub_inner(k: int) -> float:
         if k == 0:
@@ -121,7 +119,10 @@ def realize_phases(spec: AnnulusSpec, z: complex, tol: float = 1e-9) -> list[flo
     if abs(achieved - z) > tol:
         raise NotInAnnulus("realization drifted past tolerance",
                            z=[z.real, z.imag], err=abs(achieved - z))
-    return angles
+    given = [0.0] * n
+    for slot, i in enumerate(order):
+        given[i] = angles[slot]
+    return given
 
 
 def realize(spec: AnnulusSpec, z: complex, tol: float = 1e-9) -> list[complex]:

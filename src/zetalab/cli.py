@@ -2,22 +2,20 @@
 
 The commands mirror the library modules; `zetalab -h` lists them.
 
-Exit codes: 0 success, 2 invalid configuration (bad flags, bad config
-document), 3 structured stage failure (JSON diagnostics on stderr).
+Exit codes: 0 success, 2 invalid command line or input, 3 structured stage
+failure (JSON diagnostics on stderr).
 
-Output is deterministic for a fixed config and seed: floats render with 17
-significant digits, keys in fixed order.  The global flags (--out, --format,
---config) go before or after the command words; every other flag belongs to
-the commands that read it and goes after the command words.  A JSON config
-document (--config) supplies defaults for the chosen command's flags: flags
-given on the command line win, unknown keys are rejected.
+Output is deterministic for a fixed command line: floats render with 17
+significant digits, keys in fixed order.  The global flags (--out,
+--format) go before or after the command words; every other flag belongs
+to the commands that read it and goes after the command words.
 
 One table, _COMMANDS, maps the command words to a handler and its flags.
 The top parser reads the global flags given before the command words and
 leaves the rest of the line untouched; then the chosen command's parser,
 with its own flags and the global flags, reads the rest.  Parsers are built
 on the first call that needs them, not at import, and then kept: the top
-parser once per process, a command's parser once per config document.
+parser once per process, a command's parser once per process and command.
 """
 
 from __future__ import annotations
@@ -90,24 +88,28 @@ def _render(obj, put) -> None:
 
 
 def _parse_f(ns) -> PeriodicFunction:
-    return PeriodicFunction(tuple(float(v) for v in str(ns.f).split(",")))
+    return PeriodicFunction(tuple(float(v) for v in ns.f.split(",")))
 
 
 def _parse_s(text: str) -> complex:
     parts = [float(x) for x in text.split(",")]
-    if len(parts) > 2:
-        raise ConfigInvalid("a complex number is re or re,im", value=text)
+    if len(parts) > 2 or not all(map(math.isfinite, parts)):
+        raise ConfigInvalid("a complex number is re or re,im, both finite",
+                            value=text)
     return complex(*parts)
 
 
 def _emit(args, payload, jsonl_rows=None):
-    if args.format == "jsonl" and jsonl_rows is not None:
-        text = "\n".join(render_json(r) for r in jsonl_rows) + "\n"
-    elif args.format == "csv" and isinstance(payload, dict) \
-            and "csv" in payload:
-        text = payload["csv"]
-    else:
+    if args.format == "json":
         text = render_json(payload) + "\n"
+    elif args.format == "csv" and "csv" in payload:
+        text = payload["csv"]
+    elif args.format == "jsonl" and jsonl_rows is not None:
+        text = "\n".join(render_json(r) for r in jsonl_rows) + "\n"
+    else:
+        # refused before anything is written
+        raise ConfigInvalid(f"the command cannot write {args.format}",
+                            format=args.format)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -269,8 +271,6 @@ def _cmd_pipeline(args) -> int:
 _GLOBAL_FLAGS = (
     ("--out", dict(help="write output to this file")),
     ("--format", dict(choices=["json", "csv", "jsonl"], default="json")),
-    ("--config",
-     dict(help="JSON document supplying defaults for the command")),
 )
 
 # Flags of the commands that take a series L(s, f, alpha).
@@ -365,31 +365,14 @@ def _top_parser() -> argparse.ArgumentParser:
     return top
 
 
-@functools.lru_cache(maxsize=64)
-def _leaf_parser(words: tuple[str, ...],
-                 doc_text: str) -> argparse.ArgumentParser:
-    """The parser of one command under one config document, given as its
-    JSON text (a hashable key); parsing never changes it, so every call
-    with the same words and document shares it."""
+@functools.cache
+def _leaf_parser(words: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser of one command; parsing never changes it, so every call
+    with the same command words shares it."""
     run, description, flags = _COMMANDS[words]
-    specs = {flag[2:].replace("-", "_"): (flag, kw)
-             for flag, kw in flags + _GLOBAL_FLAGS}
-    for key, value in json.loads(doc_text).items():
-        dest = key.replace("-", "_")
-        if dest not in specs:
-            raise ConfigInvalid(f"unknown config key {key!r}", key=key)
-        # the document sets defaults, so flags on the command line win, and
-        # a flag it supplies is no longer required
-        flag, kw = specs[dest]
-        if value is not None and "action" not in kw:
-            # argparse converts and checks string defaults only: a value
-            # from the document then reads like one on the command line
-            value = str(value)
-        specs[dest] = flag, {**kw, "default": value, "required": False}
-
     leaf = argparse.ArgumentParser(prog=f"zetalab {' '.join(words)}",
                                    description=description)
-    for flag, kw in specs.values():
+    for flag, kw in flags + _GLOBAL_FLAGS:
         leaf.add_argument(flag, **kw)
     leaf.set_defaults(run=run)
     return leaf
@@ -397,7 +380,7 @@ def _leaf_parser(words: tuple[str, ...],
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     # both parsers come from caches, so a call builds a parser only the
-    # first time a process meets its command words and config document
+    # first time a process meets its command words
     top = _top_parser()
     args = top.parse_args(argv)
     rest = vars(args).pop("flags")
@@ -409,44 +392,19 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
             top.print_help()
             top.exit()
         top.error(f"invalid command {' '.join(words)!r}, see zetalab -h")
-
-    # the document is read before the leaf parser is taken, so that it can
-    # supply flags the command requires; every spelling of --config,
-    # abbreviations included, starts with "--c"
-    path = getattr(args, "config", None)
-    for i, arg in enumerate(rest):
-        flag, eq, value = arg.partition("=")
-        if flag.startswith("--c") and "--config".startswith(flag):
-            path = value if eq else next(iter(rest[i + 1:]), None)
-    doc = {}
-    if path:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ConfigInvalid("config document must be a JSON object")
-    # the document's text is the cache key; the leaf parser rejects unknown
-    # keys before anything is parsed
-    return _leaf_parser(words, json.dumps(doc)).parse_args(rest,
-                                                           namespace=args)
+    return _leaf_parser(words).parse_args(rest, namespace=args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
-    except (ConfigInvalid, OSError, json.JSONDecodeError) as e:
-        sys.stderr.write(f"config error: {e}\n")
-        return 2
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.run(args)
-    except ConfigInvalid as e:
-        sys.stderr.write(render_json(e.to_json()) + "\n")
-        return 2
     except ValueError as e:
         sys.stderr.write(f"invalid input: {e}\n")
         return 2
     except ZetalabError as e:
         sys.stderr.write(render_json(e.to_json()) + "\n")
-        return 3
+        return 2 if isinstance(e, ConfigInvalid) else 3
 
 
 if __name__ == "__main__":

@@ -120,6 +120,14 @@ class Alpha:
     kind: str
     data: tuple
 
+    def __post_init__(self):
+        try:
+            value = self.value
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise ValueError("shift must be a finite positive double")
+
     @classmethod
     def rational(cls, p: int, q: int) -> "Alpha":
         if q == 0:
@@ -128,8 +136,6 @@ class Alpha:
         p, q = p // g, q // g
         if q < 0:
             p, q = -p, -q
-        if p <= 0:
-            raise ValueError("shift must be positive")
         return cls("rational", (p, q))
 
     @classmethod
@@ -139,14 +145,10 @@ class Alpha:
             raise ValueError("quadratic shift needs b != 0")
         if not _is_squarefree(d):
             raise ValueError("d must be squarefree and >= 2")
-        if float(a) + float(b) * math.sqrt(d) <= 0:
-            raise ValueError("shift must be positive")
         return cls("quadratic", (a, b, d))
 
     @classmethod
     def decimal(cls, literal: str) -> "Alpha":
-        if float(literal) <= 0:
-            raise ValueError("shift must be positive")
         return cls("decimal", (str(literal),))
 
     @classmethod
@@ -201,8 +203,8 @@ def _shift_value(alpha) -> float:
     if isinstance(alpha, Alpha):
         return alpha.value
     a = float(alpha)
-    if a <= 0:
-        raise ValueError("shift must be positive")
+    if not 0.0 < a < math.inf:
+        raise ValueError("shift must be a finite positive double")
     return a
 
 
@@ -220,7 +222,10 @@ class PeriodicFunction:
     def __post_init__(self):
         if len(self.values) < 1:
             raise ValueError("need at least one value")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = tuple(float(v) for v in self.values)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("values must be finite")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def constant(cls) -> "PeriodicFunction":

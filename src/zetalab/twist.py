@@ -235,10 +235,9 @@ def greedy_step(lam: complex, free_weights):
                              inner=spec.inner, count=len(weights))
         z = _correction(lam, math.fsum(weights))
         phases = realize_phases(spec, z, tol=_REALIZE_TOL)
-        order = sorted(range(len(weights)), key=lambda i: weights[i])
-        for slot, i in enumerate(order):
-            angles[free_weights[i][0]] = phases[slot]
-        realized = sum(w * cmath.exp(1j * angles[n]) for n, w in free_weights)
+        angles = {n: th for (n, _), th in zip(free_weights, phases)}
+        realized = sum(w * cmath.exp(1j * th)
+                       for w, th in zip(weights, phases))
     else:
         z = realized = 0j
     return z, angles, lam + realized

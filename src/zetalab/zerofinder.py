@@ -73,6 +73,9 @@ class Rectangle:
     t_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.sigma_min, self.sigma_max,
+                                       self.t_min, self.t_max))):
+            raise ValueError("rectangle corners must be finite")
         if not (self.sigma_min > 1.0):
             raise ValueError("rectangle must satisfy sigma_min > 1")
         if not (self.sigma_min < self.sigma_max and self.t_min < self.t_max):

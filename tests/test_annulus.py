@@ -114,3 +114,25 @@ def test_realize_round_trip(r, frac, theta):
     angles = realize_phases(spec, z, tol=1e-8)
     got = sum(ri * cmath.exp(1j * a) for ri, a in zip(spec.radii, angles))
     assert abs(got - z) <= 1e-8
+
+
+@given(positive_radii, st.randoms(use_true_random=False), st.floats(0.0, 1.0),
+       st.floats(0.0, 2 * math.pi))
+@settings(max_examples=150, deadline=None)
+def test_angles_follow_the_order_of_the_radii(r, rnd, frac, theta):
+    # each angle belongs to the radius at its position, whatever the order
+    shuffled = list(r)
+    rnd.shuffle(shuffled)
+    spec = AnnulusSpec(tuple(shuffled))
+    assert spec.radii == tuple(shuffled)
+    rho = spec.inner + frac * (spec.outer - spec.inner)
+    z = rho * cmath.exp(1j * theta)
+    angles = realize_phases(spec, z, tol=1e-8)
+    got = sum(ri * cmath.exp(1j * a) for ri, a in zip(shuffled, angles))
+    assert abs(got - z) <= 1e-8
+    got = sum(c * ri for c, ri in zip(realize(spec, z, tol=1e-8), shuffled))
+    assert abs(got - z) <= 1e-8
+    # the same (radius, angle) pairs as for the radii in sorted order
+    ordered = AnnulusSpec(tuple(sorted(shuffled)))
+    assert sorted(zip(shuffled, angles)) == \
+        sorted(zip(ordered.radii, realize_phases(ordered, z, tol=1e-8)))

@@ -1,6 +1,7 @@
 """Command-line front end: dispatch, determinism, round trips, exit codes."""
 
 import argparse
+import cmath
 import contextlib
 import hashlib
 import importlib
@@ -113,6 +114,18 @@ def test_annulus_realize_round_trip():
     doc = json.loads(out)
     assert doc["err"] <= 1e-9
     assert len(doc["angles"]) == 3
+
+
+def test_annulus_realize_answers_in_the_order_given(capsys):
+    # the angles were those of the sorted radii 1, 2, 5, which paired with
+    # 5, 1, 2 reach a point 6.0 from z
+    assert main(["annulus", "realize", "--r", "5,1,2", "--z", "0,2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["angles"] == pytest.approx(
+        [math.pi / 2, 3 * math.pi / 2, 3 * math.pi / 2])
+    reached = sum(r * cmath.exp(1j * a)
+                  for r, a in zip((5, 1, 2), doc["angles"]))
+    assert abs(reached - 2j) <= 1e-9 and doc["err"] <= 1e-9
 
 
 def test_kron_solve():
@@ -313,8 +326,9 @@ def test_help_lists_commands_and_flags(capsys):
             main(argv)
         assert exit_.value.code == 0
         out = capsys.readouterr().out
-        for flag in leaf_flags + ["--out", "--format", "--config"]:
+        for flag in leaf_flags + ["--out", "--format"]:
             assert flag in out, (argv, flag)
+        assert "--config" not in out, argv
 
 
 def test_flags_a_command_does_not_read_are_refused(capsys):
@@ -413,31 +427,6 @@ def test_budget_flags_set_every_field(budgets, capsys):
                                       t_min=10.0, n_cut_max=4, samples=90)]
 
 
-def test_budget_flags_from_config(tmp_path, budgets, capsys):
-    cfg = tmp_path / "budget.json"
-    cfg.write_text(json.dumps({"max-t": 5000, "ncut": 4}))
-    assert main(PIPELINE + ["--config", str(cfg)]) == 0
-    assert budgets == [PipelineBudget(max_t=5000, n_cut_max=4)]
-
-
-def test_config_values_read_like_flags(tmp_path, capsys):
-    # a count that is not an integer, or a number for a text flag, ended
-    # in a TypeError or AttributeError traceback
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"ncut": 6.5}))
-    with pytest.raises(SystemExit) as exc:
-        main(PIPELINE + ["--config", str(cfg)])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "invalid int value: '6.5'" in err
-    # zeta(3, 1/2) = 7 zeta(3), with --s 3 from the document
-    cfg.write_text(json.dumps({"s": 3}))
-    assert main(["eval", "--alpha", "rat:1,2", "--config", str(cfg)]) == 0
-    assert abs(json.loads(capsys.readouterr().out)["re"]
-               - 8.414398322117160) < 1e-10
-
-
 def test_pipeline_help_lists_budget_flags(capsys):
     with pytest.raises(SystemExit):
         main(["zeros", "pipeline", "-h"])
@@ -512,18 +501,6 @@ def test_determinism_byte_identical():
     assert out1 == out2
 
 
-def test_config_document(tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"alpha": "rat:1,2", "s": "2,0", "f": "1"}))
-    code, out, _ = run_cli("--config", str(cfg), "eval", "--alpha", "rat:1,2")
-    assert code == 0
-    assert abs(json.loads(out)["re"] - 4.934802200544679) < 1e-10
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"no_such_key": 1}))
-    code, _, err = run_cli("--config", str(bad), "eval", "--alpha", "rat:1,2")
-    assert code == 2
-
-
 def test_render_json_round_trip():
     doc = {"a": 1.5, "b": [1, 2.25, -0.0], "c": {"d": True, "e": None},
            "f": float("inf")}
@@ -537,56 +514,6 @@ def test_main_callable_directly(capsys):
     code = main(["annulus", "radii", "--r", "3,4"])
     assert code == 0
     assert json.loads(capsys.readouterr().out) == {"R": 7, "T": 1}
-
-
-def test_config_fills_only_flags_not_given(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"s": "3,0", "format": "csv"}))
-    # zeta(3, 1/2) = 7 zeta(3)
-    for argv in (["--config", str(cfg), "eval", "--alpha", "rat:1,2"],
-                 ["eval", "--alpha", "rat:1,2", "--config", str(cfg)]):
-        assert main(argv) == 0
-        assert abs(json.loads(capsys.readouterr().out)["re"]
-                   - 8.414398322117160) < 1e-10
-    # a flag on the command line wins, also when it equals the default
-    assert main(["--config", str(cfg), "eval", "--alpha", "rat:1,2",
-                 "--s", "2,0"]) == 0
-    assert abs(json.loads(capsys.readouterr().out)["re"]
-               - 4.934802200544679) < 1e-10
-    # a global flag from the document
-    assert main(["eval", "--alpha", "rat:1,2", "--grid", "2,2,1:0,0,1",
-                 "--config", str(cfg)]) == 0
-    assert capsys.readouterr().out.startswith("sigma,t,re,im\n")
-
-
-def test_config_supplies_required_flag(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"alpha": "rat:1,2"}))
-    # zeta(3, 1/2) = 7 zeta(3), with --alpha from the document only
-    assert main(["--config", str(cfg), "eval", "--s", "3,0"]) == 0
-    assert abs(json.loads(capsys.readouterr().out)["re"]
-               - 8.414398322117160) < 1e-10
-    # the command line still wins: zeta(3, 1) = zeta(3)
-    assert main(["--config", str(cfg), "eval", "--s", "3,0",
-                 "--alpha", "rat:1,1"]) == 0
-    assert abs(json.loads(capsys.readouterr().out)["re"]
-               - 1.2020569031595943) < 1e-10
-    # a key of another command is still rejected
-    cfg.write_text(json.dumps({"alpha": "rat:1,2", "n1": 5}))
-    assert main(["--config", str(cfg), "eval"]) == 2
-
-
-def test_config_after_two_word_command(tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"alpha": "quad:0,1,2", "blocks": 2,
-                               "no-hp": True, "format": "jsonl"}))
-    argv = ["twist", "greedy", "--n1", "1000", "--config", str(cfg)]
-    assert main(argv) == 0
-    rows = [json.loads(line)
-            for line in capsys.readouterr().out.splitlines()]
-    assert len(rows) == 3 and rows[-1]["ok"] is True
-    assert main(argv + ["--blocks", "1"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_readme_command_lines(tmp_path, monkeypatch, capsys):
@@ -626,32 +553,53 @@ def _run_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_cached_parsers_carry_no_config_defaults(tmp_path):
-    # a document's defaults live in the parser kept for that document only:
-    # the plain call after a --config call prints what it printed before
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"s": "3,0", "alpha": "rat:1,3"}))
-    plain = ["eval", "--alpha", "rat:1,2"]
-    first = _run_in_process(plain)
-    assert first[0] == 0
-    configured = _run_in_process(["--config", str(cfg), "eval"])
-    assert configured[0] == 0 and configured[1] != first[1]
-    assert _run_in_process(plain) == first
-    # --alpha stays required without the document
-    code, out, err = _run_in_process(["eval"])
-    assert code == 2 and out == "" and "--alpha" in err
-    assert _run_in_process(["--config", str(cfg), "eval"]) == configured
+def test_cli_reads_only_its_flags():
+    # the command line is the only input: two global flags, a command's
+    # parser keyed by its command words alone, and no file opened but --out
+    assert [f for f, _ in cli._GLOBAL_FLAGS] == ["--out", "--format"]
+    assert list(inspect.signature(cli._leaf_parser).parameters) == ["words"]
+    assert re.findall(r"\bopen\((\w+(?:\.\w+)?)",
+                      inspect.getsource(cli)) == ["args.out"]
 
 
-def test_refused_calls_leave_the_next_call_unchanged(tmp_path):
+# every line ends in exit 2 through main, with nothing on stdout and a
+# message from where the input entered: non-finite or overflowing numbers,
+# a --format the command cannot write, and --config, which is not a flag
+SHIFT = "shift must be a finite positive double"
+INVALID_LINES = [
+    (["eval", "--alpha", "dec:1e400"], SHIFT),
+    (["eval", "--alpha", "dec:inf"], SHIFT),
+    (["eval", "--alpha", "dec:nan"], SHIFT),
+    (["eval", "--alpha", "quad:1e400,1,2"], SHIFT),
+    (["eval", "--alpha", "rat:1,2", "--f", "nan"], "values must be finite"),
+    (["eval", "--alpha", "rat:1,2", "--s", "inf,0"], "both finite"),
+    (["annulus", "radii", "--r", "1,nan"], "radii must be finite"),
+    (["zeros", "count", "--alpha", "rat:1,1", "--rect", "1.1,2,0,inf"],
+     "rectangle corners must be finite"),
+    (["--format", "csv", "kron", "solve", "--freqs", "0.1103,0.2,0.31",
+      "--targets", "0.25,0.5,0.75", "--delta", "0.05"], "cannot write csv"),
+    (["--format", "jsonl", "eval", "--alpha", "rat:1,2"],
+     "cannot write jsonl"),
+    (["--config", "x.json", "eval", "--alpha", "rat:1,2"], "usage: zetalab"),
+    (["eval", "--alpha", "rat:1,2", "--config", "x.json"], "usage: zetalab"),
+]
+
+
+@pytest.mark.parametrize("argv, message", INVALID_LINES,
+                         ids=[" ".join(argv) for argv, _ in INVALID_LINES])
+def test_invalid_command_lines_exit_2(argv, message):
+    code, out, err = _run_in_process(argv)
+    assert (code, out) == (2, ""), err
+    assert message in err
+
+
+def test_refused_calls_leave_the_next_call_unchanged():
     good = ["twist", "greedy", "--alpha", "quad:0,1,2", "--blocks", "2",
             "--no-hp", "--format", "jsonl"]
     expected = _run_in_process(good)
     assert expected[0] == 0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"blocks": 1, "no_such_key": 1}))
     refused = (["twist", "greedy", "--blocks", "2"],         # --alpha missing
-               ["--config", str(bad)] + good,                # unknown key
+               ["--config", "run.json"] + good,              # unknown flag
                good + ["--format", "neither"],               # bad choice
                ["twist", "greedy", "--bogus"] + good[2:])    # unknown flag
     for argv in refused:
