@@ -87,6 +87,27 @@ def _render(obj, put) -> None:
         put(_encode_str(str(obj)))
 
 
+def _finite(text: str) -> float:
+    """The value of a number flag: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"invalid input: {text!r} is not a finite number")
+    return value
+
+
+def _positive(text: str) -> float:
+    """The value of a --tol flag: a finite float above 0."""
+    value = _finite(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid input: {text!r} is not above 0")
+    return value
+
+
 def _parse_f(ns) -> PeriodicFunction:
     return PeriodicFunction(tuple(float(v) for v in ns.f.split(",")))
 
@@ -97,6 +118,24 @@ def _parse_s(text: str) -> complex:
         raise ConfigInvalid("a complex number is re or re,im, both finite",
                             value=text)
     return complex(*parts)
+
+
+def _parse_grid(text: str) -> tuple[list[float], list[float]]:
+    """(sigmas, ts) of an eval --grid spec smin,smax,ns:tmin,tmax,nt: ns
+    equally spaced sigmas from smin to smax, and nt ts likewise."""
+    try:
+        (smin, smax, ns), (tmin, tmax, nt) = (
+            part.split(",") for part in text.split(":"))
+        ends = [float(x) for x in (smin, smax, tmin, tmax)]
+        ns, nt = int(ns), int(nt)
+    except ValueError:
+        ends, ns, nt = [math.nan], 0, 0
+    if not (all(map(math.isfinite, ends)) and ns >= 1 and nt >= 1):
+        raise ConfigInvalid("a grid is smin,smax,ns:tmin,tmax,nt with "
+                            "finite ends and counts >= 1", value=text)
+    smin, smax, tmin, tmax = ends
+    return ([smin + (smax - smin) * i / max(ns - 1, 1) for i in range(ns)],
+            [tmin + (tmax - tmin) * j / max(nt - 1, 1) for j in range(nt)])
 
 
 def _emit(args, payload, jsonl_rows=None):
@@ -133,16 +172,11 @@ def _cmd_eval(args) -> int:
                                        tol=args.tol, floor=floor)
         return complex(v)
 
-    if args.grid:
-        srange, trange = args.grid.split(":")
-        smin, smax, ns = srange.split(",")
-        tmin, tmax, nt = trange.split(",")
-        ns, nt = int(ns), int(nt)
+    if args.grid is not None:
+        sigmas, ts = _parse_grid(args.grid)
         lines = ["sigma,t,re,im"]
-        for i in range(ns):
-            sigma = float(smin) + (float(smax) - float(smin)) * i / max(ns - 1, 1)
-            for j in range(nt):
-                t = float(tmin) + (float(tmax) - float(tmin)) * j / max(nt - 1, 1)
+        for sigma in sigmas:
+            for t in ts:
                 v = value(complex(sigma, t))
                 lines.append(f"{_fmt_float(sigma)},{_fmt_float(t)},"
                              f"{_fmt_float(v.real)},{_fmt_float(v.imag)}")
@@ -280,7 +314,7 @@ _SERIES = (
     ("--alpha", dict(required=True,
                      help="rat:p,q | quad:a,b,d | dec:<literal>")),
 )
-_TOL = ("--tol", dict(type=float, default=1e-12))
+_TOL = ("--tol", dict(type=_positive, default=1e-12))
 
 # command words -> (handler, description, flags)
 _COMMANDS = {
@@ -295,10 +329,11 @@ _COMMANDS = {
         ("--freqs", dict(required=True, help="comma list; write "
                          "--freqs=-0.1,0.2 when the first is negative")),
         ("--targets", dict(required=True)),
-        ("--delta", dict(type=float, required=True)),
-        ("--tmin", dict(type=float, default=0.0)),
-        ("--max-t", dict(type=float, default=1e6)),
-        ("--max-iter", dict(type=float, default=5e7, help="windows to scan")),
+        ("--delta", dict(type=_finite, required=True)),
+        ("--tmin", dict(type=_finite, default=0.0)),
+        ("--max-t", dict(type=_finite, default=1e6)),
+        ("--max-iter", dict(type=_finite, default=5e7,
+                            help="windows to scan")),
     )),
     ("annulus", "radii"): (_cmd_radii, "radii of the unimodular annulus", (
         ("--r", dict(required=True)),
@@ -306,7 +341,7 @@ _COMMANDS = {
     ("annulus", "realize"): (_cmd_realize, "phases that reach a point z", (
         ("--r", dict(required=True)),
         ("--z", dict(required=True, help="re,im")),
-        ("--tol", dict(type=float, default=1e-9)),
+        ("--tol", dict(type=_positive, default=1e-9)),
     )),
     ("ideals", "factor"): (_cmd_factor, "prime ideals of n + alpha", (
         ("--alpha", dict(required=True)),
@@ -319,13 +354,13 @@ _COMMANDS = {
     )),
     ("twist", "sign-flip"): (_cmd_sign_flip, "real zero of a twisted series",
                              _SERIES + (
-        ("--delta", dict(type=float, required=True)),
+        ("--delta", dict(type=_finite, required=True)),
     )),
     ("twist", "greedy"): (_cmd_greedy, "greedy character ledger", _SERIES + (
         ("--blocks", dict(type=int, default=50)),
         ("--n1", dict(type=int, default=1000)),
         ("--scale-den", dict(type=int, default=100)),
-        ("--sigma", dict(type=float)),
+        ("--sigma", dict(type=_finite)),
         ("--no-hp", dict(action="store_true",
                          help="skip the high-precision ledger recheck")),
     )),
@@ -335,12 +370,13 @@ _COMMANDS = {
         ("--samples", dict(type=int, default=256)),
     )),
     ("zeros", "pipeline"): (_cmd_pipeline, "certified zero search", _SERIES + (
-        ("--delta", dict(type=float, required=True)),
+        ("--delta", dict(type=_finite, required=True)),
         # the defaults are PipelineBudget's own
-        ("--max-t", dict(type=float, default=PipelineBudget.max_t)),
-        ("--max-iter", dict(type=float, default=PipelineBudget.max_iterations,
+        ("--max-t", dict(type=_finite, default=PipelineBudget.max_t)),
+        ("--max-iter", dict(type=_finite,
+                            default=PipelineBudget.max_iterations,
                             help="windows of the phase search")),
-        ("--tmin", dict(type=float, default=PipelineBudget.t_min)),
+        ("--tmin", dict(type=_finite, default=PipelineBudget.t_min)),
         ("--ncut", dict(type=int, default=PipelineBudget.n_cut_max,
                         help="matched cut of the certificate")),
         ("--samples", dict(type=int, default=PipelineBudget.samples,

@@ -130,18 +130,20 @@ def argument_count(evaluator, contour: Rectangle | Circle,
     of its values.  It must be analytic inside and on the contour and
     nonzero on it (a sampled modulus below _ZERO_FLOOR raises
     ZeroOnBoundary; move or shrink the contour then).  The contour is first
-    sampled at initial_points >= 16 equally spaced parameters.  Each
-    segment whose argument step is not clearly below pi/2, or whose modulus
-    jump is not moderate, is halved; the midpoints of all such segments of
-    one level are evaluated in one call, so the evaluator is called once
-    per refinement level.  The phase steps then telescope to the winding
-    number up to rounding noise, which is accepted only within 0.25 of an
-    integer.  More than _MAX_POINTS evaluations raise QuadratureStalled.  A
-    negative count, which no analytic integrand gives, raises ZetalabError.
+    sampled at initial_points equally spaced parameters, at least 16 and
+    at most the cap _MAX_POINTS.  Each segment whose argument step is not
+    clearly below pi/2, or whose modulus jump is not moderate, is halved;
+    the midpoints of all such segments of one level are evaluated in one
+    call, so the evaluator is called once per refinement level.  The phase
+    steps then telescope to the winding number up to rounding noise, which
+    is accepted only within 0.25 of an integer.  More than _MAX_POINTS
+    evaluations raise QuadratureStalled.  A negative count, which no
+    analytic integrand gives, raises ZetalabError.
     """
-    if not initial_points >= _MIN_POINTS:
+    if not _MIN_POINTS <= initial_points <= _MAX_POINTS:
         raise ValueError(f"a winding count needs initial_points >= "
-                         f"{_MIN_POINTS}, got {initial_points}")
+                         f"{_MIN_POINTS} and <= the cap {_MAX_POINTS}, got "
+                         f"{initial_points}")
     spent = 0
 
     def sample(us):

@@ -564,9 +564,29 @@ def test_cli_reads_only_its_flags():
 
 # every line ends in exit 2 through main, with nothing on stdout and a
 # message from where the input entered: non-finite or overflowing numbers,
-# a --format the command cannot write, and --config, which is not a flag
+# a --tol not above 0, a --grid spec that is not one, more initial samples
+# than a count may spend, a --format the command cannot write, and
+# --config, which is not a flag
 SHIFT = "shift must be a finite positive double"
+FLAG = "invalid input"
+GRID = "a grid is smin,smax,ns:tmin,tmax,nt"
 INVALID_LINES = [
+    (["eval", "--alpha", "rat:1,2", "--tol", "inf"], FLAG),
+    (["eval", "--alpha", "rat:1,2", "--tol", "nan"], FLAG),
+    (["eval", "--alpha", "rat:1,2", "--tol", "-1"], FLAG),
+    (["eval", "--alpha", "rat:1,2", "--tol", "0"], FLAG),
+    (["zeros", "count", "--alpha", "rat:1,1", "--rect", "1.1,2,0,30",
+      "--tol", "inf"], FLAG),
+    (["annulus", "realize", "--r", "1,2,5", "--z", "0,2", "--tol", "0"], FLAG),
+    (["twist", "sign-flip", "--alpha", "rat:1,1", "--f", "1", "--delta",
+      "nan"], FLAG),
+    (["zeros", "pipeline", "--alpha", "dec:0.7853981634", "--delta", "nan"],
+     FLAG),
+    (["kron", "solve", "--freqs", "0.1103,0.2", "--targets", "0.25,0.5",
+      "--delta", "0.05", "--max-t", "inf"], FLAG),
+    (["eval", "--alpha", "rat:1,2", "--grid", "1.2,inf,2:0,1,2"], GRID),
+    (["zeros", "count", "--alpha", "rat:1,1", "--rect", "1.1,2,0,30",
+      "--samples", "100000000"], "the cap 200000"),
     (["eval", "--alpha", "dec:1e400"], SHIFT),
     (["eval", "--alpha", "dec:inf"], SHIFT),
     (["eval", "--alpha", "dec:nan"], SHIFT),
@@ -591,6 +611,19 @@ def test_invalid_command_lines_exit_2(argv, message):
     code, out, err = _run_in_process(argv)
     assert (code, out) == (2, ""), err
     assert message in err
+
+
+@pytest.mark.parametrize("spec", [
+    "1.2,inf,2:0,1,2", "1.2,1.5,2:nan,1,2", "1.2,1.5,0:0,1,2",
+    "1.2,1.5,2:0,1,-1", "1.2,1.5,2", "1.2,1.5:0,1,2", "1.2,1.5,2:0,1,2:3",
+    "1.2,1.5,2.5:0,1,2", "a,b,c:d,e,f", ""])
+def test_eval_grid_spec_is_checked_where_it_enters(spec):
+    code, out, err = _run_in_process(["eval", "--alpha", "rat:1,2",
+                                      "--grid", spec, "--format", "csv"])
+    assert (code, out) == (2, "")
+    # one message, which names the spec
+    [line] = err.splitlines()
+    assert GRID in line and json.dumps(spec) in line
 
 
 def test_refused_calls_leave_the_next_call_unchanged():

@@ -72,6 +72,20 @@ def test_argument_count_refuses_too_few_initial_points(points):
     assert argument_count(pol, Rectangle(1.05, 2.0, 4.0, 6.0), 16) == 1
 
 
+def test_argument_count_refuses_more_initial_points_than_the_cap(
+        monkeypatch):
+    pol = lambda s: s - (1.5 + 5j)
+    rect = Rectangle(1.05, 2.0, 4.0, 6.0)
+    with pytest.raises(ValueError, match="the cap 200000"):
+        argument_count(pol, rect, 100_000_000)
+    monkeypatch.setattr(zerofinder, "_MAX_POINTS", 64)
+    assert argument_count(pol, rect, 64) == 1
+    called = []
+    with pytest.raises(ValueError, match="the cap 64"):
+        argument_count(lambda s: called.append(s) or pol(s), rect, 65)
+    assert called == []
+
+
 def test_zero_on_boundary_detected():
     pol = lambda s: s - (1.5 + 5j)
     with pytest.raises(ZeroOnBoundary):
