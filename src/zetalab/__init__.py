@@ -13,8 +13,7 @@ from .errors import ZetalabError
 from .kronecker import KroneckerProblem, KroneckerSolution, SearchBudget, \
     solve, verify
 from .quadfield import CasselsBlock, IdealFactorization, PrimeIdeal, \
-    QuadElement, QuadraticField, factor_shift, ideal_denominator, \
-    private_primes
+    factor_shift, ideal_denominator, private_primes
 from .series import Alpha, PeriodicFunction, hurwitz_zeta, lfunction, \
     series_head, series_tail
 from .twist import BlockSchedule, ScheduleReport, TwistedSeries, \

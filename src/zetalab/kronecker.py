@@ -83,6 +83,11 @@ class SearchBudget:
     max_t: float = 1e6
     max_iterations: int = 50_000_000
 
+    def __post_init__(self):
+        if not self.max_iterations >= 1:
+            raise ValueError("the search budget needs max_iterations >= 1, "
+                             f"got {self.max_iterations}")
+
 
 def _circle_dist(x: np.ndarray) -> np.ndarray:
     f = np.mod(x, 1.0)
@@ -127,6 +132,9 @@ def solve(problem: KroneckerProblem, budget: SearchBudget | None = None
     verify() before being handed back.
     """
     budget = budget or SearchBudget()
+    if not budget.max_t > problem.t_min:
+        raise ValueError(f"the search needs max_t > t_min, got max_t="
+                         f"{budget.max_t}, t_min={problem.t_min}")
     w = np.asarray(problem.frequencies)
     b = np.where(w < 0, -np.asarray(problem.targets), problem.targets) % 1.0
     w = np.abs(w)

@@ -1,11 +1,11 @@
-"""Exact arithmetic in real quadratic fields Q(sqrt(d)).
+"""Ideal factorizations of n + alpha and private-prime censuses.
 
-Supports the ideal bookkeeping the greedy character construction needs:
-the denominator ideal of a shift alpha, factorization of the integral
-ideals (n + alpha)*a into prime ideals, and detection of primes private to
-a single n inside a block.
+For a quadratic irrational shift alpha in a real field Q(sqrt(d)), this is
+the ideal bookkeeping the greedy character construction needs: the
+denominator ideal of alpha, factorization of the integral ideals
+(n + alpha)*a into prime ideals, and detection of primes private to a
+single n inside a block.
 
-Elements are stored as x + y*sqrt(d) with exact rational coordinates.
 Prime ideals above p are labeled (p, r) where r is the smallest nonnegative
 root mod p of the minimal polynomial of the integral generator w (w =
 sqrt(d), or (1+sqrt(d))/2 when d = 1 mod 4); inert primes carry r = None.
@@ -28,10 +28,7 @@ and the norms of its prime factors multiplying back to its norm.
 
 A sieved range is kept as flat (n, ideal label, exponent) arrays.  The
 occurrence index of the private-prime census reads them directly; the
-IdealFactorization of an n is built, and kept, only when it is asked for.
-
-The interface is degree-agnostic on purpose (factorizations are lists of
-labeled primes with exponents); only the quadratic case is implemented.
+IdealFactorization of an n is built each time it is asked for.
 """
 
 from __future__ import annotations
@@ -40,17 +37,16 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotQuadratic
-from .series import Alpha, _is_squarefree
+from .series import Alpha
 
 __all__ = [
-    "QuadraticField", "QuadElement", "PrimeIdeal", "IdealFactorization",
-    "CasselsBlock", "ideal_denominator", "factor_shift", "private_primes",
+    "PrimeIdeal", "IdealFactorization", "CasselsBlock", "ideal_denominator",
+    "factor_shift", "private_primes",
 ]
 
 
@@ -138,76 +134,6 @@ def _vp(n: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# field and elements
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadraticField:
-    """Real quadratic field Q(sqrt(d)), d >= 2 squarefree."""
-
-    d: int
-
-    def __post_init__(self):
-        if not _is_squarefree(self.d):
-            raise ValueError("d must be squarefree and >= 2")
-
-    @property
-    def half_basis(self) -> bool:
-        """True when the ring of integers is Z[(1+sqrt(d))/2]."""
-        return self.d % 4 == 1
-
-    def element(self, x, y) -> "QuadElement":
-        return QuadElement(Fraction(x), Fraction(y), self.d)
-
-    def from_alpha(self, alpha: Alpha) -> "QuadElement":
-        if alpha.kind != "quadratic":
-            raise NotQuadratic("shift is not a quadratic irrational",
-                               kind=alpha.kind)
-        a, b, d = alpha.data
-        if d != self.d:
-            raise ValueError("shift belongs to a different field")
-        return QuadElement(Fraction(a), Fraction(b), d)
-
-
-@dataclass(frozen=True)
-class QuadElement:
-    """x + y*sqrt(d) with exact rational coordinates."""
-
-    x: Fraction
-    y: Fraction
-    d: int
-
-    def __add__(self, other):
-        if isinstance(other, QuadElement):
-            return QuadElement(self.x + other.x, self.y + other.y, self.d)
-        return QuadElement(self.x + Fraction(other), self.y, self.d)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, QuadElement):
-            return QuadElement(self.x * other.x + self.d * self.y * other.y,
-                               self.x * other.y + self.y * other.x, self.d)
-        k = Fraction(other)
-        return QuadElement(self.x * k, self.y * k, self.d)
-
-    __rmul__ = __mul__
-
-    def is_integral(self) -> bool:
-        if self.d % 4 == 1:
-            u, v = 2 * self.x, 2 * self.y
-            return (u.denominator == 1 and v.denominator == 1
-                    and (u.numerator - v.numerator) % 2 == 0)
-        return self.x.denominator == 1 and self.y.denominator == 1
-
-    def omega_coords(self) -> tuple[Fraction, Fraction]:
-        """Coordinates over the integral basis {1, w}."""
-        if self.d % 4 == 1:
-            return self.x - self.y, 2 * self.y
-        return self.x, self.y
-
-
-# ---------------------------------------------------------------------------
 # prime ideals and valuations
 # ---------------------------------------------------------------------------
 
@@ -230,15 +156,14 @@ class PrimeIdeal(NamedTuple):
         return f"({self.p},{'-' if self.r is None else self.r})"
 
 
-def _minpoly_coeffs(field: QuadraticField) -> tuple[int, int]:
+def _minpoly_coeffs(d: int) -> tuple[int, int]:
     """(linear, constant) of w^2 + linear*w + constant."""
-    if field.half_basis:
-        return -1, (1 - field.d) // 4
-    return 0, -field.d
+    if d % 4 == 1:
+        return -1, (1 - d) // 4
+    return 0, -d
 
 
-def _primes_above(field: QuadraticField, p: int) -> list[PrimeIdeal]:
-    d = field.d
+def _primes_above(d: int, p: int) -> list[PrimeIdeal]:
     if p == 2:
         if d % 4 == 1:
             if d % 8 == 1:
@@ -247,25 +172,23 @@ def _primes_above(field: QuadraticField, p: int) -> list[PrimeIdeal]:
         # ramified: minpoly x^2 - d mod 2 has the double root d mod 2
         return [PrimeIdeal(2, d % 2, "ramified")]
     if d % p == 0:
-        # double root of the generator polynomial mod p
-        if field.half_basis:
-            r = (1 * pow(2, p - 2, p)) % p     # root of (2x-1)^2 = d = 0
-        else:
-            r = 0
+        # double root of the generator polynomial mod p: 1/2, the root of
+        # (2x-1)^2 = d = 0, on the half basis
+        r = (p + 1) // 2 if d % 4 == 1 else 0
         return [PrimeIdeal(p, r, "ramified")]
-    roots = _split_roots(field, p)
+    roots = _split_roots(d, p)
     if roots is None:
         return [PrimeIdeal(p, None, "inert")]
     return [PrimeIdeal(p, r, "split") for r in roots]
 
 
-def _split_roots(field: QuadraticField, p: int) -> tuple[int, int] | None:
+def _split_roots(d: int, p: int) -> tuple[int, int] | None:
     """The roots mod p of the minimal polynomial of w, ascending, for an odd
     prime p not dividing d; None when p is inert."""
-    root = _sqrt_mod_p(field.d % p, p)
+    root = _sqrt_mod_p(d % p, p)
     if root is None:
         return None
-    if field.half_basis:
+    if d % 4 == 1:
         inv2 = (p + 1) // 2
         return tuple(sorted(((1 + root) * inv2 % p, (1 - root) * inv2 % p)))
     return root, p - root
@@ -350,22 +273,21 @@ class _ShiftFactorizer:
     The sieve labels a prime ideal by (p, c) without its root r: above a
     special p, c is its place in above[p]; any other ideal is split, and c
     is the class mod p of the n it divides.  The index makes one PrimeIdeal
-    per ideal it holds; an IdealFactorization is made when first asked for.
+    per ideal it holds; an IdealFactorization is made each time it is asked
+    for.
     """
 
-    def __init__(self, field: QuadraticField, alpha: Alpha):
-        self.field = field
-        self.alpha_elem = field.from_alpha(alpha)
-        x, y = self.alpha_elem.omega_coords()
+    def __init__(self, alpha: Alpha):
+        a, b, self.d = alpha.data
+        # alpha's coordinates over the integral basis {1, w}
+        x, y = (a - b, 2 * b) if self.d % 4 == 1 else (a, b)
         self.D = math.lcm(x.denominator, y.denominator)
         self.A0, self.B = int(x * self.D), int(y * self.D)
-        self.lin, self.const = _minpoly_coeffs(field)
-        # the factorizations made so far
-        self.cache: dict[int, IdealFactorization] = {}
+        self.lin, self.const = _minpoly_coeffs(self.d)
         # primes dividing 2*d*D*B get exact local valuations; every other
         # prime ideal dividing some g(n) is split and is sieved
-        self.special = sorted(_factor_int(2 * field.d * self.D * self.B))
-        self.above = {p: _primes_above(field, p) for p in self.special}
+        self.special = sorted(_factor_int(2 * self.d * self.D * self.B))
+        self.above = {p: _primes_above(self.d, p) for p in self.special}
         # rows (p, n0), p ascending: the split prime p divides D*(n + alpha)
         # iff n = n0 mod p; complete for the non-special primes <= roots_to
         self.roots = np.zeros((0, 2), np.int64)
@@ -445,7 +367,7 @@ class _ShiftFactorizer:
         rows = []
         for p in primes[bisect.bisect_right(primes, self.roots_to):
                         bisect.bisect_right(primes, limit)]:
-            roots = None if p in self.above else _split_roots(self.field, p)
+            roots = None if p in self.above else _split_roots(self.d, p)
             if roots is None:
                 continue
             inv_d = pow(self.D, -1, p)
@@ -556,20 +478,15 @@ class _ShiftFactorizer:
                 for p, c in zip(ps, cs)]
 
     def factor(self, n: int) -> IdealFactorization:
-        """The factorization of n, made on the first request and kept."""
-        fact = self.cache.get(n)
-        if fact is None:
-            if n <= self.scanned:
-                factors = tuple(self.entries[self.start[n]:self.start[n + 1]])
-                norm = int(self.index.norm[n])
-            else:
-                one = self._sieve(n, n)
-                factors = tuple(zip(self._ideals(one.p.tolist(),
-                                                 one.c.tolist()),
-                                    one.e.tolist()))
-                norm = int(one.norm[0])
-            fact = self.cache[n] = IdealFactorization(n, factors, norm)
-        return fact
+        """The factorization of n: read from the index when it covers n,
+        else sieved over [n, n] alone."""
+        if n <= self.scanned:
+            factors = tuple(self.entries[self.start[n]:self.start[n + 1]])
+            return IdealFactorization(n, factors, int(self.index.norm[n]))
+        one = self._sieve(n, n)
+        factors = tuple(zip(self._ideals(one.p.tolist(), one.c.tolist()),
+                            one.e.tolist()))
+        return IdealFactorization(n, factors, int(one.norm[0]))
 
     def index_to(self, top: int):
         """Extend the occurrence index over every m <= top, sieving once."""
@@ -621,8 +538,7 @@ def _factorizer(alpha: Alpha) -> _ShiftFactorizer:
         raise NotQuadratic("shift is not a quadratic irrational", kind=kind)
     fz = _FACTORIZERS.get(alpha.data)
     if fz is None:
-        fz = _FACTORIZERS[alpha.data] = _ShiftFactorizer(
-            QuadraticField(alpha.data[2]), alpha)
+        fz = _FACTORIZERS[alpha.data] = _ShiftFactorizer(alpha)
     return fz
 
 

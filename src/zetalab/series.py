@@ -104,6 +104,11 @@ _SLAB = 4096
 _RUN = 16
 _RUN_TERMS = 1024
 
+# _direct_block cuts a longer run into near-equal pieces of at most _RUN_MAX
+# points: a slab of a run of P points holds about _PRODUCT / P terms and
+# keeps P sums, so one run's slabs hold about P^2 m / _PRODUCT values
+_RUN_MAX = 1024
+
 # leading terms of a run that _direct_block sums one point at a time
 _HEAD = 8
 
@@ -205,14 +210,6 @@ class Alpha:
                     + mp.mpf(b.numerator) / b.denominator * mp.sqrt(d))
         return mp.mpf(self.data[0])
 
-    def encode(self) -> str:
-        if self.kind == "rational":
-            return "rat:%d,%d" % self.data
-        if self.kind == "quadratic":
-            a, b, d = self.data
-            return f"quad:{a},{b},{d}"
-        return f"dec:{self.data[0]}"
-
     def __float__(self) -> float:
         return self.value
 
@@ -232,8 +229,7 @@ class PeriodicFunction:
     """Real coefficient function of period q; values[i] is f(i+1).
 
     Periodicity puts f(0) = f(q).  The mean of the values is the residue of
-    L(s, f, alpha) at s = 1; the max/min ratio is defined only for strictly
-    positive values.
+    L(s, f, alpha) at s = 1.
     """
 
     values: tuple
@@ -261,12 +257,6 @@ class PeriodicFunction:
     @property
     def residue(self) -> float:
         return math.fsum(self.values) / len(self.values)
-
-    @property
-    def ratio(self) -> float:
-        if min(self.values) <= 0:
-            raise ValueError("ratio defined only for positive values")
-        return max(self.values) / min(self.values)
 
     @property
     def max_abs(self) -> float:
@@ -440,7 +430,7 @@ def _fsum_columns(sums, mags, points: int):
 def _runs(neg, m: int) -> list[tuple[int, int]]:
     """[lo, hi) of each maximal run of equally spaced points of the batch
     neg that is long enough for _run_sums at m terms, in order and
-    disjoint.
+    disjoint; a run of more than _RUN_MAX points comes as near-equal pieces.
 
     A step counts as equal when it differs from the step before by at most
     a few ulps of the largest |s|.
@@ -457,8 +447,11 @@ def _runs(neg, m: int) -> list[tuple[int, int]]:
     runs, taken = [], 0
     for lo, hi in zip(edges[::2], edges[1::2]):
         lo = max(lo, taken)     # a point closes one run or opens the next
-        if hi + 2 - lo >= least:
-            runs.append((lo, hi + 2))
+        size = hi + 2 - lo
+        if size >= least:
+            parts = -(-size // _RUN_MAX)
+            cuts = [lo + size * i // parts for i in range(parts + 1)]
+            runs.extend(zip(cuts[:-1], cuts[1:]))
             taken = hi + 2
     return runs
 

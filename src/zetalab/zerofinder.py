@@ -323,8 +323,7 @@ def _abs_log_weight_sum(f: PeriodicFunction, alpha: float, disk: Circle,
 
 
 def rouche_check(series: TwistedSeries, sigma0: float, delta1: float,
-                 t: float, samples: int = 720,
-                 n_cut: int = 2000) -> RoucheCertificate:
+                 t: float, samples: int, n_cut: int) -> RoucheCertificate:
     """Certificate that L(s + it, f, alpha) has a zero in |s - sigma0| < delta1,
     for the f and alpha of the comparison series.
 
@@ -399,10 +398,14 @@ class PipelineBudget:
     samples: int = 360
 
     def __post_init__(self):
-        if not (self.samples >= 1 and self.n_cut_max >= 0):
+        if not (self.samples >= 1 and self.n_cut_max >= 0
+                and self.max_iterations >= 1 and self.max_t > self.t_min):
             raise ValueError("the pipeline budget needs samples >= 1 and "
-                             f"n_cut_max >= 0, got samples={self.samples}, "
-                             f"n_cut_max={self.n_cut_max}")
+                             "n_cut_max >= 0, max_iterations >= 1 and "
+                             f"max_t > t_min, got samples={self.samples}, "
+                             f"n_cut_max={self.n_cut_max}, max_iterations="
+                             f"{self.max_iterations}, max_t={self.max_t}, "
+                             f"t_min={self.t_min}")
 
 
 @dataclass

@@ -47,6 +47,17 @@ def test_package_exports():
         for module in (zetalab, zetalab.kronecker, zetalab.quadfield):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(zetalab.quadfield, "_pell_minimal")
+    # a quadratic shift has one representation: Alpha's (a, b, d)
+    for name in ("QuadraticField", "QuadElement"):
+        for module in (zetalab, zetalab.quadfield):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(zetalab.Alpha, "encode")
+    assert not hasattr(zetalab.PeriodicFunction, "ratio")
+    fz = zetalab.quadfield._ShiftFactorizer(zetalab.Alpha.parse("quad:0,1,2"))
+    assert not hasattr(fz, "cache")
+    params = inspect.signature(zetalab.rouche_check).parameters
+    for name in ("samples", "n_cut"):
+        assert params[name].default is inspect.Parameter.empty, name
 
 
 def test_traced_names_resolve():

@@ -565,10 +565,14 @@ def test_cli_reads_only_its_flags():
 # every line ends in exit 2 through main, with nothing on stdout and a
 # message from where the input entered: non-finite or overflowing numbers,
 # a --tol not above 0, a --grid spec that is not one, more initial samples
-# than a count may spend, a --format the command cannot write, and
-# --config, which is not a flag
+# than a count may spend, an empty search budget, a --format the command
+# cannot write, and --config, which is not a flag
 SHIFT = "shift must be a finite positive double"
 FLAG = "invalid input"
+KRON = ["kron", "solve", "--freqs", "0.1103,0.2,0.31", "--targets",
+        "0.25,0.5,0.75", "--delta", "0.05"]
+PIPELINE = ["zeros", "pipeline", "--alpha", "dec:0.7853981634", "--delta",
+            "0.5"]
 GRID = "a grid is smin,smax,ns:tmin,tmax,nt"
 INVALID_LINES = [
     (["eval", "--alpha", "rat:1,2", "--tol", "inf"], FLAG),
@@ -584,6 +588,16 @@ INVALID_LINES = [
      FLAG),
     (["kron", "solve", "--freqs", "0.1103,0.2", "--targets", "0.25,0.5",
       "--delta", "0.05", "--max-t", "inf"], FLAG),
+    (KRON + ["--max-iter", "-5"], "invalid input: the search budget needs "
+     "max_iterations >= 1"),
+    (KRON + ["--max-iter", "0"], "invalid input: the search budget needs "
+     "max_iterations >= 1"),
+    (KRON + ["--max-t", "-1"], "invalid input: the search needs max_t > "
+     "t_min"),
+    (PIPELINE + ["--max-iter", "-3"], "invalid input: the pipeline budget "
+     "needs"),
+    (PIPELINE + ["--max-t", "0"], "invalid input: the pipeline budget "
+     "needs"),
     (["eval", "--alpha", "rat:1,2", "--grid", "1.2,inf,2:0,1,2"], GRID),
     (["zeros", "count", "--alpha", "rat:1,1", "--rect", "1.1,2,0,30",
       "--samples", "100000000"], "the cap 200000"),

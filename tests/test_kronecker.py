@@ -257,7 +257,8 @@ def test_scan_is_exact_against_brute_force(rng, delta):
         wmax, bmax = _fastest(KroneckerProblem(w, b, delta=delta))
         t_min, t_hi = (bmax + 0.5) / wmax, (bmax + 40.5) / wmax
         solved = set()
-        while True:
+        # a budget that ends at t_min is refused, and holds no witness
+        while t_min < t_hi:
             p = KroneckerProblem(w, b, delta=delta, t_min=t_min)
             try:
                 sol = solve(p, SearchBudget(max_t=t_hi))
@@ -295,3 +296,12 @@ def test_negative_single_frequency_closed_form():
     sol = solve(KroneckerProblem((-0.31,), (0.2,), delta=0.05))
     assert sol.t == pytest.approx(0.8 / 0.31)
     assert sol.integer_parts == (-1,)
+
+
+def test_an_empty_budget_is_refused_before_any_scan():
+    with pytest.raises(ValueError, match="max_iterations >= 1"):
+        SearchBudget(max_iterations=0)
+    p = KroneckerProblem((0.31,), (0.5,), delta=0.1, t_min=5.0)
+    for max_t in (5.0, -1.0):
+        with pytest.raises(ValueError, match="max_t > t_min"):
+            solve(p, SearchBudget(max_t=max_t))

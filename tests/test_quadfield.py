@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from zetalab.errors import NotQuadratic
-from zetalab.quadfield import (PrimeIdeal, QuadraticField, factor_shift,
-                               ideal_denominator, private_primes)
+from zetalab.quadfield import (PrimeIdeal, factor_shift, ideal_denominator,
+                               private_primes)
 from zetalab.quadfield import (_FACTORIZERS, _ShiftFactorizer, _factorizer,
                                _prime_key)
 from zetalab.series import Alpha
@@ -62,14 +62,12 @@ def test_factor_shift_refuses_a_float_shift():
 
 def test_denominator_clears_shifts():
     # a * (n + alpha) integral for every n, and no smaller ideal works
-    half = Alpha.quadratic(0, Fraction(1, 2), 2)
-    field = QuadraticField(2)
-    alpha_elem = field.from_alpha(half)
-    sqrt2 = field.element(0, 1)          # generates the denominator prime
+    # n + sqrt(2)/2 = x + y*sqrt(2), and sqrt(2) generates the denominator
+    # prime: (x + y*sqrt(2))*sqrt(2) = 2y + x*sqrt(2)
     for n in range(6):
-        shifted = alpha_elem + n
-        assert (shifted * sqrt2).is_integral()
-        assert not shifted.is_integral() or n != 0
+        x, y = Fraction(n), Fraction(1, 2)
+        assert (2 * y).denominator == 1 and x.denominator == 1
+        assert not (x.denominator == y.denominator == 1) or n != 0
 
 
 def test_factor_shift_examples():
@@ -243,7 +241,7 @@ SWITCH = Alpha.parse("quad:0,1/16807,2")
 
 
 def test_sieve_switches_to_python_integers_past_int64():
-    fz = _ShiftFactorizer(QuadraticField(2), SWITCH)
+    fz = _ShiftFactorizer(SWITCH)
     assert fz._sieve(0, 10).norm.dtype == np.int64
     assert fz._sieve(10, 11).norm.dtype == object
     assert fz._sieve(11, 11).norm.dtype == object
@@ -273,32 +271,46 @@ def test_ranges_across_the_int64_switch_match_single_elements():
 def test_norm_recombination_check_fires(alpha, n):
     # the recombination product is built inside the sieve; a wrong norm on
     # the other side of the check must still be caught, in either dtype
-    fz = _ShiftFactorizer(QuadraticField(alpha.data[2]), alpha)
+    fz = _ShiftFactorizer(alpha)
     fz.denominator_norm += 1
     with pytest.raises(ArithmeticError, match="norm recombination failed"):
         fz.factor(n)
 
 
-def test_queries_below_the_index_mark_reuse_the_cache(monkeypatch):
+def test_queries_below_the_index_mark_read_the_index(monkeypatch):
     _FACTORIZERS.clear()
     fz = _factorizer(SQRT2)
     fz.index_to(2000)
-    # the index holds arrays; a factorization is made when first asked for
-    assert fz.cache == {}
 
     def no_sieve(lo, hi):
         raise AssertionError(f"re-sieved [{lo}, {hi}] below the index mark")
 
     monkeypatch.setattr(fz, "_sieve", no_sieve)
-    made = {n: factor_shift(n, SQRT2) for n in (0, 1, 999, 1500, 2000)}
-    assert all(factor_shift(n, SQRT2) is fact for n, fact in made.items())
+    for n in (0, 1, 999, 1500, 2000):
+        factor_shift(n, SQRT2)
     for n_start, length in ((0, 30), (1000, 10), (1980, 20)):
         block = private_primes(n_start, length, SQRT2)
         assert block.private == census_from_scratch(n_start, length, SQRT2)
     assert fz.scanned == 2000
-    cached = dict(fz.cache)
-    assert all(factor_shift(n, SQRT2) is fact for n, fact in cached.items())
-    assert all(cached[n] is fact for n, fact in made.items())
+
+
+def test_a_cold_single_shift_is_sieved_alone(monkeypatch):
+    # past the index mark one n is sieved over [n, n]: no index is built,
+    # and every request makes an equal record
+    alpha = Alpha.parse("quad:1/3,1,2")
+    _FACTORIZERS.clear()
+
+    def no_index(self, top):
+        raise AssertionError(f"indexed up to {top} for one shift")
+
+    with monkeypatch.context() as m:
+        m.setattr(_ShiftFactorizer, "index_to", no_index)
+        first = factor_shift(100000, alpha)
+        assert factor_shift(100000, alpha) == first
+        cold = factor_shift(5000, alpha)
+    assert Fraction(first.recombined_norm()) == first.norm
+    _factorizer(alpha).index_to(5000)
+    assert factor_shift(5000, alpha) == cold
 
 
 def test_split_prime_denominator():

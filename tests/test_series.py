@@ -230,8 +230,7 @@ def test_alpha_parsing_and_validation():
     a = Alpha.parse("quad:0,1,2")
     assert abs(a.value - math.sqrt(2)) < 1e-15
     assert Alpha.parse("dec:0.7853981634").value == 0.7853981634
-    assert Alpha.parse(Alpha.quadratic(2, -1, 3).encode()).value == \
-        Alpha.quadratic(2, -1, 3).value
+    assert Alpha.parse("quad:2,-1,3") == Alpha.quadratic(2, -1, 3)
     with pytest.raises(ValueError):
         Alpha.rational(-1, 2)
     with pytest.raises(ValueError):
@@ -242,11 +241,7 @@ def test_alpha_parsing_and_validation():
         Alpha.parse("bad:1")
 
 
-def test_ratio_and_max_abs():
-    f = PeriodicFunction((1.0, 1.1))
-    assert abs(f.ratio - 1.1) < 1e-15
-    with pytest.raises(ValueError):
-        PeriodicFunction((1.0, -1.0)).ratio
+def test_max_abs():
     assert PeriodicFunction((-3.0, 2.0)).max_abs == 3.0
 
 
@@ -566,6 +561,31 @@ def test_contour_sides_are_summed_as_runs():
     assert series._run_sums(-bent, 0.75, 200, None) is None
     total, _ = series._direct_block(bent, 0.75, 200)
     assert (total == direct_block_oracle(bent, 0.75, 200)[0]).all()
+
+
+def test_long_runs_are_summed_in_pieces(monkeypatch):
+    # a run of P points keeps about P^2 m / _PRODUCT slab values, so the
+    # sides of 2^16 boundary points of [1.2,1.6]x[0,1e4], runs of 32,767
+    # points at m = 2,108, go in pieces of at most _RUN_MAX points
+    from zetalab import series
+    from zetalab.zerofinder import Rectangle
+    batch = Rectangle(1.2, 1.6, 0.0, 1e4).boundary(np.arange(2 ** 16) / 2 ** 16)
+    a = 0.7853981634
+    m, _ = series._em_plan(*series._extent(batch), a, 1e-12)
+    runs = series._runs(-batch, m)
+    assert max(hi - lo for lo, hi in runs) <= series._RUN_MAX
+    assert sum(hi - lo for lo, hi in runs) >= 2 ** 16 - 8
+    kept = []
+    fsum_columns = series._fsum_columns
+
+    def counted(sums, mags, points):
+        kept.append(len(sums) * points)
+        return fsum_columns(sums, mags, points)
+
+    monkeypatch.setattr(series, "_fsum_columns", counted)
+    series._direct_block(batch, a, m)
+    assert kept and max(kept) <= 2 * m * series._RUN_MAX ** 2 \
+        // series._PRODUCT
 
 
 @pytest.mark.parametrize("m", [0, 3, 200, 4097])
