@@ -108,6 +108,18 @@ def _positive(text: str) -> float:
     return value
 
 
+def _digits(text: str) -> int:
+    """The value of an eval --precision flag: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid input: {text!r} is not a whole number >= 1")
+    return value
+
+
 def _parse_f(ns) -> PeriodicFunction:
     return PeriodicFunction(tuple(float(v) for v in ns.f.split(",")))
 
@@ -136,6 +148,18 @@ def _parse_grid(text: str) -> tuple[list[float], list[float]]:
     smin, smax, tmin, tmax = ends
     return ([smin + (smax - smin) * i / max(ns - 1, 1) for i in range(ns)],
             [tmin + (tmax - tmin) * j / max(nt - 1, 1) for j in range(nt)])
+
+
+def _parse_rect(text: str) -> list[float]:
+    """[smin, smax, tmin, tmax] of a zeros count --rect spec; finiteness
+    and order are Rectangle's to check."""
+    try:
+        corners = [float(x) for x in text.split(",")]
+    except ValueError:
+        corners = []
+    if len(corners) != 4:
+        raise ConfigInvalid("a rectangle is smin,smax,tmin,tmax", value=text)
+    return corners
 
 
 def _emit(args, payload, jsonl_rows=None):
@@ -275,7 +299,7 @@ def _cmd_greedy(args) -> int:
 def _cmd_count(args) -> int:
     f = _parse_f(args)
     alpha = Alpha.parse(args.alpha)
-    smin, smax, tmin, tmax = (float(x) for x in args.rect.split(","))
+    smin, smax, tmin, tmax = _parse_rect(args.rect)
     rect = Rectangle(smin, smax, tmin, tmax)
     count = argument_count(
         lambda s: lfunction(s, f, alpha, tol=args.tol), rect, args.samples)
@@ -320,7 +344,7 @@ _TOL = ("--tol", dict(type=_positive, default=1e-12))
 _COMMANDS = {
     ("eval",): (_cmd_eval, "series values and identity checks", _SERIES + (
         _TOL,
-        ("--precision", dict(type=int, help="evaluate by mpmath at this "
+        ("--precision", dict(type=_digits, help="evaluate by mpmath at this "
                              "many decimal digits")),
         ("--s", dict(default="2,0", help="sigma,t")),
         ("--grid", dict(help="smin,smax,ns:tmin,tmax,nt (CSV output)")),

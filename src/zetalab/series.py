@@ -38,8 +38,14 @@ difference of zerofinder.  It treats a single point as a batch of one.
 Runs of equally spaced points in a batch, such as the sides of a rectangle
 contour, share their exponentials: a run of P points s_0 + k d is summed
 from two tables of about sqrt(P) rows, (n+a)^(-s_0 - k1 B d) and
-(n+a)^(-k2 d) with k = k1 B + k2, by a matrix product, so a term costs
-about 2/sqrt(P) exps a point instead of one.
+(n+a)^(-k2 d) with k = k1 B + k2, by a matrix product.  Each table row is
+the one before times a ratio row, (n+a)^(-B d) or (n+a)^(-d), so a term
+costs three exps for the whole run, 3/P a point instead of one.
+
+The Euler-Maclaurin corrections of a batch are one array of points x K
+terms, each term the one before times a ratio, summed against the
+coefficients.  A single point keeps its loop of K steps: there the numpy
+calls of the array form cost more than they save.
 """
 
 from __future__ import annotations
@@ -93,6 +99,9 @@ _C_EVEN = [float(b / math.factorial(2 * k))
 
 # per candidate order K: (K, 2K + 1, log |B_{2K+2} / (2K+2)!|)
 _PLAN_ROWS = [(k, 2 * k + 1, math.log(abs(_C_EVEN[k]))) for k in _ORDERS]
+
+# 2k - 1, k = 1 .. max order: the ladder of _em_once on a batch
+_ODD = np.arange(1.0, 2 * _ORDERS[-1], 2)
 
 # elements (points x terms) of one direct-block slab; larger slabs gain
 # little speed and cost peak memory
@@ -366,8 +375,8 @@ def _direct_block(s, a: float, m: int, weights=None):
 
     A single s is a batch of one.  Runs of equally spaced points share
     their exponentials: _run_sums sums each long enough run in factored
-    form, at about 2/sqrt(P) exps a term and point for a run of P points.
-    The other points go through _term_sums, one exp a term and point.
+    form, at three exps a term for a run of P points, whatever P.  The
+    other points go through _term_sums, one exp a term and point.
     """
     neg = -np.array(s, ndmin=1)
     runs = _runs(neg, m) if neg.size >= _RUN else ()
@@ -467,8 +476,14 @@ def _run_sums(neg, a: float, m: int, weights):
     A[k1, n] C[k2, n] exp(-dev[k] log(n+a)) with the tables
     A = w (n+a)^(-r1) and C = (n+a)^(-r2), and the sums at all P points are
     one matrix product A C^T, corrected to first order in dev by a second
-    one, (A log(n+a)) C^T.  That takes 2 sqrt(P) exps a term where the
-    points one by one take P.  The masses come the same way from the
+    one, (A log(n+a)) C^T.  The tables are built by cumprod down their
+    rows from three exp rows a term: A's first row, its ratio row
+    (n+a)^(-B d) and C's ratio row (n+a)^(-d), where exp row by row took
+    2 sqrt(P) and the points one by one take P.  Each step of the cumprod
+    adds about an ulp of rounding, so the last row of a table of 32 rows
+    may be off by a few tens of ulps; over 600 random runs of up to 1,024
+    points that stayed within 0.4 of the bound the tests keep, 8 eps
+    (1 + |t| log(n+a)) of the mass.  The masses come the same way from the
     tables' moduli.  The first-order correction leaves a relative error of
     at most (dev log(n+a))^2, below 1e-18 a term, as dev log(n+a) <= 2^-30
     is required.
@@ -499,10 +514,17 @@ def _run_sums(neg, a: float, m: int, weights):
     for lo in range(first, m, width):
         hi = min(lo + width, m)
         logs = np.log(np.arange(lo, hi, dtype=float) + a)
-        table_a = np.exp(np.multiply.outer(outer, logs))
+        # each table row is the one before times a ratio row
+        table_a = np.empty((rows, hi - lo), complex)
+        table_a[0] = np.exp(outer[0] * logs)
+        table_a[1:] = np.exp(step * b * logs)
+        np.cumprod(table_a, axis=0, out=table_a)
         if weights is not None:
             table_a = table_a * weights[lo:hi]
-        table_c = np.exp(np.multiply.outer(inner, logs)).T
+        table_c = np.empty((b, hi - lo), complex)
+        table_c[0] = 1.0
+        table_c[1:] = np.exp(step * logs)
+        table_c = np.cumprod(table_c, axis=0, out=table_c).T
         sums.append((table_a @ table_c
                      + dev * ((table_a * logs) @ table_c)).ravel()[:p])
         # one complex product gives the mass, as its real part, and the
@@ -524,9 +546,42 @@ def _em_once(s, a: float, m: int, order: int, coeffs):
     (value, remainder bound, magnitude scale).  The remainder bound is the
     standard one: |first omitted correction| * |s+2K+1| / (sigma+2K+1),
     valid here since sigma + 2K + 1 > 0 (the factor is 1 on the real axis).
+
+    A batch takes one complex power p^(-s), p = m + a, and forms its
+    corrections as an array of points x K: a handful of numpy calls in all,
+    where a loop of K steps makes seven a step (on 256 points about 300 us
+    at K = 40, against about 150 us).  A single point keeps that loop, its
+    three powers and the list coeffs: the array form took hurwitz_zeta at
+    1.5+300i from 24 to 39 us, and it would move the last bits of every
+    single-point value.
     """
     direct, mag = _direct_block(s, a, m)
     p = m + a
+    if isinstance(s, np.ndarray):
+        # one power gives the tail, the half term and the first correction
+        power = p ** -s
+        tail = power * p / (s - 1)
+        half = power / 2
+        first = s * power / p
+        # the correction terms over the first, a row per point: the ratios
+        # (s+2k-1)(s+2k)/p^2, k = 1..K, multiplied up along the row, in
+        # pieces of at most _PRODUCT elements.  einsum weighs them on one
+        # thread: a BLAS product of that size may wake a second one, and on
+        # a 2-core host that took a count on 2^16 samples from about 1.1 s
+        # to as much as 1.8 s
+        ladder = np.array(coeffs[1:order])
+        corr, last = np.empty_like(s), np.empty_like(s)
+        size = _PRODUCT // order
+        for lo in range(0, s.size, size):
+            x = np.add.outer(s[lo:lo + size], _ODD[:order])
+            ratios = np.cumprod(x * (x + 1) * (1 / (p * p)), axis=1)
+            corr[lo:lo + size] = coeffs[0] + np.einsum(
+                "ij,j->i", ratios[:, :-1], ladder)
+            last[lo:lo + size] = ratios[:, -1]
+        rem = abs(coeffs[order] * first * last)
+        rem *= abs(s + 2 * order + 1) / (s.real + 2 * order + 1)
+        return direct + tail + half + first * corr, rem, \
+            mag + abs(tail) + abs(half)
     tail = p ** (1 - s) / (s - 1)
     half = p ** (-s) / 2
     # term is s (s+1) ... (s+2k-2) p^(-s-2k+1) at step k; updating it by one

@@ -564,9 +564,10 @@ def test_cli_reads_only_its_flags():
 
 # every line ends in exit 2 through main, with nothing on stdout and a
 # message from where the input entered: non-finite or overflowing numbers,
-# a --tol not above 0, a --grid spec that is not one, more initial samples
-# than a count may spend, an empty search budget, a --format the command
-# cannot write, and --config, which is not a flag
+# a --tol not above 0, an eval --precision below 1, a --grid spec that is
+# not one, more initial samples than a count may spend, an empty search
+# budget, a --format the command cannot write, and --config, which is not
+# a flag
 SHIFT = "shift must be a finite positive double"
 FLAG = "invalid input"
 KRON = ["kron", "solve", "--freqs", "0.1103,0.2,0.31", "--targets",
@@ -574,6 +575,7 @@ KRON = ["kron", "solve", "--freqs", "0.1103,0.2,0.31", "--targets",
 PIPELINE = ["zeros", "pipeline", "--alpha", "dec:0.7853981634", "--delta",
             "0.5"]
 GRID = "a grid is smin,smax,ns:tmin,tmax,nt"
+RECT = "a rectangle is smin,smax,tmin,tmax"
 INVALID_LINES = [
     (["eval", "--alpha", "rat:1,2", "--tol", "inf"], FLAG),
     (["eval", "--alpha", "rat:1,2", "--tol", "nan"], FLAG),
@@ -598,6 +600,9 @@ INVALID_LINES = [
      "needs"),
     (PIPELINE + ["--max-t", "0"], "invalid input: the pipeline budget "
      "needs"),
+    (["eval", "--alpha", "rat:1,2", "--s", "2,0", "--precision", "-20"],
+     FLAG),
+    (["eval", "--alpha", "rat:1,2", "--s", "2,0", "--precision", "0"], FLAG),
     (["eval", "--alpha", "rat:1,2", "--grid", "1.2,inf,2:0,1,2"], GRID),
     (["zeros", "count", "--alpha", "rat:1,1", "--rect", "1.1,2,0,30",
       "--samples", "100000000"], "the cap 200000"),
@@ -638,6 +643,16 @@ def test_eval_grid_spec_is_checked_where_it_enters(spec):
     # one message, which names the spec
     [line] = err.splitlines()
     assert GRID in line and json.dumps(spec) in line
+
+
+@pytest.mark.parametrize("spec", ["1.1,2,0", "1.1,2,0,30,5", "a,b,c,d", ""])
+def test_count_rect_spec_is_checked_where_it_enters(spec):
+    code, out, err = _run_in_process(["zeros", "count", "--alpha", "rat:1,1",
+                                      "--rect", spec])
+    assert (code, out) == (2, "")
+    # one message, which names the spec
+    [line] = err.splitlines()
+    assert RECT in line and json.dumps(spec) in line
 
 
 def test_refused_calls_leave_the_next_call_unchanged():

@@ -460,6 +460,72 @@ def test_direct_block_point_is_a_batch_of_one(m):
         assert total == batch_total[0] and mass == batch_mass[0]
 
 
+def _no_direct_block(s, a, m, weights=None):
+    """_direct_block's zero sum and mass, so that _em_once returns its tail,
+    half term and corrections alone."""
+    if isinstance(s, np.ndarray):
+        return np.zeros(s.size, complex), np.zeros(s.size)
+    return 0j, 0.0
+
+
+@pytest.mark.parametrize("tmin", [10.0, 1e3])
+def test_em_batch_agrees_with_each_point_alone(monkeypatch, tmin):
+    # a batch forms its corrections as one array from one power of m + a; a
+    # single point keeps its loop and its three powers
+    from zetalab import series
+    from zetalab.zerofinder import Rectangle
+    monkeypatch.setattr(series, "_direct_block", _no_direct_block)
+    a = 0.75
+    batch = Rectangle(1.1, 2.0, tmin, tmin + 30).boundary(np.arange(256) / 256)
+    m, _ = series._em_plan(*series._extent(batch), a, 1e-12)
+    eps = math.ulp(1.0)
+    for order in series._ORDERS:
+        values, rems, scales = series._em_once(batch, a, m, order,
+                                               series._C_EVEN)
+        for s, v, r in zip(batch.tolist(), values.tolist(), rems.tolist()):
+            want, want_rem, scale = series._em_once(s, a, m, order,
+                                                    series._C_EVEN)
+            bound = 8 * eps * (1 + abs(s.imag) * math.log(m + a)) * scale
+            assert abs(v - want) <= bound, (order, s)
+            assert abs(r - want_rem) <= 1e-13 * want_rem, (order, s)
+
+
+def test_em_batch_ladder_goes_in_pieces(monkeypatch):
+    # one ladder of 2^16 points x 40 orders would hold 2.6 million values
+    from zetalab import series
+    from zetalab.zerofinder import Rectangle
+    monkeypatch.setattr(series, "_direct_block", _no_direct_block)
+    batch = Rectangle(1.2, 1.6, 0.0, 1e4).boundary(np.arange(2 ** 16) / 2 ** 16)
+    a = 0.7853981634
+    m, _ = series._em_plan(*series._extent(batch), a, 1e-12)
+    pieces = []
+    cumprod = np.cumprod
+
+    def recorded(x, *args, **kwargs):
+        pieces.append(x.shape)
+        return cumprod(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumprod", recorded)
+    series._em_once(batch, a, m, 40, series._C_EVEN)
+    assert all(rows * cols <= series._PRODUCT for rows, cols in pieces)
+    assert sum(rows for rows, _ in pieces) == batch.size
+
+
+# hurwitz_zeta at single points, as float.hex of the real and imaginary
+# parts, from before batches formed their corrections as one array
+SINGLE_POINTS = [
+    (1.0009765625, 1000.5, "0x1.fc8ec86ee0f45p+9", "0x0.0p+0"),
+    (1.5 + 300j, 0.75, "-0x1.b32da3de44ee8p-2", "-0x1.6fd602f467b4bp+0"),
+    (1.1 + 1e4j, 0.75, "0x1.233daefc57270p+0", "-0x1.f26b0c809758cp-2"),
+]
+
+
+@pytest.mark.parametrize("s, a, re, im", SINGLE_POINTS)
+def test_single_points_keep_their_arithmetic(s, a, re, im):
+    v = hurwitz_zeta(s, a)
+    assert (v.real.hex(), v.imag.hex()) == (re, im)
+
+
 # ---------------------------------------------------------------------------
 # Runs of equally spaced points: the factored direct block
 # ---------------------------------------------------------------------------
@@ -541,6 +607,17 @@ def test_runs_agree_with_the_loop_oracle(direction, length, sigma, t, side,
     _assert_close_to_oracle(batch, a, m, _weights(kind, m))
 
 
+@pytest.mark.parametrize("m", [300, 2000])
+@pytest.mark.parametrize("t", [0.0, 20.0, 1e3, 1e4])
+@pytest.mark.parametrize("direction", ["horizontal", "vertical", "diagonal"])
+@pytest.mark.parametrize("length", [512, 1024])
+def test_long_runs_agree_with_the_loop_oracle(length, direction, t, m):
+    # a run of _RUN_MAX points has tables of 32 rows, each row the one
+    # before times a ratio row
+    run = _run_points(complex(1.1, t), 0.9, 30.0, direction, length, 1.0)
+    _assert_close_to_oracle(run, 0.75, m, _weights("complex", m))
+
+
 @pytest.mark.parametrize("m", [0, 1, 5, 4096, 4097, 10_000])
 def test_contour_sides_agree_with_the_loop_oracle(m):
     from zetalab.zerofinder import Rectangle
@@ -561,6 +638,28 @@ def test_contour_sides_are_summed_as_runs():
     assert series._run_sums(-bent, 0.75, 200, None) is None
     total, _ = series._direct_block(bent, 0.75, 200)
     assert (total == direct_block_oracle(bent, 0.75, 200)[0]).all()
+
+
+def test_run_tables_take_three_exp_rows_a_slab(monkeypatch):
+    # the tables of a run are built by cumprod from a first row and two
+    # ratio rows, where one exp row a table row took rows + b of them
+    from zetalab import series
+    from zetalab.zerofinder import Rectangle
+    batch = Rectangle(1.09, 2.0, 9094.421, 9124.421).boundary(
+        np.arange(256) / 256)
+    m, _ = series._em_plan(*series._extent(batch), 1.0, 2.5e-13)
+    assert m == 1978
+    run = -batch[4:129]
+    exps = []
+    exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        exps.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    assert series._run_sums(run, 1.0, m, None) is not None
+    assert sum(exps) <= 3 * (m - series._HEAD) + series._HEAD * run.size
 
 
 def test_long_runs_are_summed_in_pieces(monkeypatch):
