@@ -38,9 +38,13 @@ difference of zerofinder.  It treats a single point as a batch of one.
 Runs of equally spaced points in a batch, such as the sides of a rectangle
 contour, share their exponentials: a run of P points s_0 + k d is summed
 from two tables of about sqrt(P) rows, (n+a)^(-s_0 - k1 B d) and
-(n+a)^(-k2 d) with k = k1 B + k2, by a matrix product.  Each table row is
-the one before times a ratio row, (n+a)^(-B d) or (n+a)^(-d), so a term
-costs three exps for the whole run, 3/P a point instead of one.
+(n+a)^(-k2 d) with k = k1 B + k2, by a matrix product.  The tables are
+filled by doubling from a first row and a ratio row each, (n+a)^(-B d) or
+(n+a)^(-d), so a term costs three exps for the whole run, 3/P a point
+instead of one.  The masses come from the tables' moduli by one real
+product, or on a vertical side, where the points share one mass, by one
+sum.  A run adds its slabs of terms into one running compensated sum, so
+it keeps O(P) values however many slabs it takes.
 
 The Euler-Maclaurin corrections of a batch are one array of points x K
 terms, each term the one before times a ratio, summed against the
@@ -114,8 +118,8 @@ _RUN = 16
 _RUN_TERMS = 1024
 
 # _direct_block cuts a longer run into near-equal pieces of at most _RUN_MAX
-# points: a slab of a run of P points holds about _PRODUCT / P terms and
-# keeps P sums, so one run's slabs hold about P^2 m / _PRODUCT values
+# points: a slab of a run of P points holds about _PRODUCT / P terms, so
+# each slab stays at least _PRODUCT / _RUN_MAX = 32 terms wide
 _RUN_MAX = 1024
 
 # leading terms of a run that _direct_block sums one point at a time
@@ -375,8 +379,10 @@ def _direct_block(s, a: float, m: int, weights=None):
 
     A single s is a batch of one.  Runs of equally spaced points share
     their exponentials: _run_sums sums each long enough run in factored
-    form, at three exps a term for a run of P points, whatever P.  The
-    other points go through _term_sums, one exp a term and point.
+    form, at three exps a term for a run of P points, whatever P, with
+    tables filled by doubling, masses from a real product of moduli, and
+    one running compensated sum that keeps O(P) values a run.  The other
+    points go through _term_sums, one exp a term and point.
     """
     neg = -np.array(s, ndmin=1)
     runs = _runs(neg, m) if neg.size >= _RUN else ()
@@ -476,24 +482,33 @@ def _run_sums(neg, a: float, m: int, weights):
     A[k1, n] C[k2, n] exp(-dev[k] log(n+a)) with the tables
     A = w (n+a)^(-r1) and C = (n+a)^(-r2), and the sums at all P points are
     one matrix product A C^T, corrected to first order in dev by a second
-    one, (A log(n+a)) C^T.  The tables are built by cumprod down their
-    rows from three exp rows a term: A's first row, its ratio row
-    (n+a)^(-B d) and C's ratio row (n+a)^(-d), where exp row by row took
-    2 sqrt(P) and the points one by one take P.  Each step of the cumprod
-    adds about an ulp of rounding, so the last row of a table of 32 rows
-    may be off by a few tens of ulps; over 600 random runs of up to 1,024
-    points that stayed within 0.4 of the bound the tests keep, 8 eps
-    (1 + |t| log(n+a)) of the mass.  The masses come the same way from the
-    tables' moduli.  The first-order correction leaves a relative error of
-    at most (dev log(n+a))^2, below 1e-18 a term, as dev log(n+a) <= 2^-30
-    is required.
+    one, (A log(n+a)) C^T.  The tables come from three exp rows a term:
+    A's first row, its ratio row (n+a)^(-B d) and C's ratio row (n+a)^(-d).
+    They are filled by doubling: rows [j, 2j) are rows [0, j) times the
+    ratio row to the power j, which comes by repeated squaring: a table
+    takes about log2(B) whole-row numpy calls, where cumprod down its rows
+    multiplies one complex element at a time.  Row k carries the rounding
+    of a few times k products, so the last row of a table of 32 rows may
+    be off by a few tens of ulps; over 600 random runs of up to 1,024
+    points at |t| <= 2e3 that stayed within 0.12 of the bound the tests
+    keep, 8 eps (1 + |t| log(n+a)) of the mass.  The first-order
+    correction leaves a relative error of at most (dev log(n+a))^2, below
+    1e-18 a term, as dev log(n+a) <= 2^-30 is required.
+
+    On a vertical side every point has the same real part, so every mass
+    is the sum of |A's first row|.  Elsewhere the masses come from real
+    tables of the moduli, filled the same way from |A's first row| and the
+    |ratio rows|, by one real product; its first-order correction in
+    dev.real is added only where dev.real is nonzero.
 
     The first _HEAD terms, the largest, go through _term_sums: a product
     adds up its terms in order, and after a large first term every later
-    one is rounded to the ulps of the running sum.  The tables hold at most
-    _SLAB elements and a product at most _PRODUCT multiply-adds: past that,
-    the terms go in slabs.  Sums of more than two parts are combined by
-    fsum.
+    one is rounded to the ulps of the running sum.  A product takes at most
+    _PRODUCT multiply-adds and each of A and C at most about _SLAB
+    elements: past that, the terms go in slabs.  Each slab's sums go into
+    one running sum whose rounding errors TwoSum carries alongside,
+    componentwise on the complex array, and its masses into one plain
+    running sum, so a run keeps O(P) values however many slabs it takes.
     """
     p = neg.size
     b = math.isqrt(p - 1) + 1
@@ -507,35 +522,57 @@ def _run_sums(neg, a: float, m: int, weights):
     if abs(dev).max() * biggest > 2.0 ** -30:
         return None
     dev = dev.reshape(rows, b)
+    # a vertical side, whose points share their real part and so their mass
+    vertical = (neg.real == neg[0].real).all()
+    drift = dev.real.any()
+    # the exponents of the three exp rows: A's first row, A's ratio row
+    # (n+a)^(-B d) and C's ratio row (n+a)^(-d)
+    rates = np.array([outer[0], step * b, step])
     first = min(m, _HEAD)
     total, mass = _term_sums(neg, a, first, weights)
-    sums, mags = [total], [mass]
+    carry = np.zeros_like(total)    # the rounding errors of total, by TwoSum
     width = max(1, min(_SLAB // max(rows, b), _PRODUCT // (rows * b)))
     for lo in range(first, m, width):
         hi = min(lo + width, m)
+        cols = hi - lo
         logs = np.log(np.arange(lo, hi, dtype=float) + a)
-        # each table row is the one before times a ratio row
-        table_a = np.empty((rows, hi - lo), complex)
-        table_a[0] = np.exp(outer[0] * logs)
-        table_a[1:] = np.exp(step * b * logs)
-        np.cumprod(table_a, axis=0, out=table_a)
-        if weights is not None:
-            table_a = table_a * weights[lo:hi]
-        table_c = np.empty((b, hi - lo), complex)
-        table_c[0] = 1.0
-        table_c[1:] = np.exp(step * logs)
-        table_c = np.cumprod(table_c, axis=0, out=table_c).T
-        sums.append((table_a @ table_c
-                     + dev * ((table_a * logs) @ table_c)).ravel()[:p])
-        # one complex product gives the mass, as its real part, and the
-        # mass's first-order correction, as its imaginary part
-        table_a = np.abs(table_a)
-        pair = (table_a + 1j * (table_a * logs)) @ np.abs(table_c).astype(
-            complex)
-        mags.append((pair.real + dev.real * pair.imag).ravel()[:p])
-    if len(sums) <= 2:
-        return sum(sums), sum(mags)
-    return _fsum_columns(sums, mags, p)
+        exps = np.exp(np.multiply.outer(rates, logs))
+        # A and C side by side in one table of b rows: A in the first cols
+        # columns, C in the rest
+        lead = np.ones(2 * cols, complex)
+        lead[:cols] = exps[0] if weights is None else exps[0] * weights[lo:hi]
+        table = _by_doubling(lead, exps[1:].ravel(), b)
+        table_a, table_c = table[:rows, :cols], table[:, cols:].T
+        sums = (table_a @ table_c
+                + dev * ((table_a * logs) @ table_c)).ravel()[:p]
+        new = total + sums
+        back = new - total
+        carry += (total - (new - back)) + (sums - back)
+        total = new
+        if vertical:
+            mass += np.abs(lead[:cols]).sum()
+        else:
+            moduli = _by_doubling(np.abs(lead), np.abs(exps[1:]).ravel(), b)
+            mod_a, mod_c = moduli[:rows, :cols], moduli[:, cols:].T
+            mags = mod_a @ mod_c
+            if drift:
+                mags += dev.real * ((mod_a * logs) @ mod_c)
+            mass += mags.ravel()[:p]
+    return total + carry, mass
+
+
+def _by_doubling(first, ratio, rows: int):
+    """The table whose row k, k < rows, is first * ratio^k: rows [j, 2j)
+    are rows [0, j) times ratio^j, and ratio^j comes by repeated squaring."""
+    table = np.empty((rows, ratio.size), ratio.dtype)
+    table[0] = first
+    j = 1
+    while j < rows:
+        np.multiply(table[:min(j, rows - j)], ratio, out=table[j:2 * j])
+        j *= 2
+        if j < rows:
+            ratio = ratio * ratio
+    return table
 
 
 def _em_once(s, a: float, m: int, order: int, coeffs):
@@ -610,8 +647,9 @@ def _zeta(s, a: float, tol):
     least = np.min(tol) if batch else tol
     m, order = _em_plan(*_extent(s), a, least)
     sw = _working(s)
-    # the direct block is summed in fsum-combined slabs; a few ulps of the
-    # magnitude scale is what double precision can deliver
+    # the direct block's slabs are combined by fsum or a compensated
+    # running sum; a few ulps of the magnitude scale is what double
+    # precision can deliver
     unit = 4 * math.ulp(1.0)
     while True:
         if m > _MAX_DIRECT:

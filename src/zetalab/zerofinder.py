@@ -89,11 +89,13 @@ class Rectangle:
         d1 = d0 - w
         d2 = d1 - h
         d3 = d2 - w
-        side = [d0 < w, d1 < h, d2 < w]     # bottom, right, top; else left
-        re = np.select(side, [self.sigma_min + d0, self.sigma_max,
-                              self.sigma_max - d2], self.sigma_min)
-        im = np.select(side, [self.t_min, self.t_min + d1, self.t_max],
-                       self.t_max - d3)
+        bottom, right, top = d0 < w, d1 < h, d2 < w     # else left
+        re = np.where(bottom, self.sigma_min + d0, np.where(
+            right, self.sigma_max, np.where(top, self.sigma_max - d2,
+                                            self.sigma_min)))
+        im = np.where(bottom, self.t_min, np.where(
+            right, self.t_min + d1, np.where(top, self.t_max,
+                                             self.t_max - d3)))
         return re + 1j * im
 
 

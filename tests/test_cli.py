@@ -268,6 +268,16 @@ def test_zeros_count_gives_each_point_its_own_class_tol(capsys):
     assert 1.001 <= sigma <= 3 and 1 <= t <= 600
 
 
+def test_zeros_count_to_height_1e4_reads_the_settled_count(capsys):
+    # zeta(s, pi/4) on [1.1,1.6]x[0,1e4]: its sides are runs of 1,024
+    # points summed over many slabs of terms; 91 is the count that every
+    # larger sampling reads
+    code = main(["zeros", "count", "--alpha", "dec:0.7853981634", "--rect",
+                 "1.1,1.6,0,1e4", "--samples", "16384"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 91
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_zeros_count_refuses_too_few_samples(samples, capsys):
     code = main(["zeros", "count", "--alpha", "rat:1,1", "--rect",

@@ -662,29 +662,29 @@ def test_run_tables_take_three_exp_rows_a_slab(monkeypatch):
     assert sum(exps) <= 3 * (m - series._HEAD) + series._HEAD * run.size
 
 
-def test_long_runs_are_summed_in_pieces(monkeypatch):
-    # a run of P points keeps about P^2 m / _PRODUCT slab values, so the
-    # sides of 2^16 boundary points of [1.2,1.6]x[0,1e4], runs of 32,767
-    # points at m = 2,108, go in pieces of at most _RUN_MAX points
+def test_long_runs_are_summed_in_pieces():
+    # the sides of 2^16 boundary points of [1.2,1.6]x[0,1e4], runs of
+    # 32,767 points at m = 2,108, go in pieces of at most _RUN_MAX points,
+    # and each piece adds its slabs into one running sum.  Kept as a list
+    # of P sums a slab, one uncut run would hold about 2,108 rows of 32,767
+    # values, near 1.6 GB; the bound is eight times the batch itself
+    import tracemalloc
     from zetalab import series
     from zetalab.zerofinder import Rectangle
     batch = Rectangle(1.2, 1.6, 0.0, 1e4).boundary(np.arange(2 ** 16) / 2 ** 16)
     a = 0.7853981634
     m, _ = series._em_plan(*series._extent(batch), a, 1e-12)
+    assert m == 2108
     runs = series._runs(-batch, m)
     assert max(hi - lo for lo, hi in runs) <= series._RUN_MAX
     assert sum(hi - lo for lo, hi in runs) >= 2 ** 16 - 8
-    kept = []
-    fsum_columns = series._fsum_columns
-
-    def counted(sums, mags, points):
-        kept.append(len(sums) * points)
-        return fsum_columns(sums, mags, points)
-
-    monkeypatch.setattr(series, "_fsum_columns", counted)
-    series._direct_block(batch, a, m)
-    assert kept and max(kept) <= 2 * m * series._RUN_MAX ** 2 \
-        // series._PRODUCT
+    tracemalloc.start()
+    try:
+        series._direct_block(batch, a, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * batch.nbytes
 
 
 @pytest.mark.parametrize("m", [0, 3, 200, 4097])

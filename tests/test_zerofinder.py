@@ -167,6 +167,39 @@ def test_rectangle_validation():
         Rectangle(1.2, 1.1, 0.0, 1.0)
 
 
+def _select_boundary(rect, u):
+    """Rectangle.boundary as np.select formed it, kept as its oracle."""
+    w, h = rect.sigma_max - rect.sigma_min, rect.t_max - rect.t_min
+    d0 = (np.asarray(u) % 1.0) * (2 * (w + h))
+    d1 = d0 - w
+    d2 = d1 - h
+    d3 = d2 - w
+    side = [d0 < w, d1 < h, d2 < w]
+    re = np.select(side, [rect.sigma_min + d0, rect.sigma_max,
+                          rect.sigma_max - d2], rect.sigma_min)
+    im = np.select(side, [rect.t_min, rect.t_min + d1, rect.t_max],
+                   rect.t_max - d3)
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("rect", [(1.0001, 2.0, 1.0, 600.0),
+                                  (1.09, 2.0, 9094.421, 9124.421),
+                                  (1.2, 1.6, 0.0, 1e4)])
+def test_rectangle_boundary_is_bit_identical_to_select(rect):
+    rect = Rectangle(*rect)
+    rng = np.random.default_rng(0)
+    params = [np.arange(n) / n for n in (16, 256, 4096, 65536)]
+    params += [rng.uniform(0, 1, 1000)]
+    params += [float(u) for u in rng.uniform(0, 1, 8)] + [0.0, 0.5]
+    for u in params:
+        got, want = rect.boundary(u), _select_boundary(rect, u)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(np.real(got).view(np.int64),
+                              np.real(want).view(np.int64))
+        assert np.array_equal(np.imag(got).view(np.int64),
+                              np.imag(want).view(np.int64))
+
+
 def test_conjugate_rectangle_count():
     pol = lambda s: (s - (1.2 + 5j)) * (s - (1.2 - 5j))   # real coefficients
     up = argument_count(pol, Rectangle(1.05, 2.0, 4.0, 6.0))
