@@ -498,8 +498,8 @@ def _run_sums(neg, a: float, m: int, weights):
     On a vertical side every point has the same real part, so every mass
     is the sum of |A's first row|.  Elsewhere the masses come from real
     tables of the moduli, filled the same way from |A's first row| and the
-    |ratio rows|, by one real product; its first-order correction in
-    dev.real is added only where dev.real is nonzero.
+    |ratio rows|, by one real product with its first-order correction in
+    dev.real.
 
     The first _HEAD terms, the largest, go through _term_sums: a product
     adds up its terms in order, and after a large first term every later
@@ -524,7 +524,6 @@ def _run_sums(neg, a: float, m: int, weights):
     dev = dev.reshape(rows, b)
     # a vertical side, whose points share their real part and so their mass
     vertical = (neg.real == neg[0].real).all()
-    drift = dev.real.any()
     # the exponents of the three exp rows: A's first row, A's ratio row
     # (n+a)^(-B d) and C's ratio row (n+a)^(-d)
     rates = np.array([outer[0], step * b, step])
@@ -554,10 +553,8 @@ def _run_sums(neg, a: float, m: int, weights):
         else:
             moduli = _by_doubling(np.abs(lead), np.abs(exps[1:]).ravel(), b)
             mod_a, mod_c = moduli[:rows, :cols], moduli[:, cols:].T
-            mags = mod_a @ mod_c
-            if drift:
-                mags += dev.real * ((mod_a * logs) @ mod_c)
-            mass += mags.ravel()[:p]
+            mass += (mod_a @ mod_c
+                     + dev.real * ((mod_a * logs) @ mod_c)).ravel()[:p]
     return total + carry, mass
 
 
