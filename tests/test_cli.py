@@ -732,10 +732,11 @@ def test_python_dash_m_help_exits_zero():
     assert "usage: zetalab" in out
 
 
-# SHA-256 of the stdout of four greedy ledgers, the first three recorded
-# before the factor sieve worked on arrays, the README line (the last) before
-# the synthetic free sets were removed: any drift in a ledger's bytes fails
-# here
+# SHA-256 of the stdout of ten greedy ledgers, the first three recorded
+# before the factor sieve worked on arrays, the README line (the fourth)
+# before the synthetic free sets were removed, and the other six, which with
+# the first three are every benchmark ledger, before censuses were read off
+# each block's own factorizations: any drift in a ledger's bytes fails here
 LEDGER_GOLDEN = [
     (["--alpha", "quad:0,1,7"],
      "3d030c16ed5f38944046a11a6be8ab8c3e3bfe5be919ff33c9eefae5c50386d2"),
@@ -745,6 +746,18 @@ LEDGER_GOLDEN = [
      "e3dbde08244c502f31f17e5d65d02cdceb51940746c4c2059b22056b92ceab76"),
     (["--alpha", "quad:0,1,2", "--format", "jsonl"],
      "84e33e89ae1844334746c625776c0c163a22ae9e8568c99bd4d151937ca0928d"),
+    (["--alpha", "quad:0,1,5", "--no-hp"],
+     "60ef0eac02fdc00b78899df6b5e5d4456eea529331abaac73c6ec077a78c366c"),
+    (["--alpha", "quad:1/2,1,2", "--no-hp"],
+     "59cd7b5db1ef0f9aaea815ea4f711f77eea750171f7a046c6e4ab3cbce35bb4d"),
+    (["--alpha", "quad:0,1,7", "--no-hp"],
+     "11c2a632162341ce58680f5335072a530633ec0c24c3d5905dd532e14cb5ff8f"),
+    (["--alpha", "quad:0,1,2", "--no-hp"],
+     "a7e105d7b7e165597845b387cd912dfead045fd2778d3f5681891bb4fc27a07b"),
+    (["--alpha", "quad:0,1,3", "--no-hp"],
+     "4c91f1a0511c47696a7ef0d4b463528ba56086660598d3863965cb2a6f06c229"),
+    (["--alpha", "quad:0,1,6", "--no-hp"],
+     "7258e93eec314a26e275d9dd5e5d74ae390d77d1876856aaa937160eb343c6ed"),
 ]
 
 
