@@ -26,9 +26,17 @@ are stripped, what is left of g(n) is 1 or one prime q, whose ideal is
 the norm bookkeeping at each special prime, integrality of (n + alpha)*a,
 and the norms of its prime factors multiplying back to its norm.
 
-A sieved range is kept as flat (n, ideal label, exponent) arrays.  The
-occurrence index of the private-prime census reads them directly; the
-IdealFactorization of an n is built each time it is asked for.
+A prime ideal P above p that divides (n + alpha)*a divides (n +- p + alpha)*a
+too, as both lie in (n + alpha)*a + p*a, inside P (a is integral).  So P
+divides whole residue classes mod p, and in fact one class at most: where
+alpha has a pole at P, v_P(n + alpha) = v_P(alpha) = -v_P(a) and P divides
+no (n + alpha)*a; elsewhere P divides it iff n = -alpha in O/P, and the
+integers n meet each residue of the prime field F_p in one class mod p.
+Hence P is private to n in a block (N, N+M] exactly when n < p and
+n + p > N+M: the local census reads the block's own factorizations and
+nothing below them.  A sieved block is kept as a segment of Python lists of
+(ideal label, exponent) entries, which censuses and the greedy ledger read;
+the IdealFactorization of an n is built each time it is asked for.
 """
 
 from __future__ import annotations
@@ -233,9 +241,6 @@ def _prime_key(prime: PrimeIdeal) -> tuple:
     return prime.p, prime.r is None, prime.r or 0
 
 
-_NEVER = np.iinfo(np.int64).max   # a second occurrence past every n
-
-
 def _valuations(x, p):
     """v_p of each (nonzero) entry of the array x; p is one prime or an
     array of primes, one per entry.  The result has x's dtype."""
@@ -263,6 +268,22 @@ class _Sieved(NamedTuple):
     norm: np.ndarray
 
 
+class _Segment(NamedTuple):
+    """A sieved range [lo, hi] as Python lists: the entries of n are
+    entries[start[n - lo]:start[n - lo + 1]], each ((p, c), exponent), in
+    _prime_key order; norm[i] is the norm of (lo + i + alpha) * a."""
+
+    lo: int
+    hi: int
+    start: list
+    entries: list
+    norm: np.ndarray
+
+    def of(self, n: int) -> list:
+        i = n - self.lo
+        return self.entries[self.start[i]:self.start[i + 1]]
+
+
 class _ShiftFactorizer:
     """Factorizations of (n + alpha) * a, sieved over ranges of n.
 
@@ -272,9 +293,12 @@ class _ShiftFactorizer:
 
     The sieve labels a prime ideal by (p, c) without its root r: above a
     special p, c is its place in above[p]; any other ideal is split, and c
-    is the class mod p of the n it divides.  The index makes one PrimeIdeal
-    per ideal it holds; an IdealFactorization is made each time it is asked
-    for.
+    is the class mod p of the n it divides.  A prime ideal divides the
+    (n + alpha) * a of one class of n mod p at most, so the ideals private
+    to n in a block (N, N+M] are read off n's own entries: those of a
+    label (p, c) with n < p and n + p > N+M.  Sieved blocks are kept as
+    segments of labels; a PrimeIdeal is made only for a witness or for an
+    IdealFactorization asked for.
     """
 
     def __init__(self, alpha: Alpha):
@@ -303,17 +327,9 @@ class _ShiftFactorizer:
         for prime, e in self.denominator.items():
             self.offset[prime] += e
             self.denominator_norm *= prime.ideal_norm ** e
-        # the occurrence index over the shifts 0..scanned: the sieved range
-        # (at = n); where each n's entries start; each entry's n, its
-        # (PrimeIdeal, exponent) pair, and until[j], the second occurrence
-        # of entry j's ideal when j is its first (_NEVER when there is
-        # none), else -1
-        self.index: _Sieved | None = None
-        self.start: list[int] = [0]
-        self.owner: list[int] = []
-        self.entries: list[tuple[PrimeIdeal, int]] = []
-        self.until: list[int] = []
-        self.scanned = -1
+        # the sieved segments kept for the censuses and factorizations that
+        # read them
+        self.segments: list[_Segment] = []
 
     def _norm(self, a: int) -> int:
         b = self.B
@@ -469,62 +485,63 @@ class _ShiftFactorizer:
         order = np.lexsort((cs, ps, at))
         return _Sieved(at[order], ps[order], cs[order], es[order], norm)
 
-    def _ideals(self, ps: list, cs: list) -> list[PrimeIdeal]:
-        """The prime ideals labelled (ps[j], cs[j]) by the sieve."""
+    def _ideals(self, labels) -> list[PrimeIdeal]:
+        """The prime ideals of the sieve's (p, c) labels."""
         # a split (p, w - r) contains A(c) + B*w, so r = -A(c)/B mod p
         return [self.above[p][c] if p in self.above else
                 PrimeIdeal(p, -(self.D * c + self.A0) * pow(self.B, -1, p) % p,
                            "split")
-                for p, c in zip(ps, cs)]
+                for p, c in labels]
+
+    def label(self, prime: PrimeIdeal, n: int) -> tuple[int, int]:
+        """The sieve's label of a prime ideal dividing (n + alpha) * a."""
+        p = prime.p
+        return (p, self.above[p].index(prime)) if p in self.above else \
+            (p, n % p)
+
+    def _listed(self, lo: int, hi: int) -> _Segment:
+        sieved = self._sieve(lo, hi)
+        start = np.searchsorted(sieved.at, np.arange(hi - lo + 2)).tolist()
+        labels = zip(sieved.p.tolist(), sieved.c.tolist())
+        return _Segment(lo, hi, start, list(zip(labels, sieved.e.tolist())),
+                        sieved.norm)
+
+    def _holding(self, lo: int, hi: int) -> _Segment | None:
+        return next((seg for seg in self.segments
+                     if seg.lo <= lo and hi <= seg.hi), None)
+
+    def segment(self, lo: int, hi: int) -> _Segment:
+        """A kept segment holding [lo, hi]; [lo, hi] is sieved and kept
+        when none does."""
+        seg = self._holding(lo, hi)
+        if seg is None:
+            seg = self._listed(lo, hi)
+            self.segments.append(seg)
+        return seg
 
     def factor(self, n: int) -> IdealFactorization:
-        """The factorization of n: read from the index when it covers n,
+        """The factorization of n: read from a kept segment that holds n,
         else sieved over [n, n] alone."""
-        if n <= self.scanned:
-            factors = tuple(self.entries[self.start[n]:self.start[n + 1]])
-            return IdealFactorization(n, factors, int(self.index.norm[n]))
-        one = self._sieve(n, n)
-        factors = tuple(zip(self._ideals(one.p.tolist(), one.c.tolist()),
-                            one.e.tolist()))
-        return IdealFactorization(n, factors, int(one.norm[0]))
+        seg = self._holding(n, n) or self._listed(n, n)
+        entries = seg.of(n)
+        factors = tuple(zip(self._ideals(label for label, _ in entries),
+                            (e for _, e in entries)))
+        return IdealFactorization(n, factors, int(seg.norm[n - seg.lo]))
 
-    def index_to(self, top: int):
-        """Extend the occurrence index over every m <= top, sieving once."""
-        if top <= self.scanned:
-            return
-        lo = self.scanned + 1
-        new = self._sieve(lo, top)
-        new = new._replace(at=new.at + lo)
-        if self.index is not None:
-            new = _Sieved(*map(np.concatenate, zip(self.index, new)))
-        self.index = new
-        # group the entries by ideal, in n order within a group: an entry
-        # leads its group when the one before it is another ideal
-        order = np.lexsort((new.at, new.c, new.p))
-        at, p, c = new.at[order], new.p[order], new.c[order]
-        lead = np.ones(len(at), bool)
-        lead[1:] = (p[1:] != p[:-1]) | (c[1:] != c[:-1])
-        second = np.full(len(at), _NEVER)
-        second[:-1] = np.where(lead[1:], _NEVER, at[1:])
-        until = np.empty(len(at), np.int64)
-        until[order] = np.where(lead, second, -1)
-        self.until = until.tolist()
-        # one PrimeIdeal per ideal, shared by its entries
-        group = np.empty(len(at), np.int64)
-        group[order] = np.cumsum(lead) - 1
-        ideals = self._ideals(p[lead].tolist(), c[lead].tolist())
-        self.entries = list(zip(map(ideals.__getitem__, group.tolist()),
-                                new.e.tolist()))
-        self.owner = new.at.tolist()
-        self.start = np.searchsorted(new.at, np.arange(top + 2)).tolist()
-        self.scanned = top
-
-    def first_seen(self, top: int) -> list[PrimeIdeal]:
-        """The prime ideals whose first occurrence is at most top, in the
-        order they first occur (needs top <= scanned)."""
-        return [prime for (prime, _), until in
-                zip(self.entries[:self.start[top + 1]], self.until)
-                if until >= 0]
+    def private(self, n_start: int, top: int) -> dict[int, PrimeIdeal]:
+        """The witness of each n in (n_start, top] that owns a private
+        prime ideal, read from the kept segment holding the block."""
+        seg = self.segment(n_start + 1, top)
+        labels: dict[int, tuple[int, int]] = {}
+        for n in range(n_start + 1, top + 1):
+            # the ideal divides the m = n mod p alone: with n < p and
+            # n + p > top, no other m in [0, top]
+            bound = n if n + n > top else top - n
+            for label, _ in seg.of(n):
+                if label[0] > bound:
+                    labels[n] = label
+                    break
+        return dict(zip(labels, self._ideals(labels.values())))
 
 
 _FACTORIZERS: dict[tuple, _ShiftFactorizer] = {}
@@ -559,23 +576,18 @@ def private_primes(n_start: int, length: int, alpha: Alpha) -> CasselsBlock:
     """Census of n in (n_start, n_start+length] owning a prime ideal that
     divides no other (m + alpha) * a with m <= n_start + length.
 
-    Determined exactly by factoring every shifted element up to the block
-    end: a prime ideal is private to n when n is its first occurrence and
-    its second occurrence, if any, lies past the block end.  The occurrence
-    index is kept on the cached factorizer, so successive blocks only scan
-    shifts beyond the largest end seen so far.  Primes of the denominator
-    ideal divide everything and so are never private.
+    Read from the block's own factorizations.  A prime ideal P above p that
+    divides (n + alpha) * a also divides (n +- p + alpha) * a, since those
+    lie in (n + alpha) * a + p * a, inside P (a is integral); and it divides
+    no element of any other class mod p (see the module notes).  So P is
+    private to n exactly when n < p and n + p > n_start + length, and the
+    witness is the first such P in _prime_key order.  The block is sieved
+    once and kept on the cached factorizer, where factor_shift reads it
+    too.  Primes of the denominator ideal divide no shifted element, and so
+    are never private.
     """
     if length < 1 or n_start < 0:
         raise ValueError("need n_start >= 0 and length >= 1")
-    fz = _factorizer(alpha)
-    top = n_start + length
-    fz.index_to(top)
-    until, owner, entries = fz.until, fz.owner, fz.entries
-    private: dict[int, PrimeIdeal] = {}
-    # each n's entries are in _prime_key order: its first hit is its witness
-    for j in range(fz.start[n_start + 1], fz.start[top + 1]):
-        if until[j] > top:
-            private.setdefault(owner[j], entries[j][0])
+    private = _factorizer(alpha).private(n_start, n_start + length)
     return CasselsBlock(n_start=n_start, length=length, private=private,
                         density=len(private) / length)

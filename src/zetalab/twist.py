@@ -23,19 +23,21 @@ with the left side summed from the character values (optionally also in
 the 30-digit tail is evaluated once, at N_1 + 1, and carried: each block
 subtracts its own 30-digit mass.  The character value of every
 n <= N_{j+1} is frozen once the block ends: a witness prime divides no
-other shift up to the block end, and new non-witness primes are pinned
-to 1.  So the angle of chi(n + alpha) is written once into a per-n table,
-and the settled sums are kept as running prefixes, each block adding only
-its own terms, in the order a sum from n = 0 would take them.
+other shift up to the block end, and every prime ideal that is no witness
+has value 1.  So the angle of chi(n + alpha) is written once into a per-n
+table, and the settled sums are kept as running prefixes, each block adding
+only its own terms, in the order a sum from n = 0 would take them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import mpmath as mp
+from mpmath import libmp
 
 from .annulus import AnnulusSpec, realize_phases
 from .errors import (AnnulusGap, CaseUnreachable, NoSuchIndex,
@@ -312,7 +314,8 @@ class ScheduleReport:
     blocks: list
     ok: bool
     halted_at: int | None
-    prime_angles: dict = field(default_factory=dict, repr=False)
+    prime_angles: dict = field(default_factory=lambda: defaultdict(float),
+                               repr=False)
 
     def to_json(self) -> dict:
         return {"sigma": self.sigma, "ok": self.ok, "halted_at": self.halted_at,
@@ -345,17 +348,21 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
 
     f must be positive: the free weights are annulus radii, and alpha must
     be a quadratic irrational; both are checked before any work.  The free
-    sets come from ideal factorizations (integers owning a private prime),
-    and character values are kept on prime ideals as phase angles.  The
-    angle of each n is written once into one per-n table, which is all the
-    sums read.  The settled sum is a running prefix over n = 0, 1, ...,
-    kept in floats and (optionally) at 30 digits: each block adds its own
-    terms once its free angles are written, in index order, so every
-    prefix equals the sum from n = 0.  That holds because the angles of
-    all n up to a block end are frozen from then on; a witness prime that
-    already carries an angle would break it and raises ZetalabError.  The
-    prefixes are summed from the table, never taken from the running sum
-    that greedy_step returns, so realize_err stays an independent check.
+    sets come from each block's own ideal factorizations (integers owning
+    a private prime), and character values are kept as phase angles on the
+    witness primes; every other prime ideal has angle 0, and only the
+    blocks from n1 + 1 on are factored.  The angle of each n is written
+    once into one per-n table, which is all the sums read.  The settled
+    sum is a running prefix over n = 0, 1, ..., kept in floats and
+    (optionally) at 30 digits: each block adds its own terms once its free
+    angles are written, in index order, so every prefix equals the sum
+    from n = 0.  That holds because the angles of all n up to a block end
+    are frozen from then on; a witness prime that is a witness already or
+    divides n - p, and so was read at an earlier n, would break it and
+    raises ZetalabError.  The report's prime_angles maps each witness to
+    its angle and reads 0.0 for every other ideal.  The prefixes are
+    summed from the table, never taken from the running sum that
+    greedy_step returns, so realize_err stays an independent check.
     The float tail is evaluated afresh for every block.  The 30-digit sums
     come from mpmath's Hurwitz zeta twice: every angle up to n1 is 0, so
     the head is the series from 0 minus the tail from n1 + 1, taken with
@@ -377,20 +384,25 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     if not sigma > 1.0:
         raise ValueError(f"the greedy ledger needs sigma > 1, got {sigma}")
     a = float(alpha)
-    prime_angles: dict = {}
+    # the angle of each witness, by its sieve label (p, c) and as a prime
+    # ideal for the report; every other ideal reads 0.0
+    angles: dict = {}
+    prime_angles: dict = defaultdict(float)
 
-    def weight(n: int) -> float:
-        return f(n) / (n + a) ** sigma
+    def weights(ns) -> list[float]:
+        return [f(n) / (n + a) ** sigma for n in ns]
 
-    def angle_of(factors) -> float:
+    def angle_of(entries) -> float:
         total = 0.0
-        for prime, e in factors:
-            total += e * prime_angles[prime]
+        for label, e in entries:
+            total += e * angles.get(label, 0.0)
         return math.fmod(total, 2.0 * math.pi)
 
     with mp.workdps(_HP_DPS):
-        a_mp = alpha.value_mp()
-        sigma_mp = mp.mpf(sigma)
+        a_raw = alpha.value_mp()._mpf_
+        sigma_raw = mp.mpf(sigma)._mpf_
+        prec = mp.mp.prec
+    rnd = libmp.round_nearest
 
     def settle(acc: complex, acc_hp, lo: int, ws: list[float]):
         """The settled prefixes over n < lo extended by the terms from lo on
@@ -403,40 +415,37 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
             acc += w * cmath.exp(1j * ph)
         if acc_hp is None:
             return acc, None, None
+        # each term by the libmp calls the mpf operators make, at the same
+        # precision and rounding: f(n) / (n + alpha)^sigma and the turn
+        # (cos ph, sin ph)
+        ws_hp = [mp.make_mpf(libmp.mpf_div(
+            libmp.from_float(f(n)),
+            libmp.mpf_pow(libmp.mpf_add(a_raw, libmp.from_int(n), prec, rnd),
+                          sigma_raw, prec, rnd), prec, rnd)) for n in ns]
+        turns = [tuple(map(mp.make_mpf, libmp.mpf_cos_sin(
+            libmp.from_float(ph), prec, rnd))) if ph else (1, 0)
+            for ph in phases]
         with mp.workdps(_HP_DPS):
-            ws_hp = [f(n) / (n + a_mp) ** sigma_mp for n in ns]
-            turns = [mp.cos_sin(mp.mpf(ph)) if ph else (1, 0)
-                     for ph in phases]
             acc_hp += mp.mpc(mp.fdot(ws_hp, [c for c, _ in turns]),
                              mp.fdot(ws_hp, [s for _, s in turns]))
             mass = mp.fsum(ws_hp)
         return acc, acc_hp, mass
 
-    # first block preassignment: everything visible up to n1 is pinned at 1
     n1 = schedule.n1
-    # the occurrence index holds absolute first and second occurrences,
-    # so a census reads the same from an index that runs past its block,
-    # and one sieve can cover many blocks.  It runs to the schedule's
-    # end, but to at most twice the block end in hand: a long schedule
-    # that halts early has then not factored far past its halt
+    # a witness is private to its n, so it divides no m <= n1 and no m
+    # settled in an earlier block: every angle up to n1 is 0, and the
+    # factorizations needed are the blocks' own.  The blocks are sieved
+    # ahead in one segment up to the schedule's end, but to at most twice
+    # the block end in hand: a long schedule that halts early has then not
+    # factored far past its halt
     end = n1
     for _ in range(schedule.num_blocks):
         end += schedule.block_length(end)
-
-    def index_ahead(top: int):
-        if top > fz.scanned:
-            fz.index_to(min(end, 2 * top))
-
-    index_ahead(n1)
-    for prime in fz.denominator:
-        prime_angles[prime] = 0.0
-    for prime in fz.first_seen(n1):
-        prime_angles.setdefault(prime, 0.0)
-    # chi[n]: the settled angle of chi(n + alpha), written once; up to n1
-    # it is 0, every prime seen there being pinned at 0
+    seg = None
+    # chi[n]: the settled angle of chi(n + alpha), written once
     chi = [0.0] * (n1 + 1)
 
-    settled, _, _ = settle(0j, None, 0, [weight(n) for n in range(n1 + 1)])
+    settled, _, _ = settle(0j, None, 0, weights(range(n1 + 1)))
     settled_hp = tail_hp = None
     if hp_check:
         # the 30-digit head is L minus the tail from n1 + 1, both near
@@ -461,24 +470,17 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         block_ns = range(n_cur + 1, top + 1)
         chi.extend([0.0] * m_len)
 
-        index_ahead(top)
+        if seg is None or top > seg.hi:
+            seg = fz.segment(n_cur + 1, min(end, 2 * top))
         census = private_primes(n_cur, m_len, alpha)
         free_ns = sorted(census.private)
         free_set = set(free_ns)
         fixed_ns = [n for n in block_ns if n not in free_set]
-
-        # new primes in this block that are nobody's witness get value 1
-        witness_set = set(census.private.values())
-        factors = {n: fz.factor(n).factors for n in block_ns}
-        for n in block_ns:
-            for prime, _ in factors[n]:
-                if prime not in prime_angles and prime not in witness_set:
-                    prime_angles[prime] = 0.0
         for n in fixed_ns:
-            chi[n] = angle_of(factors[n])
+            chi[n] = angle_of(seg.of(n))
 
         # each weight of the block, formed once: n's is block_ws[n - n_cur - 1]
-        block_ws = [weight(n) for n in block_ns]
+        block_ws = weights(block_ns)
         fixed_ws = [block_ws[n - n_cur - 1] for n in fixed_ns]
         fixed_sum = sum(w * cmath.exp(1j * chi[n])
                         for n, w in zip(fixed_ns, fixed_ws))
@@ -493,26 +495,29 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
 
         s1 = abs(partial)
         lam = partial + fixed_sum
-        correction, angles, partial = greedy_step(lam, free_weights)
+        correction, free_angles, partial = greedy_step(lam, free_weights)
 
-        # write the free angles through the witness primes; a witness with
-        # an angle already would change terms the prefixes have summed
+        # write the free angles through the witness primes; a witness that
+        # is one already, or that divides n - p, was read at an earlier n,
+        # and an angle now would change terms the prefixes have summed
         for n in free_ns:
             witness = census.private[n]
-            if witness in prime_angles:
+            label = fz.label(witness, n)
+            if label in angles or witness.p <= n:
                 raise ZetalabError(
                     "witness prime already carries a character value",
                     block=j, n=n, witness=witness.label(),
-                    angle=prime_angles[witness])
-            e_w = dict(factors[n])[witness]
+                    angle=angles.get(label, 0.0))
+            entries = seg.of(n)
+            e_w = dict(entries)[label]
             known = 0.0
-            for prime, e in factors[n]:
-                if prime != witness:
-                    known += e * prime_angles[prime]
-            prime_angles[witness] = math.fmod(
-                (angles[n] - known) / e_w, 2.0 * math.pi)
+            for other, e in entries:
+                if other != label:
+                    known += e * angles.get(other, 0.0)
+            angles[label] = prime_angles[witness] = math.fmod(
+                (free_angles[n] - known) / e_w, 2.0 * math.pi)
         for n in free_ns:
-            chi[n] = angle_of(factors[n])
+            chi[n] = angle_of(seg.of(n))
 
         # the chain form: the settled sum up to the block start plus the
         # fixed mass minus the free mass

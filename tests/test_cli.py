@@ -177,6 +177,17 @@ def test_ideals_cassels_jsonl():
     assert private == [3, 4, 5]
 
 
+def test_far_cassels_stdout_is_pinned(capsys):
+    # SHA-256 of the census of (10^6, 10^6 + 10], recorded when a census
+    # still factored every shift from 0 up to its block end
+    argv = ["ideals", "cassels", "--alpha", "quad:0,1,2", "--N", "1000000",
+            "--M", "10"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d5ab54f366d435344d09855a26aa9f4be92f2f76f7210eeb62456914d06f2dab"
+
+
 def test_twist_sign_flip():
     code, out, _ = run_cli("twist", "sign-flip", "--alpha", "rat:1,1",
                            "--f", "1", "--delta", "1.0")
@@ -761,8 +772,14 @@ LEDGER_GOLDEN = [
 ]
 
 
+# a line is named by its shift; a second line on one shift adds its flags
+_SHIFTS = [flags[1] for flags, _ in LEDGER_GOLDEN]
+
+
 @pytest.mark.parametrize("flags, digest", LEDGER_GOLDEN,
-                         ids=[f[1] for f, _ in LEDGER_GOLDEN])
+                         ids=[flags[1] if _SHIFTS.index(flags[1]) == i
+                              else " ".join(flags[1:])
+                              for i, (flags, _) in enumerate(LEDGER_GOLDEN)])
 def test_ledger_stdout_is_pinned(flags, digest, capsys):
     argv = ["twist", "greedy", *flags, "--blocks", "50", "--n1", "1000"]
     assert main(argv) == 0

@@ -117,16 +117,39 @@ def test_private_primes_small_block():
     assert block.density == 0.6
 
 
-def census_from_scratch(n_start, length, alpha):
-    """The census by its definition: every occurrence over 0..top counted."""
+# an inert prime dividing B, split-prime denominators, a half basis with a
+# denominator, class number two, a denominator at an inert prime, a split
+# prime dividing B (7 in Q(sqrt 2): p stripped from both coordinates), the
+# split prime 2 (d = 17 = 1 mod 8), and the split prime 2 not dividing B,
+# where nothing is stripped and one conjugate takes the whole valuation
+RANGE_SHAPES = ["quad:0,3,2", "quad:0,1/7,2", "quad:1/4,1/2,5",
+                "quad:0,1,10", "quad:1/3,1,2", "quad:0,7,2", "quad:0,1,17",
+                "quad:1/2,1/2,17"]
+# the shapes whose small blocks in test_small_blocks_match_the_definition
+# have a witness above a special prime, one dividing 2*d*D*B
+SPECIAL_PRIVATE = {"quad:1/4,1/2,5", "quad:1/3,1,2", "quad:0,1,17",
+                   "quad:1/2,1/2,17"}
+
+
+def shift_primes(alpha, top):
+    """The prime ideals of (m + alpha) * a for every m <= top, read from one
+    kept segment [0, top] in place of top + 1 one-element sieves."""
+    _factorizer(alpha).segment(0, top)
+    return [factor_shift(m, alpha).primes() for m in range(top + 1)]
+
+
+def census_from_scratch(n_start, length, alpha, primes=None):
+    """The census by its definition: every occurrence over 0..top counted.
+    primes, when given, lists the prime ideals of each m up to at least top."""
     top = n_start + length
+    primes = primes or shift_primes(alpha, top)
     occurrences = {}
     for m in range(top + 1):
-        for prime in factor_shift(m, alpha).primes():
+        for prime in primes[m]:
             occurrences.setdefault(prime, []).append(m)
     private = {}
     for n in range(n_start + 1, top + 1):
-        for prime in factor_shift(n, alpha).primes():
+        for prime in primes[n]:
             if occurrences[prime] == [n]:
                 private[n] = prime
                 break
@@ -134,7 +157,7 @@ def census_from_scratch(n_start, length, alpha):
 
 
 def test_private_primes_match_membership_oracle():
-    # one warm factorizer, queried past its index mark and then below it
+    # one warm factorizer, queried past its kept segment and then below it
     _FACTORIZERS.clear()
     for n_start, length in ((500, 15), (0, 30), (100, 20)):
         block = private_primes(n_start, length, SQRT2)
@@ -151,22 +174,50 @@ def test_private_primes_match_membership_oracle():
             assert has_private == (n in block.private), n
 
 
+# the shifts of the benchmark's greedy ledgers
+LEDGER_SHIFTS = ["quad:0,1,5", "quad:1/2,1,2", "quad:0,1,7", "quad:1/3,1,2",
+                 "quad:0,1,2", "quad:0,1,3", "quad:1/2,1,3", "quad:0,1,6"]
+
+
 def test_private_primes_over_a_schedule_match_the_definition():
-    # the blocks of a 30-block ledger, with and without a denominator ideal
+    # the blocks of a 30-block ledger on every ledger shift, and on a half
+    # basis with a denominator ideal
     schedule = BlockSchedule(n1=1000, num_blocks=30)
-    for alpha in (SQRT2, Alpha.quadratic(Fraction(1, 2), 1, 3)):
-        n = schedule.n1
+    for shape in LEDGER_SHIFTS + ["quad:1/4,1/2,5"]:
+        alpha = Alpha.parse(shape)
+        _FACTORIZERS.clear()
+        n, blocks = schedule.n1, []
         for _ in range(schedule.num_blocks):
-            m_len = schedule.block_length(n)
+            blocks.append((n, schedule.block_length(n)))
+            n += blocks[-1][1]
+        primes = shift_primes(alpha, n)
+        for n, m_len in blocks:
             block = private_primes(n, m_len, alpha)
-            assert block.private == census_from_scratch(n, m_len, alpha), n
-            n += m_len
+            assert block.private == census_from_scratch(n, m_len, alpha,
+                                                        primes), (shape, n)
 
 
-def test_private_primes_read_the_same_from_an_index_past_the_block():
-    # a ledger indexes its whole schedule before its first block: first and
-    # second occurrences are absolute, so every census reads as it does
-    # from an index that ends at the block
+@pytest.mark.parametrize("shape", RANGE_SHAPES)
+def test_small_blocks_match_the_definition(shape):
+    # near 0 the ideals above the special primes dividing 2*d*D*B can be
+    # private too, where the rule must also look at their other classes
+    alpha = Alpha.parse(shape)
+    _FACTORIZERS.clear()
+    primes = shift_primes(alpha, 40)
+    special = set(_factorizer(alpha).above)
+    witnesses = []
+    for n_start, length in ((0, 5), (3, 4), (0, 1), (1, 12), (7, 30)):
+        block = private_primes(n_start, length, alpha)
+        assert block.private == census_from_scratch(n_start, length, alpha,
+                                                    primes), (n_start, length)
+        witnesses += block.private.values()
+    assert (shape in SPECIAL_PRIVATE) == \
+        any(w.p in special for w in witnesses)
+
+
+def test_private_primes_read_the_same_from_a_segment_past_the_block():
+    # a ledger sieves ahead of its block in one segment, and a census reads
+    # the same from it as from a segment of the block alone
     schedule = BlockSchedule(n1=1000, num_blocks=30)
     blocks, n = [], schedule.n1
     for _ in range(schedule.num_blocks):
@@ -175,9 +226,24 @@ def test_private_primes_read_the_same_from_an_index_past_the_block():
     for alpha in (SQRT2, Alpha.quadratic(Fraction(1, 2), 1, 3)):
         _FACTORIZERS.clear()
         per_block = [private_primes(n, m, alpha) for n, m in blocks]
+        assert len(_factorizer(alpha).segments) == len(blocks)
         _FACTORIZERS.clear()
-        _factorizer(alpha).index_to(n)
+        _factorizer(alpha).segment(schedule.n1 + 1, n)
         assert [private_primes(n, m, alpha) for n, m in blocks] == per_block
+        assert len(_factorizer(alpha).segments) == 1
+
+
+@pytest.mark.parametrize("shape", RANGE_SHAPES)
+def test_each_prime_ideal_divides_one_class(shape):
+    # the census rule: a P above p dividing (n + alpha) * a contains
+    # D*(n + p + alpha), and divides no shift outside the class of n mod p
+    alpha = Alpha.parse(shape)
+    primes = shift_primes(alpha, 300)
+    for n in range(301):
+        for prime in primes[n]:
+            assert membership_divides(prime, n + prime.p, alpha), (n, prime)
+            assert all(m % prime.p == n % prime.p
+                       for m in range(301) if prime in primes[m]), (n, prime)
 
 
 def test_membership_oracle_consistency():
@@ -185,16 +251,6 @@ def test_membership_oracle_consistency():
     for n in range(1, 200):
         for prime in factor_shift(n, SQRT2).primes():
             assert membership_divides(prime, n)
-
-
-# an inert prime dividing B, split-prime denominators, a half basis with a
-# denominator, class number two, a denominator at an inert prime, a split
-# prime dividing B (7 in Q(sqrt 2): p stripped from both coordinates), the
-# split prime 2 (d = 17 = 1 mod 8), and the split prime 2 not dividing B,
-# where nothing is stripped and one conjugate takes the whole valuation
-RANGE_SHAPES = ["quad:0,3,2", "quad:0,1/7,2", "quad:1/4,1/2,5",
-                "quad:0,1,10", "quad:1/3,1,2", "quad:0,7,2", "quad:0,1,17",
-                "quad:1/2,1/2,17"]
 
 
 @pytest.mark.parametrize("shape", RANGE_SHAPES)
@@ -207,8 +263,10 @@ def test_range_factorizations_match_single_elements(shape):
     single = [factor_shift(n, alpha) for n in range(1501)]
     _FACTORIZERS.clear()
     fz = _factorizer(alpha)
+    lo = 0
     for top in (0, 1, 7, 150, 151, 640, 1499, 1500):   # uneven segments
-        fz.index_to(top)
+        fz.segment(lo, top)
+        lo = top + 1
     den = integral_coords(0, alpha)[0]
     for n in range(1501):
         fact = factor_shift(n, alpha)
@@ -227,7 +285,7 @@ def test_range_factorizations_match_single_elements(shape):
 def test_factors_come_in_prime_key_order(shape):
     # the sieve sorts by plain tuple order; that must be _prime_key order
     alpha = Alpha.parse(shape)
-    _factorizer(alpha).index_to(3000)
+    _factorizer(alpha).segment(0, 3000)
     for n in range(3001):
         keys = [_prime_key(prime)
                 for prime, _ in factor_shift(n, alpha).factors]
@@ -250,12 +308,13 @@ def test_sieve_switches_to_python_integers_past_int64():
 def test_ranges_across_the_int64_switch_match_single_elements():
     _FACTORIZERS.clear()
     single = [factor_shift(n, SWITCH) for n in range(17)]
-    # an index of one segment in either dtype, or of an int64 segment and
-    # an object one
+    # one kept segment in either dtype, or an int64 segment and an object
+    # one
     for lo, hi in ((0, 10), (0, 16), (9, 13), (11, 16)):
         _FACTORIZERS.clear()
-        _factorizer(SWITCH).index_to(lo - 1)
-        _factorizer(SWITCH).index_to(hi)
+        if lo:
+            _factorizer(SWITCH).segment(0, lo - 1)
+        _factorizer(SWITCH).segment(lo, hi)
         for n in range(hi + 1):
             fact = factor_shift(n, SWITCH)
             assert fact == single[n], (lo, hi, n)
@@ -277,40 +336,69 @@ def test_norm_recombination_check_fires(alpha, n):
         fz.factor(n)
 
 
-def test_queries_below_the_index_mark_read_the_index(monkeypatch):
+def test_queries_inside_a_kept_segment_read_it(monkeypatch):
     _FACTORIZERS.clear()
     fz = _factorizer(SQRT2)
-    fz.index_to(2000)
+    fz.segment(0, 2000)
+    expected = {(n_start, length): census_from_scratch(n_start, length, SQRT2)
+                for n_start, length in ((0, 30), (1000, 10), (1980, 20))}
 
     def no_sieve(lo, hi):
-        raise AssertionError(f"re-sieved [{lo}, {hi}] below the index mark")
+        raise AssertionError(f"re-sieved [{lo}, {hi}] inside a kept segment")
 
     monkeypatch.setattr(fz, "_sieve", no_sieve)
     for n in (0, 1, 999, 1500, 2000):
         factor_shift(n, SQRT2)
-    for n_start, length in ((0, 30), (1000, 10), (1980, 20)):
-        block = private_primes(n_start, length, SQRT2)
-        assert block.private == census_from_scratch(n_start, length, SQRT2)
-    assert fz.scanned == 2000
+    for (n_start, length), private in expected.items():
+        assert private_primes(n_start, length, SQRT2).private == private
+    assert [(seg.lo, seg.hi) for seg in fz.segments] == [(0, 2000)]
 
 
 def test_a_cold_single_shift_is_sieved_alone(monkeypatch):
-    # past the index mark one n is sieved over [n, n]: no index is built,
-    # and every request makes an equal record
+    # outside every kept segment one n is sieved over [n, n], and kept
+    # nowhere: every request makes an equal record
     alpha = Alpha.parse("quad:1/3,1,2")
     _FACTORIZERS.clear()
+    spans = []
 
-    def no_index(self, top):
-        raise AssertionError(f"indexed up to {top} for one shift")
+    def counted(self, lo, hi):
+        spans.append((lo, hi))
+        return sieve(self, lo, hi)
 
+    sieve = _ShiftFactorizer._sieve
     with monkeypatch.context() as m:
-        m.setattr(_ShiftFactorizer, "index_to", no_index)
+        m.setattr(_ShiftFactorizer, "_sieve", counted)
         first = factor_shift(100000, alpha)
         assert factor_shift(100000, alpha) == first
         cold = factor_shift(5000, alpha)
+    assert spans == [(100000, 100000)] * 2 + [(5000, 5000)]
+    assert _factorizer(alpha).segments == []
     assert Fraction(first.recombined_norm()) == first.norm
-    _factorizer(alpha).index_to(5000)
+    _factorizer(alpha).segment(0, 5000)
     assert factor_shift(5000, alpha) == cold
+
+
+def test_a_far_census_sieves_its_block_alone(monkeypatch):
+    # the census reads the block's own factorizations: nothing below it
+    _FACTORIZERS.clear()
+    spans = []
+
+    def counted(self, lo, hi):
+        spans.append((lo, hi))
+        return sieve(self, lo, hi)
+
+    sieve = _ShiftFactorizer._sieve
+    monkeypatch.setattr(_ShiftFactorizer, "_sieve", counted)
+    block = private_primes(10**6, 10, SQRT2)
+    for n in range(10**6 + 1, 10**6 + 11):
+        factor_shift(n, SQRT2)
+    assert spans == [(10**6 + 1, 10**6 + 10)]
+    # each witness divides its n, and its class mod p meets [0, 10^6 + 10]
+    # at n alone
+    assert block.private
+    for n, prime in block.private.items():
+        assert membership_divides(prime, n)
+        assert n < prime.p and n + prime.p > 10**6 + 10
 
 
 def test_split_prime_denominator():

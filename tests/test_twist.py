@@ -419,22 +419,58 @@ def sieved(monkeypatch):
 
 
 def test_authentic_ledger_sieves_once(sieved):
-    # the occurrence index reaches the last block end in one sieve before
-    # the first block, where it once took one sieve per block
+    # one segment from n1 + 1 to the last block end, sieved before the first
+    # block: nothing up to n1, and not one sieve per block
     report = run_schedule(ONE, SQRT2, BlockSchedule(n1=1000, num_blocks=20),
                           hp_check=False)
     assert report.ok and len(report.blocks) == 20
-    assert sieved == [(0, report.blocks[-1].n_end)]
+    assert sieved == [(1001, report.blocks[-1].n_end)]
 
 
 def test_halting_ledger_sieves_near_its_halt(sieved):
     # this schedule would end near n = 19,800, but the ledger halts at its
-    # first block (n <= 1010); the index stops at twice n1
+    # first block (n <= 1010); the segment stops at twice that block's end
     report = run_schedule(ONE, Alpha.parse("quad:0,1,7"),
                           BlockSchedule(n1=1000, num_blocks=300, sigma=1.5),
                           hp_check=False)
     assert report.halted_at == 1
-    assert sieved == [(0, 2000)]
+    assert sieved == [(1001, 2020)]
+
+
+def test_a_long_ledger_sieves_ahead_by_doubling(sieved):
+    # past its first segment the ledger sieves from the block in hand to
+    # twice its end, or to the schedule's end
+    report = run_schedule(ONE, SQRT2, BlockSchedule(n1=200, num_blocks=40,
+                                                    scale_den=10),
+                          hp_check=False)
+    assert report.ok and len(report.blocks) == 40
+    end = report.blocks[-1].n_end
+    block_at = {row.n_start + 1: row for row in report.blocks}
+    assert sieved[0][0] == 201 and sieved[-1][1] == end
+    prev_hi = 200
+    for lo, hi in sieved:
+        # a new segment starts at the first block the last one cut
+        row = block_at[lo]
+        assert row.n_start <= prev_hi < row.n_end
+        assert hi == min(end, 2 * row.n_end)
+        prev_hi = hi
+    assert len(sieved) == 5
+
+
+def test_cold_ledgers_sieve_the_same_ranges(sieved):
+    # a ledger keeps no state but the factorizer cache: emptied, it sieves
+    # again exactly what it sieved the first time
+    alpha = Alpha.parse("quad:1/2,1,3")
+    schedule = BlockSchedule(n1=1000, num_blocks=50)
+    runs = []
+    for _ in range(2):
+        quadfield._FACTORIZERS.clear()
+        del sieved[:]
+        report = run_schedule(ONE, alpha, schedule, hp_check=False)
+        runs.append((list(sieved), report.to_json()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [(1001, report.blocks[-1].n_end)]
+
 
 def test_witness_with_an_angle_is_refused(monkeypatch):
     # a census naming a witness that already carries an angle would change
