@@ -314,8 +314,7 @@ class ScheduleReport:
     blocks: list
     ok: bool
     halted_at: int | None
-    prime_angles: dict = field(default_factory=lambda: defaultdict(float),
-                               repr=False)
+    prime_angles: dict = field(default_factory=dict, repr=False)
 
     def to_json(self) -> dict:
         return {"sigma": self.sigma, "ok": self.ok, "halted_at": self.halted_at,
@@ -357,12 +356,12 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     (optionally) at 30 digits: each block adds its own terms once its free
     angles are written, in index order, so every prefix equals the sum
     from n = 0.  That holds because the angles of all n up to a block end
-    are frozen from then on; a witness prime that is a witness already or
-    divides n - p, and so was read at an earlier n, would break it and
-    raises ZetalabError.  The report's prime_angles maps each witness to
-    its angle and reads 0.0 for every other ideal.  The prefixes are
-    summed from the table, never taken from the running sum that
-    greedy_step returns, so realize_err stays an independent check.
+    are frozen from then on; a witness prime that divides n - p, and so
+    was read at an earlier n, would break it and raises ZetalabError.  The
+    report's prime_angles maps each witness to its angle and reads 0.0 for
+    every other ideal.  The prefixes are summed from the table, never
+    taken from the running sum that greedy_step returns, so realize_err
+    stays an independent check.
     The float tail is evaluated afresh for every block.  The 30-digit sums
     come from mpmath's Hurwitz zeta twice: every angle up to n1 is 0, so
     the head is the series from 0 minus the tail from n1 + 1, taken with
@@ -497,13 +496,13 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         lam = partial + fixed_sum
         correction, free_angles, partial = greedy_step(lam, free_weights)
 
-        # write the free angles through the witness primes; a witness that
-        # is one already, or that divides n - p, was read at an earlier n,
-        # and an angle now would change terms the prefixes have summed
+        # write the free angles through the witness primes; a witness with
+        # p <= n also divides n - p, whose angle is settled, and an angle
+        # now would change terms the prefixes have summed
         for n in free_ns:
             witness = census.private[n]
             label = fz.label(witness, n)
-            if label in angles or witness.p <= n:
+            if witness.p <= n:
                 raise ZetalabError(
                     "witness prime already carries a character value",
                     block=j, n=n, witness=witness.label(),
