@@ -35,8 +35,9 @@ integers n meet each residue of the prime field F_p in one class mod p.
 Hence P is private to n in a block (N, N+M] exactly when n < p and
 n + p > N+M: the local census reads the block's own factorizations and
 nothing below them.  A sieved block is kept as a segment of Python lists of
-(ideal label, exponent) entries, which censuses and the greedy ledger read;
-the IdealFactorization of an n is built each time it is asked for.
+(ideal label, exponent) entries, and the census of a block names each
+witness by its label: the greedy ledger reads labels alone.  PrimeIdeals
+are made only for what the public functions return.
 """
 
 from __future__ import annotations
@@ -255,19 +256,6 @@ def _valuations(x, p):
     return v
 
 
-class _Sieved(NamedTuple):
-    """A sieved range [lo, hi] as flat arrays, one entry per prime-ideal
-    power, sorted by (at, p, c): entry j is the ideal labelled (p[j], c[j])
-    to the exponent e[j] in the factorization of lo + at[j]; norm[i] is the
-    norm of (lo + i + alpha) * a."""
-
-    at: np.ndarray
-    p: np.ndarray
-    c: np.ndarray
-    e: np.ndarray
-    norm: np.ndarray
-
-
 class _Segment(NamedTuple):
     """A sieved range [lo, hi] as Python lists: the entries of n are
     entries[start[n - lo]:start[n - lo + 1]], each ((p, c), exponent), in
@@ -297,8 +285,8 @@ class _ShiftFactorizer:
     (n + alpha) * a of one class of n mod p at most, so the ideals private
     to n in a block (N, N+M] are read off n's own entries: those of a
     label (p, c) with n < p and n + p > N+M.  Sieved blocks are kept as
-    segments of labels; a PrimeIdeal is made only for a witness or for an
-    IdealFactorization asked for.
+    segments of labels, and censuses hand out labels too; ideals() makes
+    the PrimeIdeals of public results.
     """
 
     def __init__(self, alpha: Alpha):
@@ -393,8 +381,8 @@ class _ShiftFactorizer:
             self.roots = np.concatenate((self.roots, rows))
         self.roots_to = limit
 
-    def _sieve(self, lo: int, hi: int) -> _Sieved:
-        """Factor (n + alpha) * a for every n in [lo, hi], as flat arrays.
+    def _sieve(self, lo: int, hi: int) -> _Segment:
+        """Factor (n + alpha) * a for every n in [lo, hi], as a segment.
 
         Special primes are stripped from g(n) with exact local valuations.
         A split prime (p, r) off the special set divides D*(n + alpha) for
@@ -402,8 +390,8 @@ class _ShiftFactorizer:
         ramified primes off that set never divide.  Once every prime up to
         the square root of the largest cofactor is stripped, each cofactor
         is 1 or a prime q, whose ideal is the one dividing n: class n mod q.
-        The arrays are int64 when every product formed here fits, and
-        Python integers otherwise.
+        The work arrays are int64 when every product formed here fits, and
+        Python integers otherwise; the segment's lists hold Python integers.
         """
         size = hi - lo + 1
         a_max = max(abs(self.D * lo + self.A0), abs(self.D * hi + self.A0))
@@ -483,28 +471,18 @@ class _ShiftFactorizer:
         # (p, c) order is _prime_key order: at most one ideal of a non-special
         # p divides a given n, and above[p] is in _prime_key order
         order = np.lexsort((cs, ps, at))
-        return _Sieved(at[order], ps[order], cs[order], es[order], norm)
+        start = np.searchsorted(at[order], np.arange(size + 1)).tolist()
+        labels = zip(ps[order].tolist(), cs[order].tolist())
+        return _Segment(lo, hi, start, list(zip(labels, es[order].tolist())),
+                        norm)
 
-    def _ideals(self, labels) -> list[PrimeIdeal]:
+    def ideals(self, labels) -> list[PrimeIdeal]:
         """The prime ideals of the sieve's (p, c) labels."""
         # a split (p, w - r) contains A(c) + B*w, so r = -A(c)/B mod p
         return [self.above[p][c] if p in self.above else
                 PrimeIdeal(p, -(self.D * c + self.A0) * pow(self.B, -1, p) % p,
                            "split")
                 for p, c in labels]
-
-    def label(self, prime: PrimeIdeal, n: int) -> tuple[int, int]:
-        """The sieve's label of a prime ideal dividing (n + alpha) * a."""
-        p = prime.p
-        return (p, self.above[p].index(prime)) if p in self.above else \
-            (p, n % p)
-
-    def _listed(self, lo: int, hi: int) -> _Segment:
-        sieved = self._sieve(lo, hi)
-        start = np.searchsorted(sieved.at, np.arange(hi - lo + 2)).tolist()
-        labels = zip(sieved.p.tolist(), sieved.c.tolist())
-        return _Segment(lo, hi, start, list(zip(labels, sieved.e.tolist())),
-                        sieved.norm)
 
     def _holding(self, lo: int, hi: int) -> _Segment | None:
         return next((seg for seg in self.segments
@@ -515,22 +493,22 @@ class _ShiftFactorizer:
         when none does."""
         seg = self._holding(lo, hi)
         if seg is None:
-            seg = self._listed(lo, hi)
+            seg = self._sieve(lo, hi)
             self.segments.append(seg)
         return seg
 
     def factor(self, n: int) -> IdealFactorization:
         """The factorization of n: read from a kept segment that holds n,
         else sieved over [n, n] alone."""
-        seg = self._holding(n, n) or self._listed(n, n)
+        seg = self._holding(n, n) or self._sieve(n, n)
         entries = seg.of(n)
-        factors = tuple(zip(self._ideals(label for label, _ in entries),
+        factors = tuple(zip(self.ideals(label for label, _ in entries),
                             (e for _, e in entries)))
         return IdealFactorization(n, factors, int(seg.norm[n - seg.lo]))
 
-    def private(self, n_start: int, top: int) -> dict[int, PrimeIdeal]:
-        """The witness of each n in (n_start, top] that owns a private
-        prime ideal, read from the kept segment holding the block."""
+    def private(self, n_start: int, top: int) -> dict[int, tuple[int, int]]:
+        """The label of the witness of each n in (n_start, top] that owns a
+        private prime ideal, read from the kept segment holding the block."""
         seg = self.segment(n_start + 1, top)
         labels: dict[int, tuple[int, int]] = {}
         for n in range(n_start + 1, top + 1):
@@ -541,7 +519,7 @@ class _ShiftFactorizer:
                 if label[0] > bound:
                     labels[n] = label
                     break
-        return dict(zip(labels, self._ideals(labels.values())))
+        return labels
 
 
 _FACTORIZERS: dict[tuple, _ShiftFactorizer] = {}
@@ -576,18 +554,18 @@ def private_primes(n_start: int, length: int, alpha: Alpha) -> CasselsBlock:
     """Census of n in (n_start, n_start+length] owning a prime ideal that
     divides no other (m + alpha) * a with m <= n_start + length.
 
-    Read from the block's own factorizations.  A prime ideal P above p that
-    divides (n + alpha) * a also divides (n +- p + alpha) * a, since those
-    lie in (n + alpha) * a + p * a, inside P (a is integral); and it divides
-    no element of any other class mod p (see the module notes).  So P is
-    private to n exactly when n < p and n + p > n_start + length, and the
-    witness is the first such P in _prime_key order.  The block is sieved
-    once and kept on the cached factorizer, where factor_shift reads it
-    too.  Primes of the denominator ideal divide no shifted element, and so
-    are never private.
+    Read from the block's own factorizations: P above p is private to n
+    exactly when n < p and n + p > n_start + length (see the module notes),
+    and the witness is the first such P in _prime_key order.  The block is
+    sieved once and kept on the cached factorizer, where factor_shift and
+    the greedy ledger read it too; the census names witnesses by their
+    sieve labels, and their PrimeIdeals are made here.  Primes of the
+    denominator ideal divide no shifted element, and so are never private.
     """
     if length < 1 or n_start < 0:
         raise ValueError("need n_start >= 0 and length >= 1")
-    private = _factorizer(alpha).private(n_start, n_start + length)
+    fz = _factorizer(alpha)
+    labels = fz.private(n_start, n_start + length)
+    private = dict(zip(labels, fz.ideals(labels.values())))
     return CasselsBlock(n_start=n_start, length=length, private=private,
                         density=len(private) / length)

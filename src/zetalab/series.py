@@ -702,7 +702,8 @@ def series_tail(s, f: PeriodicFunction, alpha, start: int,
     each = 0.5 * tol / weight
     a = _shift_value(alpha)
     # a single point goes through the public hurwitz_zeta, a batch straight
-    # to the kernel they share
+    # to the kernel they share; either way each class shift is checked as
+    # hurwitz_zeta checks its own
     zeta = _zeta if isinstance(s, np.ndarray) else hurwitz_zeta
     total = 0
     try:
@@ -710,7 +711,7 @@ def series_tail(s, f: PeriodicFunction, alpha, start: int,
             c = f(start + r)
             if c == 0.0:
                 continue
-            total += c * zeta(s, (a + start + r) / q, tol=each)
+            total += c * zeta(s, _shift_value((a + start + r) / q), tol=each)
     except PrecisionUnreachable as err:
         if "tol" in err.details:    # the kernel's tol is one class's share
             err.details = {"tol": float(tol),

@@ -42,7 +42,7 @@ from mpmath import libmp
 from .annulus import AnnulusSpec, realize_phases
 from .errors import (AnnulusGap, CaseUnreachable, NoSuchIndex,
                      SignChangeNotBracketed, ZetalabError)
-from .quadfield import private_primes, _factorizer
+from .quadfield import _factorizer
 from .series import (Alpha, PeriodicFunction, lfunction, series_head,
                      series_tail, series_tail_mp)
 
@@ -347,10 +347,10 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
 
     f must be positive: the free weights are annulus radii, and alpha must
     be a quadratic irrational; both are checked before any work.  The free
-    sets come from each block's own ideal factorizations (integers owning
-    a private prime), and character values are kept as phase angles on the
-    witness primes; every other prime ideal has angle 0, and only the
-    blocks from n1 + 1 on are factored.  The angle of each n is written
+    sets come from each block's census (integers owning a private prime),
+    and character values are kept as phase angles on the witness primes,
+    by their sieve labels; every other prime ideal has angle 0, and only
+    the blocks from n1 + 1 on are factored.  The angle of each n is written
     once into one per-n table, which is all the sums read.  The settled
     sum is a running prefix over n = 0, 1, ..., kept in floats and
     (optionally) at 30 digits: each block adds its own terms once its free
@@ -358,10 +358,10 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     from n = 0.  That holds because the angles of all n up to a block end
     are frozen from then on; a witness prime that divides n - p, and so
     was read at an earlier n, would break it and raises ZetalabError.  The
-    report's prime_angles maps each witness to its angle and reads 0.0 for
-    every other ideal.  The prefixes are summed from the table, never
-    taken from the running sum that greedy_step returns, so realize_err
-    stays an independent check.
+    report's prime_angles maps each witness PrimeIdeal, made once the
+    blocks end, to its angle and reads 0.0 for every other ideal.  The
+    prefixes are summed from the table, never taken from the running sum
+    that greedy_step returns, so realize_err stays an independent check.
     The float tail is evaluated afresh for every block.  The 30-digit sums
     come from mpmath's Hurwitz zeta twice: every angle up to n1 is 0, so
     the head is the series from 0 minus the tail from n1 + 1, taken with
@@ -383,10 +383,9 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     if not sigma > 1.0:
         raise ValueError(f"the greedy ledger needs sigma > 1, got {sigma}")
     a = float(alpha)
-    # the angle of each witness, by its sieve label (p, c) and as a prime
-    # ideal for the report; every other ideal reads 0.0
+    # the angle of each witness, by its sieve label (p, c); every other
+    # ideal reads 0.0
     angles: dict = {}
-    prime_angles: dict = defaultdict(float)
 
     def weights(ns) -> list[float]:
         return [f(n) / (n + a) ** sigma for n in ns]
@@ -471,8 +470,8 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
 
         if seg is None or top > seg.hi:
             seg = fz.segment(n_cur + 1, min(end, 2 * top))
-        census = private_primes(n_cur, m_len, alpha)
-        free_ns = sorted(census.private)
+        witnesses = fz.private(n_cur, top)
+        free_ns = sorted(witnesses)
         free_set = set(free_ns)
         fixed_ns = [n for n in block_ns if n not in free_set]
         for n in fixed_ns:
@@ -500,12 +499,11 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         # p <= n also divides n - p, whose angle is settled, and an angle
         # now would change terms the prefixes have summed
         for n in free_ns:
-            witness = census.private[n]
-            label = fz.label(witness, n)
-            if witness.p <= n:
+            label = witnesses[n]
+            if label[0] <= n:
                 raise ZetalabError(
                     "witness prime already carries a character value",
-                    block=j, n=n, witness=witness.label(),
+                    block=j, n=n, witness=fz.ideals([label])[0].label(),
                     angle=angles.get(label, 0.0))
             entries = seg.of(n)
             e_w = dict(entries)[label]
@@ -513,7 +511,7 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
             for other, e in entries:
                 if other != label:
                     known += e * angles.get(other, 0.0)
-            angles[label] = prime_angles[witness] = math.fmod(
+            angles[label] = math.fmod(
                 (free_angles[n] - known) / e_w, 2.0 * math.pi)
         for n in free_ns:
             chi[n] = angle_of(seg.of(n))
@@ -560,5 +558,7 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
             break
         n_cur = top
 
+    # each label got its angle once: the report's PrimeIdeals are made here
+    prime_angles = defaultdict(float, zip(fz.ideals(angles), angles.values()))
     return ScheduleReport(sigma=sigma, blocks=rows, ok=ok, halted_at=halted,
                           prime_angles=prime_angles)

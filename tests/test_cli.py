@@ -188,6 +188,23 @@ def test_far_cassels_stdout_is_pinned(capsys):
         "d5ab54f366d435344d09855a26aa9f4be92f2f76f7210eeb62456914d06f2dab"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--format", "jsonl", "ideals", "cassels", "--alpha", "quad:1/3,1,2",
+      "--N", "100", "--M", "20"],
+     "1f3e439a7886887096ea0f6d1d95ee6d30ba6643c272aa022972313574c2bad8"),
+    (["ideals", "cassels", "--alpha", "quad:1/2,1,3", "--N", "1000",
+      "--M", "40"],
+     "9b7535e9da7b692ca8e81f96ab45b14db6fa469638d893cefe553ad402fd2174"),
+], ids=["third-sqrt2-jsonl", "half-sqrt3-json"])
+def test_cassels_stdout_is_pinned(argv, digest, capsys):
+    # SHA-256 of censuses whose witnesses are read through a denominator
+    # ideal and a d = 3 mod 4 field, recorded when each witness was still
+    # built as a PrimeIdeal inside the census
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_twist_sign_flip():
     code, out, _ = run_cli("twist", "sign-flip", "--alpha", "rat:1,1",
                            "--f", "1", "--delta", "1.0")

@@ -419,6 +419,24 @@ def test_batch_refuses_what_a_single_point_refuses():
         hurwitz_zeta(np.array([2 + 0j, 3 + 0j]), 1.0)
 
 
+@pytest.mark.parametrize("start", [-1, -3])
+def test_batch_tail_refuses_a_class_shift_a_single_point_refuses(start):
+    # start + shift < 0 gives a class shift below 0: a batch used to take it
+    # to the kernel, which read NaN logs and raised PrecisionUnreachable
+    for s in (2 + 1j, np.array([2 + 1j])):
+        with pytest.raises(ValueError, match="finite positive"):
+            series_tail(s, ONE, 0.5, start)
+
+
+def test_batch_tail_below_zero_agrees_with_a_single_point():
+    # a start below 0 is fine while every class shift stays positive: both
+    # forms give zeta(2, 5/2) = pi^2/2 - 40/9, each within its tol
+    single = series_tail(2 + 0j, ONE, 3.5, -1)
+    batch = series_tail(np.array([2 + 0j]), ONE, 3.5, -1)
+    assert single == 0.4903577561002345
+    assert abs(batch[0] - single) <= 1e-12
+
+
 def test_batch_evaluates_what_each_single_point_evaluates():
     # at sigma = 1.001 the class a = 1/8 gets a class tol of 3.3e-13, below
     # the floor 4.6e-13 that a^(-3) = 512 sets at 3+1.35i; that point alone

@@ -1,7 +1,9 @@
 """Twisted series: truncation, sign change, greedy induction."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +15,7 @@ import zetalab.quadfield as quadfield
 import zetalab.twist as twist
 from zetalab.errors import AnnulusGap, CaseUnreachable, NoSuchIndex, \
     NotQuadratic, SignChangeNotBracketed, ZetalabError
-from zetalab.quadfield import CasselsBlock, factor_shift, private_primes
+from zetalab.quadfield import factor_shift
 from zetalab.series import Alpha, PeriodicFunction, series_tail_mp
 from zetalab.twist import (BlockSchedule, TwistedSeries,
                            choose_case_sigma, find_sigma0, greedy_step,
@@ -264,7 +266,7 @@ def test_ledger_refuses_nonpositive_f_before_any_work(monkeypatch):
         raise AssertionError("work done before the f > 0 check")
 
     monkeypatch.setattr(twist, "choose_case_sigma", boom)
-    monkeypatch.setattr(twist, "private_primes", boom)
+    monkeypatch.setattr(quadfield._ShiftFactorizer, "segment", boom)
     for f in (PeriodicFunction((1.0, 0.0)), PeriodicFunction((1.0, -0.5, 2.0))):
         with pytest.raises(ValueError, match="f > 0"):
             run_schedule(f, SQRT2, BlockSchedule(n1=1000, num_blocks=2),
@@ -280,7 +282,7 @@ def test_ledger_refuses_a_shift_that_is_not_quadratic_before_any_work(
         raise AssertionError("work done before the shift check")
 
     monkeypatch.setattr(twist, "choose_case_sigma", boom)
-    monkeypatch.setattr(twist, "private_primes", boom)
+    monkeypatch.setattr(quadfield._ShiftFactorizer, "segment", boom)
     with pytest.raises(NotQuadratic) as err:
         run_schedule(ONE, alpha, BlockSchedule(n1=1000, num_blocks=2),
                      hp_check=False)
@@ -475,16 +477,48 @@ def test_cold_ledgers_sieve_the_same_ranges(sieved):
 def test_witness_with_an_angle_is_refused(monkeypatch):
     # a census naming a witness that already carries an angle would change
     # terms the running prefixes have summed; the ledger must refuse it
-    def census(n_start, length, alpha):
-        block = private_primes(n_start, length, alpha)
-        n = next(n for n in range(n_start + 1, n_start + length + 1)
-                 if n % 2 == 0 and n not in block.private)
-        # the ramified prime above 2 divides every even shift, n = 0 too
-        two = factor_shift(n, alpha).factors[0][0]
-        private = {**block.private, n: two}
-        return CasselsBlock(n_start, length, private, len(private) / length)
+    def census(self, n_start, top):
+        labels = private(self, n_start, top)
+        n = next(n for n in range(n_start + 1, top + 1)
+                 if n % 2 == 0 and n not in labels)
+        # (2, 0) labels the ramified prime above 2, which divides every even
+        # shift, n = 0 too
+        assert self.ideals([(2, 0)]) == [factor_shift(n, SQRT2).factors[0][0]]
+        return {**labels, n: (2, 0)}
 
-    monkeypatch.setattr(twist, "private_primes", census)
-    with pytest.raises(ZetalabError, match="witness prime"):
+    private = quadfield._ShiftFactorizer.private
+    monkeypatch.setattr(quadfield._ShiftFactorizer, "private", census)
+    with pytest.raises(ZetalabError, match="witness prime") as err:
         run_schedule(ONE, SQRT2, BlockSchedule(n1=1000, num_blocks=1),
                      hp_check=False)
+    assert err.value.details["witness"] == "(2,0)"
+
+
+def test_ledger_makes_its_prime_ideals_in_one_call(monkeypatch):
+    # the ledger keys its angles by sieve label; the report's PrimeIdeals
+    # are made once, for every witness, after the last block
+    calls = []
+
+    def counted(self, labels):
+        labels = list(labels)
+        calls.append(len(labels))
+        return ideals(self, labels)
+
+    ideals = quadfield._ShiftFactorizer.ideals
+    monkeypatch.setattr(quadfield._ShiftFactorizer, "ideals", counted)
+    report = run_schedule(ONE, SQRT2, BlockSchedule(n1=1000, num_blocks=50),
+                          hp_check=False)
+    assert report.ok
+    assert calls == [sum(row.free_count for row in report.blocks)]
+    assert calls[0] == len(report.prime_angles)
+
+
+def test_twist_reads_quadfield_through_the_factorizer_alone():
+    # witnesses cross from quadfield to twist as sieve labels, so twist needs
+    # the cached factorizer and nothing else of quadfield
+    tree = ast.parse(Path(twist.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module and node.module.endswith("quadfield")
+             for alias in node.names]
+    assert names == ["_factorizer"]
