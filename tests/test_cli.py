@@ -804,6 +804,32 @@ def test_ledger_stdout_is_pinned(flags, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the stdout of four more ledgers, each given its full command
+# line: other f, block counts, n1 and scale_den, a fixed sigma, and the
+# 30-digit recheck on shifts the lines above run without it
+LEDGER_PINS = [
+    ("twist greedy --alpha quad:1/3,1,2 --f 1,2 --blocks 20 --n1 500",
+     "3bb4b233c0f031337d4bc4d914928315f1a02237194e977cd21af1bdec21f445"),
+    ("twist greedy --alpha quad:1/2,1,3 --f 2,1,1 --blocks 30 --n1 300 "
+     "--scale-den 10",
+     "b0ea855a8dceb3fd1481d9abbfb2cf4505ab2f5745742c253afffce10a1d0b27"),
+    ("twist greedy --alpha quad:0,1,2 --blocks 5 --n1 200 --scale-den 10 "
+     "--sigma 1.00000095367431640625",
+     "08de6183cf90f0acd5f72b653f4037a995e888d079cca9c730ca7f7bb48c8df2"),
+    ("twist greedy --alpha quad:0,1,3 --f 1,3 --blocks 40 --n1 2000 "
+     "--format jsonl",
+     "e3b79bedc51eaf8e3d23e02c9e8ade016182bdf0e20200b177c19f2d43ef564e"),
+]
+
+
+@pytest.mark.parametrize("line, digest", LEDGER_PINS,
+                         ids=[line.split()[3] for line, _ in LEDGER_PINS])
+def test_more_ledger_stdout_is_pinned(line, digest, capsys):
+    assert main(line.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def render_json_oracle(obj) -> str:
     """The recursive renderer render_json replaced, kept as its oracle."""
     if isinstance(obj, dict):
