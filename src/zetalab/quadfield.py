@@ -508,7 +508,8 @@ class _ShiftFactorizer:
 
     def private(self, n_start: int, top: int) -> dict[int, tuple[int, int]]:
         """The label of the witness of each n in (n_start, top] that owns a
-        private prime ideal, read from the kept segment holding the block."""
+        private prime ideal, in ascending n, read from the kept segment
+        holding the block."""
         seg = self.segment(n_start + 1, top)
         labels: dict[int, tuple[int, int]] = {}
         for n in range(n_start + 1, top + 1):

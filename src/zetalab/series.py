@@ -727,16 +727,21 @@ def series_tail_mp(s, f: PeriodicFunction, alpha, start: int, dps: int):
     The value is q^(-s) sum_r f(start+r) zeta(s, (alpha+start+r)/q) with
     mpmath's own Hurwitz zeta, the class terms summed in order of r; the
     magnitude is |q^(-s)| sum_r |f(start+r) zeta(...)|, the scale of its
-    rounding.  Refuses what lfunction refuses: s near 1 and Re(s) <= 1/2.
+    rounding.  Refuses what series_tail refuses: s near 1, Re(s) <= 1/2,
+    and a class with f != 0 whose shift (alpha+start+r)/q is not positive.
     """
     s = complex(s)
     _refuse_pole(s)
     _refuse_left(s)
     q = f.period
+    a = _shift_value(alpha)
+    for r in range(q):
+        # a class shift is positive for start + r >= 0, as alpha is
+        if start + r < 0 and f(start + r):
+            _shift_value((a + start + r) / q)
     with mp.workdps(dps):
         sw = mp.mpc(s.real, s.imag) if s.imag else mp.mpf(s.real)
-        a = alpha.value_mp() if isinstance(alpha, Alpha) else \
-            mp.mpf(_shift_value(alpha))
+        a = alpha.value_mp() if isinstance(alpha, Alpha) else mp.mpf(a)
         total, mass = mp.mpf(0), mp.mpf(0)
         for r in range(q):
             c = f(start + r)
@@ -753,8 +758,11 @@ def series_head(s, f: PeriodicFunction, alpha, upto: int,
     """sum_{n = 0..upto} f(n) (n+alpha)^(-s), inclusive.
 
     Ranges up to _HEAD_DIRECT are summed directly by _direct_block; larger
-    ones go through head = full series minus tail.  upto = -1 gives 0.
+    ones go through head = full series minus tail.  upto = -1 gives 0, and
+    upto < -1 raises ValueError.
     """
+    if upto < -1:
+        raise ValueError(f"series_head needs upto >= -1, got {upto}")
     s = complex(s)
     if upto <= _HEAD_DIRECT:
         return _complete(_direct_block(_working(s), _shift_value(alpha),

@@ -24,9 +24,9 @@ the 30-digit tail is evaluated once, at N_1 + 1, and carried: each block
 subtracts its own 30-digit mass.  The character value of every
 n <= N_{j+1} is frozen once the block ends: a witness prime divides no
 other shift up to the block end, and every prime ideal that is no witness
-has value 1.  So the angle of chi(n + alpha) is written once into a per-n
-table, and the settled sums are kept as running prefixes, each block adding
-only its own terms, in the order a sum from n = 0 would take them.
+has value 1.  So each block forms the angles of its own n alone, and the
+settled sums are kept as running prefixes, each block adding only its own
+terms, in the order a sum from n = 0 would take them.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 import mpmath as mp
-from mpmath import libmp
 
 from .annulus import AnnulusSpec, realize_phases
 from .errors import (AnnulusGap, CaseUnreachable, NoSuchIndex,
@@ -218,31 +217,25 @@ def _correction(lam: complex, s3: float) -> complex:
     return -s3 * lam / mag
 
 
-def greedy_step(lam: complex, free_weights):
+def greedy_step(lam: complex, weights: list[float]):
     """One block of the induction: steer the free part against lam.
 
     lam is the running sum the block must cancel (the settled partial sum
-    plus the block's fixed part); free_weights is a list of (n, w_n) for
-    the steerable part.  Requires the free multiset to reach the full disk
-    (inner radius zero).  Returns (correction, angles, new_partial): the
-    chosen z, phase angles on the free part realizing it, and lam plus the
-    realized free sum.
+    plus the block's fixed part); weights are the free weights.  Requires
+    them to reach the full disk (inner radius zero).  Returns (correction,
+    phases, new_partial): the chosen z, one phase per weight, in order,
+    realizing it, and lam plus the realized free sum.
     """
-    weights = [w for _, w in free_weights]
-    angles: dict[int, float] = {}
-    if free_weights:
-        spec = AnnulusSpec(tuple(weights))
-        if spec.inner > 0.0:
-            raise AnnulusGap("free weights do not reach the full disk",
-                             inner=spec.inner, count=len(weights))
-        z = _correction(lam, math.fsum(weights))
-        phases = realize_phases(spec, z, tol=_REALIZE_TOL)
-        angles = {n: th for (n, _), th in zip(free_weights, phases)}
-        realized = sum(w * cmath.exp(1j * th)
-                       for w, th in zip(weights, phases))
-    else:
-        z = realized = 0j
-    return z, angles, lam + realized
+    if not weights:
+        return 0j, [], lam
+    spec = AnnulusSpec(tuple(weights))
+    if spec.inner > 0.0:
+        raise AnnulusGap("free weights do not reach the full disk",
+                         inner=spec.inner, count=len(weights))
+    z = _correction(lam, math.fsum(weights))
+    phases = realize_phases(spec, z, tol=_REALIZE_TOL)
+    realized = sum(w * cmath.exp(1j * th) for w, th in zip(weights, phases))
+    return z, phases, lam + realized
 
 
 @dataclass(frozen=True)
@@ -350,23 +343,24 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     sets come from each block's census (integers owning a private prime),
     and character values are kept as phase angles on the witness primes,
     by their sieve labels; every other prime ideal has angle 0, and only
-    the blocks from n1 + 1 on are factored.  The angle of each n is written
-    once into one per-n table, which is all the sums read.  The settled
-    sum is a running prefix over n = 0, 1, ..., kept in floats and
-    (optionally) at 30 digits: each block adds its own terms once its free
-    angles are written, in index order, so every prefix equals the sum
-    from n = 0.  That holds because the angles of all n up to a block end
-    are frozen from then on; a witness prime that divides n - p, and so
-    was read at an earlier n, would break it and raises ZetalabError.  The
-    report's prime_angles maps each witness PrimeIdeal, made once the
-    blocks end, to its angle and reads 0.0 for every other ideal.  The
-    prefixes are summed from the table, never taken from the running sum
-    that greedy_step returns, so realize_err stays an independent check.
-    The float tail is evaluated afresh for every block.  The 30-digit sums
-    come from mpmath's Hurwitz zeta twice: every angle up to n1 is 0, so
-    the head is the series from 0 minus the tail from n1 + 1, taken with
-    guard digits against the cancellation at the pole; that tail is then
-    carried, each block subtracting the 30-digit mass of its own terms.
+    the blocks from n1 + 1 on are factored.  Each block forms the angles
+    of its own n, which are all its sums read; the head up to n1 is summed
+    with angle 0.  The settled sum is a running prefix over n = 0, 1, ...,
+    kept in floats and (optionally) at 30 digits: each block adds its own
+    terms once its free angles are written, in index order, so every
+    prefix equals the sum from n = 0.  That holds because the angles of
+    all n up to a block end are frozen from then on; a witness prime that
+    divides n - p, and so was read at an earlier n, would break it and
+    raises ZetalabError.  The report's prime_angles maps each witness
+    PrimeIdeal, made once the blocks end, to its angle and reads 0.0 for
+    every other ideal.  The prefixes are summed from the block's angles,
+    never taken from the running sum that greedy_step returns, so
+    realize_err stays an independent check.  The float tail is evaluated
+    afresh for every block.  The 30-digit sums come from mpmath's Hurwitz
+    zeta twice: every angle up to n1 is 0, so the head is the series from
+    0 minus the tail from n1 + 1, taken with guard digits against the
+    cancellation at the pole; that tail is then carried, each block
+    subtracting the 30-digit mass of its own terms.
 
     Processing halts at the first block whose damping inequality fails (the
     offending row stays in the report with ok=False).  A free set whose
@@ -397,33 +391,22 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         return math.fmod(total, 2.0 * math.pi)
 
     with mp.workdps(_HP_DPS):
-        a_raw = alpha.value_mp()._mpf_
-        sigma_raw = mp.mpf(sigma)._mpf_
-        prec = mp.mp.prec
-    rnd = libmp.round_nearest
+        a_hp = alpha.value_mp()
+        sigma_hp = mp.mpf(sigma)
 
-    def settle(acc: complex, acc_hp, lo: int, ws: list[float]):
+    def settle(acc: complex, acc_hp, lo: int, ws: list[float], phases):
         """The settled prefixes over n < lo extended by the terms from lo on
-        whose float weights are ws, and the 30-digit mass of those terms;
-        acc_hp is None (and so is the mass) when there is no high-precision
-        recheck."""
-        ns = range(lo, lo + len(ws))
-        phases = chi[lo:lo + len(ws)]
+        whose float weights are ws and whose angles are phases, and the
+        30-digit mass of those terms; acc_hp is None (and so is the mass)
+        when there is no high-precision recheck."""
         for w, ph in zip(ws, phases):
             acc += w * cmath.exp(1j * ph)
         if acc_hp is None:
             return acc, None, None
-        # each term by the libmp calls the mpf operators make, at the same
-        # precision and rounding: f(n) / (n + alpha)^sigma and the turn
-        # (cos ph, sin ph)
-        ws_hp = [mp.make_mpf(libmp.mpf_div(
-            libmp.from_float(f(n)),
-            libmp.mpf_pow(libmp.mpf_add(a_raw, libmp.from_int(n), prec, rnd),
-                          sigma_raw, prec, rnd), prec, rnd)) for n in ns]
-        turns = [tuple(map(mp.make_mpf, libmp.mpf_cos_sin(
-            libmp.from_float(ph), prec, rnd))) if ph else (1, 0)
-            for ph in phases]
         with mp.workdps(_HP_DPS):
+            ws_hp = [f(n) / (n + a_hp) ** sigma_hp
+                     for n in range(lo, lo + len(ws))]
+            turns = [mp.cos_sin(ph) if ph else (1, 0) for ph in phases]
             acc_hp += mp.mpc(mp.fdot(ws_hp, [c for c, _ in turns]),
                              mp.fdot(ws_hp, [s for _, s in turns]))
             mass = mp.fsum(ws_hp)
@@ -440,10 +423,9 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     for _ in range(schedule.num_blocks):
         end += schedule.block_length(end)
     seg = None
-    # chi[n]: the settled angle of chi(n + alpha), written once
-    chi = [0.0] * (n1 + 1)
 
-    settled, _, _ = settle(0j, None, 0, weights(range(n1 + 1)))
+    settled, _, _ = settle(0j, None, 0, weights(range(n1 + 1)),
+                           [0.0] * (n1 + 1))
     settled_hp = tail_hp = None
     if hp_check:
         # the 30-digit head is L minus the tail from n1 + 1, both near
@@ -455,7 +437,7 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
         with mp.workdps(_HP_DPS):
             settled_hp, tail_hp = mp.mpc(full - tail_hp), +tail_hp
     # the greedy's own running sum, built from the realized phases; the
-    # settled prefixes are summed apart from it from the angle table
+    # settled prefixes are summed apart from it from the block's angles
     partial = settled
 
     rows: list[BlockLedger] = []
@@ -465,41 +447,39 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
     for j in range(1, schedule.num_blocks + 1):
         m_len = schedule.block_length(n_cur)
         top = n_cur + m_len
-        block_ns = range(n_cur + 1, top + 1)
-        chi.extend([0.0] * m_len)
-
         if seg is None or top > seg.hi:
             seg = fz.segment(n_cur + 1, min(end, 2 * top))
+        # the witness label of each free n
         witnesses = fz.private(n_cur, top)
-        free_ns = sorted(witnesses)
-        free_set = set(free_ns)
-        fixed_ns = [n for n in block_ns if n not in free_set]
-        for n in fixed_ns:
-            chi[n] = angle_of(seg.of(n))
-
-        # each weight of the block, formed once: n's is block_ws[n - n_cur - 1]
-        block_ws = weights(block_ns)
-        fixed_ws = [block_ws[n - n_cur - 1] for n in fixed_ns]
-        fixed_sum = sum(w * cmath.exp(1j * chi[n])
-                        for n, w in zip(fixed_ns, fixed_ws))
-        free_weights = [(n, block_ws[n - n_cur - 1]) for n in free_ns]
-        ws = [w for _, w in free_weights]
+        # the block's weights and angles, n's at index n - n_cur - 1; a
+        # free angle is written once greedy_step has chosen it
+        block_ns = range(n_cur + 1, top + 1)
+        ws = weights(block_ns)
+        chi = [0.0] * m_len
+        fixed_ws = []
+        fixed_sum = 0
+        for i, n in enumerate(block_ns):
+            if n not in witnesses:
+                chi[i] = angle_of(seg.of(n))
+                fixed_ws.append(ws[i])
+                fixed_sum += ws[i] * cmath.exp(1j * chi[i])
+        free_ws = [ws[n - n_cur - 1] for n in witnesses]
         # S2 and S3: the fixed and the free mass of the block
         s2 = math.fsum(fixed_ws)
-        s3 = math.fsum(ws)
+        s3 = math.fsum(free_ws)
         tail_tol = max(1e-11, 1e-14 / (sigma - 1.0))
         tail_mass = series_tail(sigma + 0j, f, alpha, top + 1,
                                 tol=tail_tol).real
 
         s1 = abs(partial)
         lam = partial + fixed_sum
-        correction, free_angles, partial = greedy_step(lam, free_weights)
+        correction, phases, partial = greedy_step(lam, free_ws)
 
         # write the free angles through the witness primes; a witness with
         # p <= n also divides n - p, whose angle is settled, and an angle
-        # now would change terms the prefixes have summed
-        for n in free_ns:
-            label = witnesses[n]
+        # now would change terms the prefixes have summed.  A witness
+        # divides no other n of the block, so each n's angle is final here
+        for (n, label), phase in zip(witnesses.items(), phases):
             if label[0] <= n:
                 raise ZetalabError(
                     "witness prime already carries a character value",
@@ -511,16 +491,14 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
             for other, e in entries:
                 if other != label:
                     known += e * angles.get(other, 0.0)
-            angles[label] = math.fmod(
-                (free_angles[n] - known) / e_w, 2.0 * math.pi)
-        for n in free_ns:
-            chi[n] = angle_of(seg.of(n))
+            angles[label] = math.fmod((phase - known) / e_w, 2.0 * math.pi)
+            chi[n - n_cur - 1] = angle_of(entries)
 
         # the chain form: the settled sum up to the block start plus the
         # fixed mass minus the free mass
         chain_lhs = abs(settled) + s2 - s3
         settled, settled_hp, mass_hp = settle(settled, settled_hp,
-                                              n_cur + 1, block_ws)
+                                              n_cur + 1, ws, chi)
         realize_err = abs(settled - partial)
         lhs = abs(settled)
         rhs = 1e-2 * tail_mass
@@ -536,11 +514,11 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
                 ok_hp = bool(lhs_hp_v < rhs_hp_v)
                 lhs_hp, rhs_hp = float(lhs_hp_v), float(rhs_hp_v)
         ratio = s3 / s2 if s2 > 0 else math.inf
-        pair_ratio = max(ws) / min(ws) if ws else 1.0
+        pair_ratio = max(free_ws) / min(free_ws) if free_ws else 1.0
 
         rows.append(BlockLedger(
-            j=j, n_start=n_cur, n_end=top, free_count=len(free_ns),
-            fixed_count=len(fixed_ns), s1=s1, s2=s2, s3=s3,
+            j=j, n_start=n_cur, n_end=top, free_count=len(free_ws),
+            fixed_count=len(fixed_ws), s1=s1, s2=s2, s3=s3,
             s4=tail_mass, lam=lam,
             correction=correction, realize_err=realize_err,
             damping_lhs=lhs, damping_rhs=rhs, damping_ok=damping_ok,
@@ -549,8 +527,8 @@ def run_schedule(f: PeriodicFunction, alpha: Alpha, schedule: BlockSchedule,
             ratio=ratio, ratio_ok=ratio > 101.0 / 99.0,
             bound_ok=100.0 * (s3 - s2) > s3 + s2,
             pair_ratio=pair_ratio, pair_ratio_ok=pair_ratio < 3.0,
-            census_ok=len(free_ns) >= math.ceil(27 * m_len / 50),
-            density=len(free_ns) / m_len))
+            census_ok=len(free_ws) >= math.ceil(27 * m_len / 50),
+            density=len(free_ws) / m_len))
 
         if not damping_ok or (hp_check and not ok_hp):
             ok = False

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from zetalab.errors import PoleAt1, PrecisionUnreachable
 from zetalab.series import (Alpha, PeriodicFunction, hurwitz_zeta, lfunction,
-                            series_head, series_tail)
+                            series_head, series_tail, series_tail_mp)
 
 from conftest import brute_hurwitz, brute_series
 
@@ -187,6 +188,10 @@ def test_series_tail_and_head_consistency():
 def test_empty_head_is_zero():
     from zetalab.series import _direct_block
     assert series_head(2 + 0j, ONE, 0.5, -1) == 0
+    # a head that ends before the empty one is refused, not read as 0
+    for upto in (-2, -5):
+        with pytest.raises(ValueError, match="upto >= -1"):
+            series_head(2 + 0j, ONE, 0.5, upto)
     assert _direct_block(2 + 1j, 0.5, 0) == (0, 0)
     total, mass = _direct_block(np.array([2 + 0j, 3 + 1j]), 0.5, 0)
     assert total.tolist() == [0, 0] and mass.tolist() == [0, 0]
@@ -426,15 +431,22 @@ def test_batch_tail_refuses_a_class_shift_a_single_point_refuses(start):
     for s in (2 + 1j, np.array([2 + 1j])):
         with pytest.raises(ValueError, match="finite positive"):
             series_tail(s, ONE, 0.5, start)
+    # the high-precision route used to take mpmath's branch of
+    # (n + shift)^(-s) there and return a value
+    with pytest.raises(ValueError, match="finite positive"):
+        series_tail_mp(2 + 1j, ONE, 0.5, start, 30)
 
 
 def test_batch_tail_below_zero_agrees_with_a_single_point():
-    # a start below 0 is fine while every class shift stays positive: both
-    # forms give zeta(2, 5/2) = pi^2/2 - 40/9, each within its tol
+    # a start below 0 is fine while every class shift stays positive: all
+    # three forms give zeta(2, 5/2) = pi^2/2 - 40/9, each within its tol
     single = series_tail(2 + 0j, ONE, 3.5, -1)
     batch = series_tail(np.array([2 + 0j]), ONE, 3.5, -1)
     assert single == 0.4903577561002345
     assert abs(batch[0] - single) <= 1e-12
+    with mp.workdps(30):
+        exact = mp.pi ** 2 / 2 - mp.mpf(40) / 9
+        assert abs(series_tail_mp(2, ONE, 3.5, -1, 30)[0] - exact) < 1e-28
 
 
 def test_batch_evaluates_what_each_single_point_evaluates():

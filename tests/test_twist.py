@@ -160,8 +160,8 @@ def test_correction_rule_cases():
 
 
 def test_greedy_step_examples():
-    free = [(11, 1.0), (12, 1.0), (13, 1.0)]
-    correction, angles, partial = greedy_step(0j, free)
+    free = [1.0, 1.0, 1.0]
+    correction, phases, partial = greedy_step(0j, free)
     assert correction == 0j
     assert abs(partial) <= 1e-9
 
@@ -169,17 +169,29 @@ def test_greedy_step_examples():
     assert correction == -3 + 0j
     assert abs(partial) <= 1e-9
 
-    free4 = [(n, 1.0) for n in range(4)]
-    correction, _, partial = greedy_step(10 + 0j, free4)
+    correction, _, partial = greedy_step(10 + 0j, [1.0] * 4)
     assert abs(correction + 4) < 1e-12
     assert abs(abs(partial) - 6.0) <= 1e-9
 
 
+def test_greedy_step_phases_follow_the_weights():
+    # one phase per weight, in the weights' order, summing to the correction
+    weights = [0.5, 2.0, 1.25, 0.75, 1.0]
+    for lam in (3 - 1j, 10 + 0j, 0.25j):
+        correction, phases, partial = greedy_step(lam, weights)
+        assert isinstance(phases, list) and len(phases) == len(weights)
+        realized = sum(w * cmath.exp(1j * ph)
+                       for w, ph in zip(weights, phases))
+        assert abs(realized - correction) <= 1e-9
+        assert partial == lam + realized
+    assert greedy_step(2 - 1j, []) == (0j, [], 2 - 1j)
+
+
 def test_greedy_step_annulus_gap():
     with pytest.raises(AnnulusGap):
-        greedy_step(1 + 0j, [(5, 1.0)])
+        greedy_step(1 + 0j, [1.0])
     with pytest.raises(AnnulusGap):
-        greedy_step(1 + 0j, [(5, 1.0), (6, 3.0)])
+        greedy_step(1 + 0j, [1.0, 3.0])
 
 
 def test_case_sigma_found_and_unreachable():
